@@ -1,0 +1,64 @@
+#!/usr/bin/env python3
+"""Write a fixed-seed set of clozerm artifacts to OUTDIR.
+
+Covers the three objectives (checkpoint, trace CSV with held-out accuracy,
+eval report each), a DoRA run continued from the cloze checkpoint with
+eval_every set, its merge, a sweep and an objective comparison. Every file
+is deterministic, so `diff -r` between the outputs of two checkouts shows
+whether a refactor kept the artifacts byte-identical:
+
+    PYTHONPATH=src python3 scripts/artifacts.py OUTDIR
+
+Runs in well under a minute on one core.
+"""
+
+import sys
+from pathlib import Path
+
+from clozerm.cli import run
+
+SMALL = ["--n-layers", "2", "--hidden", "32", "--n-heads", "4", "--batch-size", "8",
+         "--learning-rate", "3e-3", "--seed", "7"]
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        sys.exit("usage: artifacts.py OUTDIR")
+    out = Path(argv[0])
+    out.mkdir(parents=True, exist_ok=True)
+
+    def clozerm(*args):
+        code = run([str(a) for a in args])
+        if code != 0:
+            sys.exit(f"clozerm {args[0]} exited {code}")
+
+    data, heldout = out / "train.jsonl", out / "heldout.jsonl"
+    clozerm("synth", "--task", "arithmetic", "--n", 240, "--seed", 1, "--out", data)
+    for task, seed in (("arithmetic", 2), ("refusal", 3), ("verbosity", 4)):
+        clozerm("synth", "--task", task, "--n", 12, "--seed", seed, "--out", out / f"{task}.jsonl")
+    heldout.write_text("".join((out / f"{t}.jsonl").read_text()
+                               for t in ("arithmetic", "refusal", "verbosity")))
+
+    for objective in ("cloze", "pooled", "token-level"):
+        ckpt = out / f"{objective}.trm1"
+        clozerm("train", "--data", data, "--heldout", heldout, "--objective", objective,
+                "--out", ckpt, "--trace", out / f"{objective}.trace.csv", *SMALL)
+        clozerm("eval", "--ckpt", ckpt, "--data", heldout, "--out", out / f"{objective}.eval.json")
+
+    dora = out / "dora.trm1"
+    clozerm("train", "--data", data, "--heldout", heldout, "--init-from", out / "cloze.trm1",
+            "--dora-rank", 4, "--frozen-layers", 1, "--eval-every", 10, "--out", dora,
+            "--trace", out / "dora.trace.csv", *SMALL)
+    clozerm("merge", "--ckpt", dora, "--out", out / "dora.merged.trm1")
+    clozerm("eval", "--ckpt", dora, "--data", heldout, "--out", out / "dora.eval.json")
+    clozerm("eval", "--ckpt", out / "dora.merged.trm1", "--data", heldout,
+            "--out", out / "dora.merged.eval.json")
+
+    clozerm("sweep", "--data", data, "--trials", 3, "--ranks", "0,4", "--frozen-max", 1,
+            "--out", out / "sweep.csv", *SMALL)
+    clozerm("compare", "--data", data, "--out", out / "compare.json", *SMALL)
+
+
+if __name__ == "__main__":
+    main()

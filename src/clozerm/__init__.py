@@ -44,7 +44,6 @@ from .errors import (
 from .evaluation import (
     EvalModel,
     EvalReport,
-    ScoreResult,
     TradeoffPoint,
     aggregate_chat,
     aggregate_trials,
@@ -76,6 +75,7 @@ from .peft import (
     dora_effective,
     dora_init,
     dora_merge,
+    merge_adapters,
     merge_checkpoint,
     weight_average,
 )

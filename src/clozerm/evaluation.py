@@ -44,17 +44,6 @@ TIE_EPS = 1e-9
 
 
 @dataclass
-class ScoreResult:
-    """Restricted two-verbalizer probabilities for one rendered instance."""
-
-    p1: float
-    p2: float
-    prediction: str  # "1" | "2" | "tie"
-    source_id: str
-    order: str
-
-
-@dataclass
 class TrialRecord:
     """One order of one pair: the scored unit accuracy is counted over."""
 
@@ -77,7 +66,6 @@ class EvalReport:
     n: dict
     gflops_per_token: float
     total_accuracy: float
-    chat_subscores: "list | None" = None
     n_skipped: int = 0
 
 
@@ -131,60 +119,49 @@ def _predict(p1: float, p2: float) -> str:
     return "1" if p1 > p2 else "2"
 
 
-def score_pair(model: EvalModel, instance) -> ScoreResult:
-    """Full-vocab logits at the mask, renormalized over the two verbalizer
-    tokens only."""
-    if model.config.head_kind != HEAD_MLM:
-        raise ContractError(f"score_pair needs head {HEAD_MLM!r}, got {model.config.head_kind!r}")
-    logits = forward_mlm(model.weights, model.config, instance.token_ids, instance.mask_position).data
-    p1, p2 = _two_way(float(logits[VERB1_ID]), float(logits[VERB2_ID]))
-    return ScoreResult(p1=p1, p2=p2, prediction=_predict(p1, p2),
-                       source_id=instance.source_id, order=instance.order)
-
-
-def _sigmoid_logit_mean(scores: Tensor, span) -> float:
+def _span_mean(scores: Tensor, span) -> float:
     start, end = span
     if end <= start:
         raise ContractError("empty response span")
     return float(np.asarray(scores.data, dtype=np.float64)[start:end].mean())
 
 
-def _trials_for_pair(model: EvalModel, pair, template: ClozeTemplate):
-    head = model.config.head_kind
-    max_seq = model.config.max_seq
-    trials = []
-    if head == HEAD_MLM:
+def score_pair(model: EvalModel, pair, template: "ClozeTemplate | None" = None) -> list:
+    """The pair's two TrialRecords, in ORDERS order.
+
+    Each head reduces an order to one logit per option slot: mlm takes the
+    full-vocab logits at the mask for the two verbalizer tokens, pooled its
+    two class logits (class 0 means Option 1 is the better response), and
+    the token head the mean span scores of the chosen and rejected
+    responses, swapped for the second order. A two-way softmax over those
+    logits gives p1 and p2.
+    """
+    template = template or model.template
+    cfg = model.config
+    if cfg.head_kind == HEAD_MLM:
+        option_logits = []
         for order in ORDERS:
-            inst = build_cloze(pair, template, order, model.tokenizer, max_seq)
-            s = score_pair(model, inst)
-            gold = "1" if order == ORDER_ORIGINAL else "2"
-            trials.append(TrialRecord(pair.id, pair.domain, order, s.p1, s.p2, s.prediction, gold))
-    elif head == HEAD_POOLED:
+            inst = build_cloze(pair, template, order, model.tokenizer, cfg.max_seq)
+            logits = forward_mlm(model.weights, cfg, inst.token_ids, inst.mask_position).data
+            option_logits.append((float(logits[VERB1_ID]), float(logits[VERB2_ID])))
+    elif cfg.head_kind == HEAD_POOLED:
+        option_logits = []
         for order in ORDERS:
-            inst = build_pooled(pair, template, order, model.tokenizer, max_seq)
-            logits = forward_pooled(model.weights, model.config, inst.token_ids).data
-            # class 0 means "Option 1 is the better response"
-            p1, p2 = _two_way(float(logits[0]), float(logits[1]))
-            gold = "1" if order == ORDER_ORIGINAL else "2"
-            trials.append(TrialRecord(pair.id, pair.domain, order, p1, p2, _predict(p1, p2), gold))
-    elif head == HEAD_TOKEN:
-        ex = build_token_level(pair, template, model.tokenizer, max_seq)
-        s_chosen = _sigmoid_logit_mean(
-            forward_token_labels(model.weights, model.config, ex.chosen_ids), ex.chosen_span
-        )
-        s_rejected = _sigmoid_logit_mean(
-            forward_token_labels(model.weights, model.config, ex.rejected_ids), ex.rejected_span
-        )
-        for order in ORDERS:
-            if order == ORDER_ORIGINAL:
-                p1, p2 = _two_way(s_chosen, s_rejected)
-                gold = "1"
-            else:
-                p1, p2 = _two_way(s_rejected, s_chosen)
-                gold = "2"
-            trials.append(TrialRecord(pair.id, pair.domain, order, p1, p2, _predict(p1, p2), gold))
+            inst = build_pooled(pair, template, order, model.tokenizer, cfg.max_seq)
+            logits = forward_pooled(model.weights, cfg, inst.token_ids).data
+            option_logits.append((float(logits[0]), float(logits[1])))
+    elif cfg.head_kind == HEAD_TOKEN:
+        ex = build_token_level(pair, template, model.tokenizer, cfg.max_seq)
+        chosen = _span_mean(forward_token_labels(model.weights, cfg, ex.chosen_ids), ex.chosen_span)
+        rejected = _span_mean(forward_token_labels(model.weights, cfg, ex.rejected_ids), ex.rejected_span)
+        option_logits = [(chosen, rejected), (rejected, chosen)]
     else:
-        raise ContractError(f"unknown head kind {head!r}")
+        raise ContractError(f"unknown head kind {cfg.head_kind!r}")
+    trials = []
+    for order, (l1, l2) in zip(ORDERS, option_logits):
+        p1, p2 = _two_way(l1, l2)
+        gold = "1" if order == ORDER_ORIGINAL else "2"
+        trials.append(TrialRecord(pair.id, pair.domain, order, p1, p2, _predict(p1, p2), gold))
     return trials
 
 
@@ -239,12 +216,11 @@ def eval_dataset(model: EvalModel, pairs, template: "ClozeTemplate | None" = Non
     pairs = list(pairs)
     if not pairs:
         raise ContractError("evaluation dataset is empty")
-    template = template or model.template
     trials = []
     n_skipped = 0
     for pair in pairs:
         try:
-            trials.extend(_trials_for_pair(model, pair, template))
+            trials.extend(score_pair(model, pair, template))
         except SkipRecord:
             n_skipped += 1
     if not trials:
@@ -364,19 +340,14 @@ def compare_objectives(pairs, base_config, heldout_fraction: float = 0.2) -> Obj
     """Train cloze, pooled, and token-level models under the same budget
     and seed on the same split, and report held-out accuracies side by
     side. No ordering judgment is made."""
-    from .training import OBJECTIVES, train
+    from .training import OBJECTIVES, heldout_split, train
 
     pairs = list(pairs)
     if len(pairs) < 2:
         raise ConfigError("compare_objectives needs at least 2 pairs to split")
     if not 0 < heldout_fraction < 1:
         raise ConfigError("heldout_fraction must be in (0, 1)")
-    split_rng = np.random.default_rng(np.random.SeedSequence([base_config.seed, 2]))
-    perm = split_rng.permutation(len(pairs))
-    n_held = max(1, int(round(heldout_fraction * len(pairs))))
-    n_held = min(n_held, len(pairs) - 1)
-    held_pairs = [pairs[i] for i in perm[:n_held]]
-    train_pairs = [pairs[i] for i in perm[n_held:]]
+    train_pairs, held_pairs = heldout_split(pairs, base_config.seed, 2, heldout_fraction)
 
     rows = []
     checkpoints = {}
@@ -411,7 +382,6 @@ def report_to_json(report: EvalReport) -> str:
         "n": report.n,
         "gflops_per_token": report.gflops_per_token,
         "total_accuracy": report.total_accuracy,
-        "chat_subscores": report.chat_subscores,
         "n_skipped": report.n_skipped,
     }
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"

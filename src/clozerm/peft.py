@@ -231,19 +231,22 @@ def adapters_from_checkpoint(ckpt: Checkpoint) -> dict:
     return adapters
 
 
+def merge_adapters(weights, adapters) -> dict:
+    """Arrays of a base weight dict (arrays or Tensors) with every adapted
+    matrix replaced by its folded, input-by-output DoRA value; the other
+    entries are the given arrays, uncopied, in the same order."""
+    out = {name: _raw(w) for name, w in weights.items()}
+    for name, adapter in adapters.items():
+        base_t = np.ascontiguousarray(out[name].T)
+        out[name] = np.ascontiguousarray(dora_merge(base_t, adapter).T)
+    return out
+
+
 def merge_checkpoint(ckpt: Checkpoint) -> Checkpoint:
     """Fold any adapters into the base weights; parameter count returns to
     the base count and FLOPs/token match the never-adapted model."""
-    adapters = adapters_from_checkpoint(ckpt)
-    tensors = {}
-    for name, arr in ckpt.tensors.items():
-        if name.startswith("adapter."):
-            continue
-        if name in adapters:
-            base_t = np.ascontiguousarray(arr.T)
-            tensors[name] = np.ascontiguousarray(dora_merge(base_t, adapters[name]).T)
-        else:
-            tensors[name] = arr.copy()
+    base = {name: arr.copy() for name, arr in ckpt.tensors.items() if not name.startswith("adapter.")}
+    tensors = merge_adapters(base, adapters_from_checkpoint(ckpt))
     extra = {k: v for k, v in ckpt.extra.items() if k != "dora"}
     return Checkpoint(config=ckpt.config, tensors=tensors, extra=extra)
 

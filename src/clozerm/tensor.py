@@ -457,36 +457,6 @@ def clamp_min(x, lo: float) -> Tensor:
     return out
 
 
-def cross_entropy_at_mask(logits, gold: int) -> Tensor:
-    """-log softmax(logits)[gold] for a single logit vector.
-
-    Backward produces softmax(logits) - onehot(gold).
-    """
-    logits = _as_tensor(logits)
-    if logits.ndim != 1:
-        raise ShapeError(f"cross_entropy_at_mask expects 1-D logits, got {tuple(logits.shape)}")
-    v = logits.shape[0]
-    gold = int(gold)
-    if not 0 <= gold < v:
-        raise IndexError(f"gold id {gold} out of range for vocabulary of {v}")
-    m = np.max(logits.data)
-    z = logits.data - m
-    lse = m + np.log(np.sum(np.exp(z)))
-    out = Tensor(np.asarray(lse - logits.data[gold], dtype=logits.dtype), dtype=logits.dtype)
-    tape = active_tape()
-    if tape is not None and logits.requires_grad:
-        out.requires_grad = True
-
-        def _bwd():
-            e = np.exp(z)
-            p = e / e.sum()
-            p[gold] -= 1.0
-            logits._accum(out.grad * p)
-
-        tape._record(out, _bwd)
-    return out
-
-
 def cross_entropy_rows(logits, golds) -> Tensor:
     """Row-wise cross entropy: logits [n, v], golds [n] -> losses [n]."""
     logits = _as_tensor(logits)

@@ -40,12 +40,9 @@ from .model import (
     HEAD_POOLED,
     HEAD_TOKEN,
     ModelConfig,
-    forward_mlm,
     forward_mlm_batch,
-    forward_pooled,
     forward_pooled_batch,
     forward_token_batch,
-    forward_token_labels,
     init_weights,
 )
 from .peft import (
@@ -55,7 +52,7 @@ from .peft import (
     adapter_tensors,
     apply_freeze,
     attach_adapters,
-    dora_merge,
+    merge_adapters,
     merge_checkpoint,
 )
 from .tensor import (
@@ -64,7 +61,6 @@ from .tensor import (
     add,
     backward,
     bce_with_logits,
-    cross_entropy_at_mask,
     cross_entropy_rows,
     gather_rows,
     mul,
@@ -214,46 +210,6 @@ def lr_linear(step: int, total_steps: int, lr_max: float) -> float:
     return lr_max * (1.0 - step / total_steps)
 
 
-def loss_cloze(weights, config: ModelConfig, instance) -> Tensor:
-    """Full-vocabulary cross-entropy at the mask against the gold verbalizer."""
-    if config.head_kind != HEAD_MLM:
-        raise ContractError(f"cloze loss needs head {HEAD_MLM!r}, got {config.head_kind!r}")
-    logits = forward_mlm(weights, config, instance.token_ids, instance.mask_position)
-    return cross_entropy_at_mask(logits, instance.gold)
-
-
-def loss_pooled(weights, config: ModelConfig, instance) -> Tensor:
-    """Two-way cross-entropy on the pooled representation; class 0 means
-    Option 1 is the better response."""
-    if config.head_kind != HEAD_POOLED:
-        raise ContractError(f"pooled loss needs head {HEAD_POOLED!r}, got {config.head_kind!r}")
-    logits = forward_pooled(weights, config, instance.token_ids)
-    return cross_entropy_at_mask(logits, instance.label)
-
-
-def loss_token_level(weights, config: ModelConfig, chosen_tokens, rejected_tokens) -> Tensor:
-    """Mean binary cross-entropy over both response spans: label 1 on every
-    chosen-response token, 0 on every rejected-response token.
-
-    Each argument is a (token_ids, (start, end)) pair; scaffold tokens
-    outside the span carry no loss.
-    """
-    if config.head_kind != HEAD_TOKEN:
-        raise ContractError(f"token-level loss needs head {HEAD_TOKEN!r}, got {config.head_kind!r}")
-    terms = []
-    n_total = 0
-    for (ids, span), label in ((chosen_tokens, 1.0), (rejected_tokens, 0.0)):
-        start, end = span
-        if end <= start:
-            raise ContractError("empty response span")
-        scores = forward_token_labels(weights, config, ids)
-        sel = gather_rows(reshape(scores, (len(ids), 1)), np.arange(start, end))
-        labels = np.full((end - start, 1), label, dtype=np.float32)
-        terms.append(tsum(bce_with_logits(sel, labels)))
-        n_total += end - start
-    return mul(add(terms[0], terms[1]), 1.0 / n_total)
-
-
 def _group_by_length(lengths):
     groups = {}
     for i, n in enumerate(lengths):
@@ -261,7 +217,11 @@ def _group_by_length(lengths):
     return groups
 
 
-def _batch_loss_cloze(weights, config, instances) -> Tensor:
+def loss_cloze(weights, config: ModelConfig, instances) -> Tensor:
+    """Mean full-vocabulary cross-entropy at the mask against the gold
+    verbalizer, one forward per group of equal-length instances."""
+    if config.head_kind != HEAD_MLM:
+        raise ContractError(f"cloze loss needs head {HEAD_MLM!r}, got {config.head_kind!r}")
     total = None
     for idxs in _group_by_length([len(x.token_ids) for x in instances]).values():
         ids = np.array([instances[i].token_ids for i in idxs], dtype=np.int64)
@@ -272,7 +232,11 @@ def _batch_loss_cloze(weights, config, instances) -> Tensor:
     return mul(total, 1.0 / len(instances))
 
 
-def _batch_loss_pooled(weights, config, instances) -> Tensor:
+def loss_pooled(weights, config: ModelConfig, instances) -> Tensor:
+    """Mean two-way cross-entropy on the pooled representation; class 0
+    means Option 1 is the better response."""
+    if config.head_kind != HEAD_POOLED:
+        raise ContractError(f"pooled loss needs head {HEAD_POOLED!r}, got {config.head_kind!r}")
     total = None
     for idxs in _group_by_length([len(x.token_ids) for x in instances]).values():
         ids = np.array([instances[i].token_ids for i in idxs], dtype=np.int64)
@@ -282,9 +246,14 @@ def _batch_loss_pooled(weights, config, instances) -> Tensor:
     return mul(total, 1.0 / len(instances))
 
 
-def _batch_loss_token(weights, config, examples) -> Tensor:
-    # One sequence per candidate; per-example means weighted so the batch
-    # loss is the mean of per-example means, independent of span lengths.
+def loss_token_level(weights, config: ModelConfig, examples) -> Tensor:
+    """Mean over examples of the binary cross-entropy averaged over both
+    response spans: label 1 on every chosen-response token, 0 on every
+    rejected-response token. Scaffold tokens outside the spans carry no
+    loss, and the weighting keeps each example's share independent of its
+    span lengths."""
+    if config.head_kind != HEAD_TOKEN:
+        raise ContractError(f"token-level loss needs head {HEAD_TOKEN!r}, got {config.head_kind!r}")
     seqs = []
     tokens_of = []
     for ex in examples:
@@ -317,10 +286,10 @@ def _batch_loss_token(weights, config, examples) -> Tensor:
     return total
 
 
-_BATCH_LOSS = {
-    "cloze": _batch_loss_cloze,
-    "pooled": _batch_loss_pooled,
-    "token-level": _batch_loss_token,
+_LOSSES = {
+    "cloze": loss_cloze,
+    "pooled": loss_pooled,
+    "token-level": loss_token_level,
 }
 
 
@@ -373,20 +342,12 @@ def trace_to_csv(trace) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _merged_weight_arrays(wt, adapters):
-    out = {name: t.data for name, t in wt.items()}
-    for name, adapter in adapters.items():
-        base_t = np.ascontiguousarray(out[name].T)
-        out[name] = np.ascontiguousarray(dora_merge(base_t, adapter).T)
-    return out
-
-
 def _heldout_accuracy(wt, adapters, model_config, tokenizer, template, heldout_pairs) -> float:
     from .evaluation import EvalModel, eval_dataset
 
     model = EvalModel(
         config=model_config,
-        weights=_merged_weight_arrays(wt, adapters),
+        weights=merge_adapters(wt, adapters),
         tokenizer=tokenizer,
         template=template,
     )
@@ -480,7 +441,7 @@ def train(config: TrainConfig, pairs, heldout=None, init_from=None, _prefix_fn=N
     state = OptimizerState()
     order_rng = np.random.default_rng(order_ss)
     shuffle_rng = np.random.default_rng(shuffle_ss)
-    batch_loss = _BATCH_LOSS[config.objective]
+    batch_loss = _LOSSES[config.objective]
 
     trace = []
     skipped = []
@@ -623,6 +584,15 @@ def trial_config(spec: SweepSpec, draw: TrialDraw) -> TrainConfig:
     )
 
 
+def heldout_split(pairs, seed: int, stream: int, fraction: float):
+    """(train, heldout) lists drawn by a permutation seeded from
+    SeedSequence([seed, stream]); round(fraction * n) pairs, clamped to
+    [1, n - 1], are held out. Callers validate n and fraction."""
+    perm = np.random.default_rng(np.random.SeedSequence([seed, stream])).permutation(len(pairs))
+    n_held = min(max(1, int(round(fraction * len(pairs)))), len(pairs) - 1)
+    return [pairs[i] for i in perm[n_held:]], [pairs[i] for i in perm[:n_held]]
+
+
 def sweep(spec: SweepSpec, pairs) -> list:
     """Train and evaluate each sampled trial on a seeded held-out split;
     rows sorted by accuracy desc, then GFLOPs/token asc, then trial index.
@@ -636,12 +606,7 @@ def sweep(spec: SweepSpec, pairs) -> list:
     if len(pairs) < 2:
         raise ConfigError("sweep needs at least 2 pairs to split")
     draws = sample_trial_configs(spec)
-    split_rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 1]))
-    perm = split_rng.permutation(len(pairs))
-    n_eval = max(1, int(round(spec.heldout_fraction * len(pairs))))
-    n_eval = min(n_eval, len(pairs) - 1)
-    eval_pairs = [pairs[i] for i in perm[:n_eval]]
-    train_pairs = [pairs[i] for i in perm[n_eval:]]
+    train_pairs, eval_pairs = heldout_split(pairs, spec.seed, 1, spec.heldout_fraction)
 
     results = []
     for index, draw in enumerate(draws):

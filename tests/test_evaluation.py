@@ -10,6 +10,7 @@ import pytest
 from clozerm.checkpoint import Checkpoint
 from clozerm.data import (
     DOMAIN_PREFIXES,
+    ORDERS,
     ClozeTemplate,
     PreferencePair,
     build_cloze,
@@ -39,7 +40,7 @@ from clozerm.evaluation import (
     report_to_table,
     score_pair,
 )
-from clozerm.model import count_params, init_weights
+from clozerm.model import count_params, forward_mlm, init_weights
 from clozerm.peft import merge_checkpoint
 from clozerm.tokenizer import VERB1_ID, VERB2_ID
 from clozerm.training import (
@@ -79,8 +80,7 @@ def option1_model():
 
 def test_score_pair_equal_logits_is_a_tie():
     model = make_model(zero=True)
-    inst = build_cloze(PAIRS[0], TEMPLATE, "original", model.tokenizer, SMALL.max_seq)
-    s = score_pair(model, inst)
+    s = score_pair(model, PAIRS[0])[0]
     assert s.p1 == 0.5 and s.p2 == 0.5
     assert s.prediction == "tie"
     assert s.source_id == PAIRS[0].id
@@ -89,19 +89,16 @@ def test_score_pair_equal_logits_is_a_tie():
 
 def test_score_pair_ten_logit_margin_logistic_closed_form():
     model = option1_model()
-    inst = build_cloze(PAIRS[0], TEMPLATE, "original", model.tokenizer, SMALL.max_seq)
-    s = score_pair(model, inst)
+    s = score_pair(model, PAIRS[0])[0]
     assert s.p1 == pytest.approx(1.0 / (1.0 + math.exp(-10.0)), abs=1e-12)
     assert s.prediction == "1"
 
 
 def test_score_pair_restricted_softmax_equals_full_softmax_ratio():
-    from clozerm.model import forward_mlm
-
     model = make_model(seed=11)
-    for order in ("original", "swapped"):
+    trials = score_pair(model, PAIRS[1])
+    for s, order in zip(trials, ("original", "swapped")):
         inst = build_cloze(PAIRS[1], TEMPLATE, order, model.tokenizer, SMALL.max_seq)
-        s = score_pair(model, inst)
         logits = forward_mlm(model.weights, model.config, inst.token_ids, inst.mask_position)
         full = np.asarray(logits.data, dtype=np.float64)
         full = np.exp(full - full.max())
@@ -112,10 +109,27 @@ def test_score_pair_restricted_softmax_equals_full_softmax_ratio():
 
 
 def test_score_pair_rejects_wrong_head():
-    model = make_model(objective="pooled")
-    inst = build_cloze(PAIRS[0], TEMPLATE, "original", build_tokenizer(PAIRS), SMALL.max_seq)
-    with pytest.raises(ContractError):
-        score_pair(model, inst)
+    model = make_model()
+    model.config.head_kind = "regression"
+    with pytest.raises(ContractError, match="regression"):
+        score_pair(model, PAIRS[0])
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_score_pair_returns_both_orders_with_gold(objective):
+    model = make_model(objective=objective, seed=3)
+    trials = score_pair(model, PAIRS[2])
+    assert [t.order for t in trials] == list(ORDERS)
+    assert [t.gold for t in trials] == ["1", "2"]
+    assert all(t.source_id == PAIRS[2].id and t.domain == PAIRS[2].domain for t in trials)
+
+
+def test_score_pair_token_head_swapped_trial_mirrors_original():
+    model = make_model(objective="token-level", seed=5)
+    original, swapped = score_pair(model, PAIRS[3])
+    assert original.p1 != original.p2
+    assert (swapped.p1, swapped.p2) == (original.p2, original.p1)
+    assert swapped.prediction == {"1": "2", "2": "1"}[original.prediction]
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +162,10 @@ def test_eval_matches_brute_force_enumeration():
     for pair in four:
         for order in ("original", "swapped"):
             inst = build_cloze(pair, TEMPLATE, order, model.tokenizer, SMALL.max_seq)
-            s = score_pair(model, inst)
+            logits = forward_mlm(model.weights, model.config, inst.token_ids, inst.mask_position).data
+            p1 = 1.0 / (1.0 + math.exp(float(logits[VERB2_ID]) - float(logits[VERB1_ID])))
             gold = "1" if order == "original" else "2"
-            credit = 0.5 if s.prediction == "tie" else float(s.prediction == gold)
+            credit = 0.5 if abs(2 * p1 - 1) < TIE_EPS else float(("1" if p1 > 0.5 else "2") == gold)
             credits.append(credit)
             per_order[order].append(credit)
     assert report.total_accuracy == sum(credits) / 8

@@ -17,6 +17,7 @@ from clozerm.peft import (
     dora_effective,
     dora_init,
     dora_merge,
+    merge_adapters,
     merge_checkpoint,
     weight_average,
 )
@@ -186,6 +187,23 @@ def test_merge_drops_adapter_tensors_and_extra():
     assert "dora" not in merged.extra
     assert merged.extra["vocab"] == ["a"]
     assert sum(v.size for v in merged.tensors.values()) == count_params(config)
+
+
+def test_merge_adapters_on_live_tensors_matches_merge_checkpoint():
+    # the training loop merges its live Tensors for held-out scoring; that
+    # must give the very weights a saved-then-merged checkpoint gives
+    config, weights, adapters = random_adapted_model(2)
+    perturb(adapters, 7)
+    ckpt = Checkpoint(
+        config=config,
+        tensors={**weights, **adapter_tensors(adapters)},
+        extra={"dora": {"rank": 2}},
+    )
+    live = merge_adapters({n: Tensor(w) for n, w in weights.items()}, adapters)
+    merged = merge_checkpoint(ckpt).tensors
+    assert list(live) == list(merged)
+    assert all(np.array_equal(live[n], merged[n]) for n in merged)
+    assert any(not np.array_equal(merged[n], weights[n]) for n in adapters)
 
 
 def test_identity_merge_reproduces_base():

@@ -15,7 +15,6 @@ from clozerm.tensor import (
     bce_with_logits,
     bmm,
     clamp_min,
-    cross_entropy_at_mask,
     cross_entropy_rows,
     div,
     gather_rows,
@@ -107,14 +106,14 @@ def test_gelu_fixed_points():
 
 
 def test_cross_entropy_uniform():
-    loss = cross_entropy_at_mask(t(np.zeros(10)), 3)
-    assert abs(float(loss.data) - math.log(10)) < 1e-6
+    loss = cross_entropy_rows(t(np.zeros((1, 10))), [3])
+    assert abs(float(loss.data[0]) - math.log(10)) < 1e-6
 
 
 def test_cross_entropy_saturated():
-    logits = np.zeros(10)
-    logits[4] = 100.0
-    assert float(cross_entropy_at_mask(t(logits), 4).data) < 1e-6
+    logits = np.zeros((1, 10))
+    logits[0, 4] = 100.0
+    assert float(cross_entropy_rows(t(logits), [4]).data[0]) < 1e-6
 
 
 def test_cross_entropy_against_lse_oracle():
@@ -123,13 +122,13 @@ def test_cross_entropy_against_lse_oracle():
     gold = 5
     lse = math.log(np.exp(logits - logits.max()).sum()) + logits.max()
     want = lse - logits[gold]
-    got = float(cross_entropy_at_mask(t(logits), gold).data)
+    got = float(cross_entropy_rows(t(logits[None, :]), [gold]).data[0])
     assert abs(got - want) < 1e-6
 
 
 def test_cross_entropy_gold_out_of_range():
     with pytest.raises(IndexError):
-        cross_entropy_at_mask(t(np.zeros(4)), 4)
+        cross_entropy_rows(t(np.zeros((1, 4))), [4])
 
 
 # ---------------------------------------------------------------- backward
@@ -304,12 +303,6 @@ def _case_gather_rows(seed):
     return lambda x: tsum(mul(gather_rows(x, idx), p)), [a]
 
 
-def _case_ce_mask(seed):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=7)
-    return lambda x: cross_entropy_at_mask(x, 2), [a]
-
-
 def _case_ce_rows(seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(3, 5))
@@ -341,7 +334,6 @@ GRAD_CASES = {
     "sqrt": _case_sqrt,
     "clamp_min": _case_clamp_min,
     "gather_rows": _case_gather_rows,
-    "cross_entropy_at_mask": _case_ce_mask,
     "cross_entropy_rows": _case_ce_rows,
     "bce_with_logits": _case_bce,
 }

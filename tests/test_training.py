@@ -215,7 +215,7 @@ TEMPLATE = ClozeTemplate(prefix="Which response is more correct?")
 def test_loss_cloze_uniform_logits_equals_log_vocab():
     wt, config, tok = build_model("cloze", PAIRS, zero=True)
     inst = build_cloze(PAIRS[0], TEMPLATE, "original", tok, SMALL.max_seq)
-    loss = float(loss_cloze(wt, config, inst).data)
+    loss = float(loss_cloze(wt, config, [inst]).data)
     assert loss == pytest.approx(math.log(config.vocab_size), abs=1e-4)
 
 
@@ -223,7 +223,7 @@ def test_loss_cloze_gold_logit_saturated():
     wt, config, tok = build_model("cloze", PAIRS, zero=True)
     inst = build_cloze(PAIRS[0], TEMPLATE, "original", tok, SMALL.max_seq)
     wt["head.b"].data[inst.gold] = 100.0
-    assert float(loss_cloze(wt, config, inst).data) < 1e-5
+    assert float(loss_cloze(wt, config, [inst]).data) < 1e-5
 
 
 def test_loss_cloze_matches_f64_cross_entropy_of_logits():
@@ -232,14 +232,14 @@ def test_loss_cloze_matches_f64_cross_entropy_of_logits():
         inst = build_cloze(PAIRS[1], TEMPLATE, order, tok, SMALL.max_seq)
         logits = forward_mlm(wt, config, inst.token_ids, inst.mask_position).data
         oracle = ce_oracle(logits.astype(np.float64), inst.gold)
-        assert float(loss_cloze(wt, config, inst).data) == pytest.approx(oracle, abs=1e-6)
+        assert float(loss_cloze(wt, config, [inst]).data) == pytest.approx(oracle, abs=1e-6)
 
 
 def test_loss_cloze_deterministic_bitwise():
     wt, config, tok = build_model("cloze", PAIRS, seed=9)
     inst = build_cloze(PAIRS[2], TEMPLATE, "original", tok, SMALL.max_seq)
-    a = float(loss_cloze(wt, config, inst).data)
-    b = float(loss_cloze(wt, config, inst).data)
+    a = float(loss_cloze(wt, config, [inst]).data)
+    b = float(loss_cloze(wt, config, [inst]).data)
     assert a == b
 
 
@@ -247,13 +247,13 @@ def test_loss_cloze_rejects_wrong_head():
     wt, config, tok = build_model("pooled", PAIRS)
     inst = build_pooled(PAIRS[0], TEMPLATE, "original", tok, SMALL.max_seq)
     with pytest.raises(ContractError):
-        loss_cloze(wt, config, inst)
+        loss_cloze(wt, config, [inst])
 
 
 def test_loss_pooled_equal_logits_equals_log2():
     wt, config, tok = build_model("pooled", PAIRS, zero=True)
     inst = build_pooled(PAIRS[0], TEMPLATE, "original", tok, SMALL.max_seq)
-    assert float(loss_pooled(wt, config, inst).data) == pytest.approx(math.log(2.0), abs=1e-6)
+    assert float(loss_pooled(wt, config, [inst]).data) == pytest.approx(math.log(2.0), abs=1e-6)
 
 
 def test_loss_pooled_matches_f64_oracle_both_orders():
@@ -262,14 +262,14 @@ def test_loss_pooled_matches_f64_oracle_both_orders():
         inst = build_pooled(PAIRS[3], TEMPLATE, order, tok, SMALL.max_seq)
         logits = forward_pooled(wt, config, inst.token_ids).data
         oracle = ce_oracle(logits.astype(np.float64), inst.label)
-        assert float(loss_pooled(wt, config, inst).data) == pytest.approx(oracle, abs=1e-6)
+        assert float(loss_pooled(wt, config, [inst]).data) == pytest.approx(oracle, abs=1e-6)
 
 
 def test_loss_pooled_rejects_wrong_head():
     wt, config, tok = build_model("cloze", PAIRS)
     inst = build_cloze(PAIRS[0], TEMPLATE, "original", tok, SMALL.max_seq)
     with pytest.raises(ContractError):
-        loss_pooled(wt, config, inst)
+        loss_pooled(wt, config, [inst])
 
 
 TOKEN_PAIR = PreferencePair(
@@ -284,7 +284,7 @@ def token_example(tok, max_seq=32):
 def test_loss_token_level_zero_scores_equals_log2():
     wt, config, tok = build_model("token-level", [TOKEN_PAIR], zero=True)
     ex = token_example(tok, SMALL.max_seq)
-    loss = loss_token_level(wt, config, (ex.chosen_ids, ex.chosen_span), (ex.rejected_ids, ex.rejected_span))
+    loss = loss_token_level(wt, config, [ex])
     assert float(loss.data) == pytest.approx(math.log(2.0), abs=1e-6)
 
 
@@ -304,14 +304,14 @@ def test_loss_token_level_saturated_scores_vanish():
     weights["tok_emb"][ex.rejected_ids[ex.rejected_span[0]]] = -pattern
     weights["head.w"][:, 0] = 25 * pattern
     wt = {name: Tensor(arr) for name, arr in weights.items()}
-    loss = loss_token_level(wt, config, (ex.chosen_ids, ex.chosen_span), (ex.rejected_ids, ex.rejected_span))
+    loss = loss_token_level(wt, config, [ex])
     assert float(loss.data) < 1e-5
 
 
 def test_loss_token_level_matches_per_token_oracle():
     wt, config, tok = build_model("token-level", [TOKEN_PAIR], seed=6)
     ex = token_example(tok, SMALL.max_seq)
-    loss = loss_token_level(wt, config, (ex.chosen_ids, ex.chosen_span), (ex.rejected_ids, ex.rejected_span))
+    loss = loss_token_level(wt, config, [ex])
 
     terms = []
     for ids, (start, end), label in (
@@ -327,14 +327,47 @@ def test_loss_token_level_empty_span_rejected():
     wt, config, tok = build_model("token-level", [TOKEN_PAIR])
     ex = token_example(tok, SMALL.max_seq)
     with pytest.raises(ContractError, match="empty response span"):
-        loss_token_level(wt, config, (ex.chosen_ids, (3, 3)), (ex.rejected_ids, ex.rejected_span))
+        loss_token_level(wt, config, [dataclasses.replace(ex, chosen_span=(3, 3))])
 
 
 def test_loss_token_level_rejects_wrong_head():
     wt, config, tok = build_model("cloze", [TOKEN_PAIR])
     ex = token_example(tok, SMALL.max_seq)
     with pytest.raises(ContractError):
-        loss_token_level(wt, config, (ex.chosen_ids, ex.chosen_span), (ex.rejected_ids, ex.rejected_span))
+        loss_token_level(wt, config, [ex])
+
+
+MIXED = (
+    synth_generate("arithmetic", 3, seed=3)
+    + synth_generate("refusal", 3, seed=3)
+    + synth_generate("verbosity", 3, seed=3)
+)
+
+
+def mixed_batch(objective, tok):
+    if objective == "token-level":
+        batch = [build_token_level(p, TEMPLATE, tok, SMALL.max_seq) for p in MIXED]
+        lengths = [len(ids) for ex in batch for ids in (ex.chosen_ids, ex.rejected_ids)]
+    else:
+        builder = build_cloze if objective == "cloze" else build_pooled
+        batch = [builder(p, TEMPLATE, order, tok, SMALL.max_seq)
+                 for p in MIXED for order in ("original", "swapped")]
+        lengths = [len(x.token_ids) for x in batch]
+    # several length groups, at least one of them holding more than one row
+    assert 2 < len(set(lengths)) < len(lengths)
+    return batch
+
+
+@pytest.mark.parametrize(
+    "objective,loss_fn",
+    [("cloze", loss_cloze), ("pooled", loss_pooled), ("token-level", loss_token_level)],
+    ids=["cloze", "pooled", "token-level"],
+)
+def test_grouped_loss_equals_mean_of_batch_of_one_losses(objective, loss_fn):
+    wt, config, tok = build_model(objective, MIXED, seed=8)
+    batch = mixed_batch(objective, tok)
+    singles = [float(loss_fn(wt, config, [x]).data) for x in batch]
+    assert float(loss_fn(wt, config, batch).data) == pytest.approx(sum(singles) / len(singles), abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
