@@ -2,7 +2,8 @@
 
 Subcommands: synth, train, sweep, eval, merge, average, flops, compare.
 Exit codes: 0 success; 1 validation or usage errors; 2 I/O and file-format
-errors; 3 training divergence. Results go to stdout or --out files;
+errors; 3 numerical divergence (non-finite training loss or evaluated
+logits). Results go to stdout or --out files;
 diagnostics go to stderr. train/sweep/compare accept --config FILE with
 flat key=value lines (keys named like the long flags, underscores for
 dashes); explicit flags override file values.

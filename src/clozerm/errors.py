@@ -46,4 +46,5 @@ class CheckpointError(ClozermError):
 
 
 class DivergenceError(ClozermError):
-    """Training loss became non-finite."""
+    """Numerics diverged: the training loss or an evaluated option logit
+    became non-finite."""

@@ -26,7 +26,7 @@ from .data import (
     build_pooled,
     build_token_level,
 )
-from .errors import ConfigError, ContractError, SkipRecord
+from .errors import ConfigError, ContractError, DivergenceError, SkipRecord
 from .model import (
     HEAD_MLM,
     HEAD_POOLED,
@@ -134,7 +134,8 @@ def score_pair(model: EvalModel, pair, template: "ClozeTemplate | None" = None) 
     two class logits (class 0 means Option 1 is the better response), and
     the token head the mean span scores of the chosen and rejected
     responses, swapped for the second order. A two-way softmax over those
-    logits gives p1 and p2.
+    logits gives p1 and p2. A non-finite option logit raises
+    DivergenceError instead of being scored.
     """
     template = template or model.template
     cfg = model.config
@@ -157,6 +158,8 @@ def score_pair(model: EvalModel, pair, template: "ClozeTemplate | None" = None) 
         option_logits = [(chosen, rejected), (rejected, chosen)]
     else:
         raise ContractError(f"unknown head kind {cfg.head_kind!r}")
+    if not all(math.isfinite(v) for logits in option_logits for v in logits):
+        raise DivergenceError(f"non-finite option logits {option_logits} for pair {pair.id!r}")
     trials = []
     for order, (l1, l2) in zip(ORDERS, option_logits):
         p1, p2 = _two_way(l1, l2)

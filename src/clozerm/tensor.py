@@ -119,13 +119,15 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def _accum(self, g) -> None:
+        # The first contribution is copied into a buffer laid out like
+        # ``data``: a transposed (F-order) ``g`` must not make the gradient
+        # F-order, or later matmuls on it pick a different BLAS kernel.
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.empty_like(self.data)
+            np.copyto(self.grad, g)
+        else:
+            self.grad += g
 
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
@@ -409,7 +411,8 @@ def gelu(x) -> Tensor:
     """Tanh-approximation GELU, elementwise."""
     x = _as_tensor(x)
     c = np.asarray(_GELU_C, dtype=x.dtype)
-    u = c * (x.data + np.asarray(0.044715, dtype=x.dtype) * x.data**3)
+    # x * x * x, not x**3: NumPy's float32 cube is a slow pow() per element.
+    u = c * (x.data + np.asarray(0.044715, dtype=x.dtype) * (x.data * x.data * x.data))
     t = np.tanh(u)
     out = Tensor(0.5 * x.data * (1.0 + t), dtype=x.dtype)
     tape = active_tape()

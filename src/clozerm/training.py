@@ -160,6 +160,7 @@ class OptimizerState:
     t: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
+    scratch: dict = field(default_factory=dict)
 
 
 def adamw_step(params, grads, state: OptimizerState, lr_t: float, weight_decay: float):
@@ -168,7 +169,9 @@ def adamw_step(params, grads, state: OptimizerState, lr_t: float, weight_decay: 
 
     Parameters absent from `grads` see a zero gradient (their Adam update
     is exactly zero; decay still applies). Frozen tensors are simply not
-    in `params`.
+    in `params`. The update is elementwise, so one call on a concatenation
+    of parameters gives the same bits as one call per parameter; its
+    temporaries go to two scratch arrays per parameter kept on `state`.
     """
     if lr_t < 0:
         raise ContractError("lr_t must be non-negative")
@@ -189,13 +192,25 @@ def adamw_step(params, grads, state: OptimizerState, lr_t: float, weight_decay: 
         if m is None:
             m = state.m[name] = np.zeros_like(p)
             v = state.v[name] = np.zeros_like(p)
+            state.scratch[name] = (np.empty_like(p), np.empty_like(p))
         else:
             v = state.v[name]
+        s, u = state.scratch[name]
         np.multiply(m, state.beta1, out=m)
-        m += (1.0 - state.beta1) * g
+        np.multiply(g, 1.0 - state.beta1, out=s)
+        m += s
         np.multiply(v, state.beta2, out=v)
-        v += (1.0 - state.beta2) * (g * g)
-        p -= lr_t * ((m / bc1) / (np.sqrt(v / bc2) + state.eps))
+        np.multiply(g, g, out=s)
+        np.multiply(s, 1.0 - state.beta2, out=s)
+        v += s
+        # p -= lr_t * ((m / bc1) / (sqrt(v / bc2) + eps)), in that order.
+        np.divide(m, bc1, out=s)
+        np.divide(v, bc2, out=u)
+        np.sqrt(u, out=u)
+        np.add(u, state.eps, out=u)
+        np.divide(s, u, out=s)
+        np.multiply(s, lr_t, out=s)
+        p -= s
         if weight_decay:
             p *= 1.0 - lr_t * weight_decay
     return params, state
@@ -217,11 +232,17 @@ def _group_by_length(lengths):
     return groups
 
 
+def _check_batch(config: ModelConfig, head: str, objective: str, batch) -> None:
+    if config.head_kind != head:
+        raise ContractError(f"{objective} loss needs head {head!r}, got {config.head_kind!r}")
+    if not batch:
+        raise ContractError(f"{objective} loss needs a non-empty batch")
+
+
 def loss_cloze(weights, config: ModelConfig, instances) -> Tensor:
     """Mean full-vocabulary cross-entropy at the mask against the gold
     verbalizer, one forward per group of equal-length instances."""
-    if config.head_kind != HEAD_MLM:
-        raise ContractError(f"cloze loss needs head {HEAD_MLM!r}, got {config.head_kind!r}")
+    _check_batch(config, HEAD_MLM, "cloze", instances)
     total = None
     for idxs in _group_by_length([len(x.token_ids) for x in instances]).values():
         ids = np.array([instances[i].token_ids for i in idxs], dtype=np.int64)
@@ -235,8 +256,7 @@ def loss_cloze(weights, config: ModelConfig, instances) -> Tensor:
 def loss_pooled(weights, config: ModelConfig, instances) -> Tensor:
     """Mean two-way cross-entropy on the pooled representation; class 0
     means Option 1 is the better response."""
-    if config.head_kind != HEAD_POOLED:
-        raise ContractError(f"pooled loss needs head {HEAD_POOLED!r}, got {config.head_kind!r}")
+    _check_batch(config, HEAD_POOLED, "pooled", instances)
     total = None
     for idxs in _group_by_length([len(x.token_ids) for x in instances]).values():
         ids = np.array([instances[i].token_ids for i in idxs], dtype=np.int64)
@@ -252,8 +272,7 @@ def loss_token_level(weights, config: ModelConfig, examples) -> Tensor:
     rejected-response token. Scaffold tokens outside the spans carry no
     loss, and the weighting keeps each example's share independent of its
     span lengths."""
-    if config.head_kind != HEAD_TOKEN:
-        raise ContractError(f"token-level loss needs head {HEAD_TOKEN!r}, got {config.head_kind!r}")
+    _check_batch(config, HEAD_TOKEN, "token-level", examples)
     seqs = []
     tokens_of = []
     for ex in examples:
@@ -354,6 +373,24 @@ def _heldout_accuracy(wt, adapters, model_config, tokenizer, template, heldout_p
     return eval_dataset(model, heldout_pairs).total_accuracy
 
 
+def _flatten_parameters(tensors):
+    """Copy the tensors into one float32 parameter buffer and give each a
+    zeroed gradient; afterwards every tensor's .data and .grad are views
+    into the two returned flat buffers, in the given order."""
+    tensors = list(tensors)
+    flat_p = np.empty(sum(t.data.size for t in tensors), dtype=np.float32)
+    flat_g = np.zeros_like(flat_p)
+    offset = 0
+    for t in tensors:
+        end = offset + t.data.size
+        view = flat_p[offset:end].reshape(t.data.shape)
+        view[...] = t.data
+        t.data = view
+        t.grad = flat_g[offset:end].reshape(view.shape)
+        offset = end
+    return flat_p, flat_g
+
+
 def _clip_global_norm(grads, max_norm: float) -> float:
     total = 0.0
     for g in grads.values():
@@ -428,15 +465,14 @@ def train(config: TrainConfig, pairs, heldout=None, init_from=None, _prefix_fn=N
     trainable = [n for n in apply_freeze(weights_np, config.freeze) if n not in adapters]
     trainset = set(trainable)
     wt = {name: Tensor(arr, requires_grad=name in trainset) for name, arr in weights_np.items()}
-    opt_params = {name: wt[name].data for name in trainable}
     param_tensors = {name: wt[name] for name in trainable}
     for base_name, adapter in adapters.items():
         for suffix, t in (("A", adapter.A), ("B", adapter.B), ("m", adapter.m)):
-            pname = f"adapter.{base_name}.{suffix}"
-            opt_params[pname] = t.data
-            param_tensors[pname] = t
-    if not opt_params:
+            param_tensors[f"adapter.{base_name}.{suffix}"] = t
+    if not param_tensors:
         raise ConfigError("nothing to train: every parameter is frozen")
+    flat_p, flat_g = _flatten_parameters(param_tensors.values())
+    del weights_np  # its trainable arrays were copied into flat_p
 
     state = OptimizerState()
     order_rng = np.random.default_rng(order_ss)
@@ -467,12 +503,10 @@ def train(config: TrainConfig, pairs, heldout=None, init_from=None, _prefix_fn=N
             if not np.isfinite(loss_value):
                 raise DivergenceError(f"training loss became non-finite at step {step}")
             backward(tape, loss)
-            grads = {name: t.grad for name, t in param_tensors.items() if t.grad is not None}
             if config.clip_norm is not None:
-                _clip_global_norm(grads, config.clip_norm)
-            adamw_step(opt_params, grads, state, lr_t, config.weight_decay)
-            for t in param_tensors.values():
-                t.grad = None
+                _clip_global_norm({name: t.grad for name, t in param_tensors.items()}, config.clip_norm)
+            adamw_step({"params": flat_p}, {"params": flat_g}, state, lr_t, config.weight_decay)
+            flat_g.fill(0)
             acc = None
             is_last = step + 1 == total_steps
             if heldout is not None and (

@@ -189,6 +189,20 @@ def test_eval_writes_json_report(tmp_path, trained, corpus, capsys):
     assert "GFLOPs/token" in table
 
 
+def test_eval_non_finite_logits_exits_3(tmp_path, trained, corpus, capsys):
+    from clozerm.checkpoint import Checkpoint, save_checkpoint
+
+    full = load_checkpoint(trained)
+    tensors = dict(full.tensors)
+    tensors["head.w"] = np.full_like(tensors["head.w"], np.nan)
+    broken = tmp_path / "nan.trm1"
+    save_checkpoint(Checkpoint(config=full.config, tensors=tensors, extra=full.extra), broken)
+    report = tmp_path / "report.json"
+    assert run(["eval", "--ckpt", str(broken), "--data", str(corpus), "--out", str(report)]) == 3
+    assert "non-finite" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_eval_prefix_override(trained, corpus):
     assert run(["eval", "--ckpt", str(trained), "--data", str(corpus),
                 "--prefix", "Which response is more correct?"]) == 0

@@ -18,7 +18,7 @@ from clozerm.data import (
     build_tokenizer,
     synth_generate,
 )
-from clozerm.errors import ConfigError, ContractError
+from clozerm.errors import ConfigError, ContractError, DivergenceError
 from clozerm.evaluation import (
     EvalModel,
     TIE_EPS,
@@ -122,6 +122,16 @@ def test_score_pair_returns_both_orders_with_gold(objective):
     assert [t.order for t in trials] == list(ORDERS)
     assert [t.gold for t in trials] == ["1", "2"]
     assert all(t.source_id == PAIRS[2].id and t.domain == PAIRS[2].domain for t in trials)
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_non_finite_option_logits_raise_divergence(objective):
+    model = make_model(objective=objective, seed=3)
+    model.weights["head.w"][...] = np.nan
+    with pytest.raises(DivergenceError, match="non-finite"):
+        score_pair(model, PAIRS[0])
+    with pytest.raises(DivergenceError, match="non-finite"):
+        eval_dataset(model, PAIRS)
 
 
 def test_score_pair_token_head_swapped_trial_mirrors_original():

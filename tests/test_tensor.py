@@ -150,6 +150,18 @@ def test_backward_fanout_accumulates():
     assert float(x.grad) == 2.0
 
 
+def test_first_gradient_keeps_data_layout():
+    # transpose's backward hands its input an F-order view; the stored
+    # gradient must still be laid out like the C-order data.
+    x = Tensor(np.arange(12, dtype=np.float32).reshape(3, 4), requires_grad=True)
+    w = np.arange(12, dtype=np.float32).reshape(4, 3) + 1
+    with Tape() as tape:
+        loss = tsum(mul(transpose(x, (1, 0)), w))
+    tape.backward(loss)
+    assert x.grad.flags.c_contiguous
+    assert np.array_equal(x.grad, w.T)
+
+
 def test_backward_twice_is_error():
     x = t(1.0, grad=True)
     with Tape() as tape:

@@ -32,7 +32,7 @@ from clozerm.model import (
     forward_token_labels,
     init_weights,
 )
-from clozerm.tensor import Tensor
+from clozerm.tensor import Tape, Tensor
 from clozerm.training import (
     DoraSettings,
     FreezeSpec,
@@ -41,6 +41,8 @@ from clozerm.training import (
     SweepSpec,
     TrainConfig,
     TraceRow,
+    _clip_global_norm,
+    _flatten_parameters,
     adamw_step,
     loss_cloze,
     loss_pooled,
@@ -162,6 +164,62 @@ def test_adamw_shape_mismatch_names_tensor():
 def test_adamw_negative_lr_rejected():
     with pytest.raises(ContractError):
         adamw_step({}, {}, OptimizerState(), lr_t=-0.1, weight_decay=0.0)
+
+
+def test_adamw_on_concatenation_equals_per_tensor_bitwise():
+    # train() updates one flat buffer holding every parameter; that must
+    # give the same bits as one update per tensor. "b" gets no gradient.
+    rng = np.random.default_rng(4)
+    shapes = {"a": (33, 17), "b": (64,), "c": (5, 9, 3)}
+    params = {n: rng.normal(size=s).astype(np.float32) for n, s in shapes.items()}
+    flat = np.concatenate([p.ravel() for p in params.values()])
+    per_tensor, whole = OptimizerState(), OptimizerState()
+    for step in range(4):
+        grads = {n: rng.normal(size=shapes[n]).astype(np.float32) for n in ("a", "c")}
+        flat_grad = np.concatenate(
+            [grads[n].ravel() if n in grads else np.zeros(p.size, np.float32) for n, p in params.items()]
+        )
+        lr_t = lr_linear(step, 4, 0.01)
+        adamw_step(params, grads, per_tensor, lr_t, weight_decay=0.1)
+        adamw_step({"params": flat}, {"params": flat_grad}, whole, lr_t, weight_decay=0.1)
+        assert np.array_equal(flat, np.concatenate([p.ravel() for p in params.values()]))
+        for moments in ("m", "v"):
+            split = np.concatenate([a.ravel() for a in getattr(per_tensor, moments).values()])
+            assert np.array_equal(getattr(whole, moments)["params"], split)
+
+
+# ---------------------------------------------------------------------------
+# flat parameter buffer and clipping
+
+
+def test_flatten_parameters_makes_views_of_two_buffers():
+    rng = np.random.default_rng(5)
+    originals = [rng.normal(size=s).astype(np.float32) for s in ((3, 4), (5,), (2, 3))]
+    tensors = [Tensor(a.copy(), requires_grad=True) for a in originals]
+    flat_p, flat_g = _flatten_parameters(tensors)
+    assert flat_p.size == flat_g.size == 12 + 5 + 6
+    assert np.array_equal(flat_p, np.concatenate([a.ravel() for a in originals]))
+    assert not flat_g.any()
+    for t, a in zip(tensors, originals):
+        assert np.array_equal(t.data, a) and t.data.flags.c_contiguous
+        assert np.shares_memory(t.data, flat_p) and np.shares_memory(t.grad, flat_g)
+    tensors[1].grad += 2.0
+    assert np.array_equal(flat_g[12:17], np.full(5, 2.0, np.float32))
+
+
+def test_clip_global_norm_scales_flat_buffer_through_views():
+    rng = np.random.default_rng(6)
+    tensors = [Tensor(np.zeros(s, np.float32), requires_grad=True) for s in ((4, 3), (7,), (2, 5))]
+    _, flat_g = _flatten_parameters(tensors)
+    flat_g[:] = rng.normal(size=flat_g.size)
+    before = math.sqrt(float(np.sum(flat_g.astype(np.float64) ** 2)))
+    assert before > 1.0
+    norm = _clip_global_norm({str(i): t.grad for i, t in enumerate(tensors)}, 1.0)
+    assert norm == pytest.approx(before, rel=1e-12)
+    assert float(np.linalg.norm(flat_g.astype(np.float64))) == pytest.approx(1.0, rel=1e-6)
+    kept = flat_g.copy()
+    assert _clip_global_norm({str(i): t.grad for i, t in enumerate(tensors)}, 2.0) == pytest.approx(1.0, rel=1e-6)
+    assert np.array_equal(flat_g, kept)
 
 
 # ---------------------------------------------------------------------------
@@ -358,16 +416,29 @@ def mixed_batch(objective, tok):
     return batch
 
 
-@pytest.mark.parametrize(
+EVERY_LOSS = pytest.mark.parametrize(
     "objective,loss_fn",
     [("cloze", loss_cloze), ("pooled", loss_pooled), ("token-level", loss_token_level)],
     ids=["cloze", "pooled", "token-level"],
 )
+
+
+@EVERY_LOSS
 def test_grouped_loss_equals_mean_of_batch_of_one_losses(objective, loss_fn):
     wt, config, tok = build_model(objective, MIXED, seed=8)
     batch = mixed_batch(objective, tok)
     singles = [float(loss_fn(wt, config, [x]).data) for x in batch]
     assert float(loss_fn(wt, config, batch).data) == pytest.approx(sum(singles) / len(singles), abs=1e-6)
+
+
+@EVERY_LOSS
+def test_loss_rejects_empty_batch_before_any_forward(objective, loss_fn):
+    wt, config, _ = build_model(objective, PAIRS)
+    wt = {name: Tensor(t.data, requires_grad=True) for name, t in wt.items()}
+    with Tape() as tape:
+        with pytest.raises(ContractError, match="non-empty batch"):
+            loss_fn(wt, config, [])
+    assert len(tape) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +521,16 @@ def test_train_divergence_raises():
     with np.errstate(all="ignore"):
         with pytest.raises(DivergenceError, match="non-finite"):
             train(small_config(learning_rate=1e30), PAIRS)
+
+
+def test_train_with_clip_norm_completes_and_differs_from_unclipped():
+    plain = train(small_config(), PAIRS)
+    clipped = train(small_config(clip_norm=0.05), PAIRS)
+    assert all(math.isfinite(row.loss) for row in clipped.trace)
+    # Same initial weights, so the first loss agrees; the clipped updates
+    # then move the weights elsewhere.
+    assert clipped.trace[0].loss == plain.trace[0].loss
+    assert not tensors_equal(clipped.checkpoint.tensors, plain.checkpoint.tensors)
 
 
 def test_train_skips_overlong_records():
