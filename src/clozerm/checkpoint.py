@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, ConfigError
 from .fileio import atomic_write_bytes
 from .model import ModelConfig
 
@@ -102,17 +102,20 @@ def load_checkpoint(path) -> Checkpoint:
     version = r.u32()
     if version != VERSION:
         raise CheckpointError(f"{path}: unknown checkpoint format version {version}")
-    manifest = r.take(r.u32()).decode("utf-8")
+    try:
+        lines = r.take(r.u32()).decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise CheckpointError(f"{path}: manifest is not UTF-8: {exc}") from exc
     payload = r.take(r.u64())
 
     entries = []
-    for line_no, line in enumerate(manifest.splitlines(), start=1):
-        parts = line.split(" ")
-        if len(parts) != 3:
-            raise CheckpointError(f"{path}: malformed manifest line {line_no}")
-        name, dims, offset = parts
-        shape = tuple(int(d) for d in dims.split("x")) if dims else ()
-        entries.append((name, shape, int(offset)))
+    for line_no, line in enumerate(lines, start=1):
+        try:
+            name, dims, offset = line.split(" ")
+            shape = tuple(int(d) for d in dims.split("x")) if dims else ()
+            entries.append((name, shape, int(offset)))
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: malformed manifest line {line_no}: {exc}") from exc
 
     tensors = {}
     for name, shape, offset in entries:
@@ -127,6 +130,6 @@ def load_checkpoint(path) -> Checkpoint:
         cfg = json.loads(r.take(r.u32()).decode("utf-8"))
         config = ModelConfig(**cfg["model"])
         extra = cfg.get("extra", {})
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise CheckpointError(f"{path}: malformed config block: {exc}") from exc
     return Checkpoint(config=config, tensors=tensors, extra=extra)

@@ -159,7 +159,7 @@ def apply_freeze(weights, spec: FreezeSpec):
     return trainable
 
 
-def attach_adapters(weights, config, rank: int, targets: AdapterTargets, freeze: FreezeSpec, rng=None):
+def attach_adapters(weights, rank: int, targets: AdapterTargets, freeze: FreezeSpec, rng=None):
     """Create identity-initialized adapters on every targeted matrix of the
     non-frozen layers; returns a dict keyed by base weight name.
 

@@ -4,8 +4,9 @@ Storage and compute are float32. A float64 path exists solely so test
 oracles can run finite-difference checks without float32 rounding noise;
 production code never passes dtype explicitly.
 
-Operations record a backward closure onto the active :class:`Tape` (opened
-with a ``with`` block) whenever any input requires a gradient. Gradients
+Every operation builds its output through :func:`_op`, which records the
+op's backward function onto the active :class:`Tape` (opened with a
+``with`` block) whenever any input requires a gradient. Gradients
 accumulate additively, so a tensor used twice receives the sum of both
 contributions. A tape can be walked backward exactly once.
 
@@ -42,8 +43,9 @@ def active_tape():
 class Tape:
     """Ordered record of operations for one forward pass.
 
-    Operations are appended in forward order; ``backward`` walks them in
-    reverse. Re-running backward without a fresh forward is an error.
+    Operations are appended in forward order as ``(out, backward)``;
+    ``backward`` walks them in reverse, calling ``backward(out.grad)``.
+    Re-running backward without a fresh forward is an error.
     """
 
     def __init__(self):
@@ -61,7 +63,7 @@ class Tape:
         return False
 
     def _record(self, out, backward_fn):
-        self._ops.append(backward_fn)
+        self._ops.append((out, backward_fn))
         self._produced.add(id(out))
 
     def __len__(self):
@@ -76,8 +78,8 @@ class Tape:
             raise ContractError("loss was not produced on this tape")
         self._consumed = True
         loss.grad = np.ones((), dtype=loss.data.dtype)
-        for fn in reversed(self._ops):
-            fn()
+        for out, fn in reversed(self._ops):
+            fn(out.grad)
 
 
 def backward(tape: Tape, loss) -> None:
@@ -116,9 +118,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data)
-
     def _accum(self, g) -> None:
         # The first contribution is copied into a buffer laid out like
         # ``data``: a transposed (F-order) ``g`` must not make the gradient
@@ -132,25 +131,6 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
 
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def _as_tensor(x, dtype_hint=np.float32) -> Tensor:
     if isinstance(x, Tensor):
@@ -160,6 +140,21 @@ def _as_tensor(x, dtype_hint=np.float32) -> Tensor:
     if isinstance(x, (int, float, np.floating)):
         return Tensor(np.asarray(x, dtype=dtype_hint), dtype=dtype_hint)
     return Tensor(x)
+
+
+def _op(data, dtype, parents, backward_fn) -> Tensor:
+    """An op's output tensor. ``backward_fn(g)``, which adds the gradient
+    ``g`` of the output into the parents that require one, is recorded only
+    when a tape is open and some parent requires a gradient."""
+    out = Tensor(data, dtype=dtype)
+    tape = active_tape()
+    if tape is not None:
+        for parent in parents:
+            if parent.requires_grad:
+                out.requires_grad = True
+                tape._record(out, backward_fn)
+                break
+    return out
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -175,20 +170,16 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 def _binary(a, b, fwd, bwd_a, bwd_b):
     a = _as_tensor(a)
     b = _as_tensor(b, dtype_hint=a.dtype)
-    out = Tensor(fwd(a.data, b.data), dtype=np.result_type(a.dtype, b.dtype))
-    tape = active_tape()
-    if tape is not None and (a.requires_grad or b.requires_grad):
-        out.requires_grad = True
+    x, y = a.data, b.data
+    o = fwd(x, y)
 
-        def _bwd():
-            g = out.grad
-            if a.requires_grad:
-                a._accum(_unbroadcast(bwd_a(g, a.data, b.data, out.data), a.shape))
-            if b.requires_grad:
-                b._accum(_unbroadcast(bwd_b(g, a.data, b.data, out.data), b.shape))
+    def _bwd(g):
+        if a.requires_grad:
+            a._accum(_unbroadcast(bwd_a(g, x, y, o), a.shape))
+        if b.requires_grad:
+            b._accum(_unbroadcast(bwd_b(g, x, y, o), b.shape))
 
-        tape._record(out, _bwd)
-    return out
+    return _op(o, np.result_type(a.dtype, b.dtype), (a, b), _bwd)
 
 
 def add(a, b) -> Tensor:
@@ -211,25 +202,24 @@ def div(a, b) -> Tensor:
     )
 
 
+def _product(a, b) -> Tensor:
+    """a @ b over the last two axes, for matmul and bmm."""
+
+    def _bwd(g):
+        if a.requires_grad:
+            a._accum(g @ np.swapaxes(b.data, -1, -2))
+        if b.requires_grad:
+            b._accum(np.swapaxes(a.data, -1, -2) @ g)
+
+    return _op(a.data @ b.data, np.result_type(a.dtype, b.dtype), (a, b), _bwd)
+
+
 def matmul(a, b) -> Tensor:
     a = _as_tensor(a)
     b = _as_tensor(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {tuple(a.shape)} x {tuple(b.shape)}")
-    out = Tensor(a.data @ b.data, dtype=np.result_type(a.dtype, b.dtype))
-    tape = active_tape()
-    if tape is not None and (a.requires_grad or b.requires_grad):
-        out.requires_grad = True
-
-        def _bwd():
-            g = out.grad
-            if a.requires_grad:
-                a._accum(g @ b.data.T)
-            if b.requires_grad:
-                b._accum(a.data.T @ g)
-
-        tape._record(out, _bwd)
-    return out
+    return _product(a, b)
 
 
 def bmm(a, b) -> Tensor:
@@ -243,50 +233,26 @@ def bmm(a, b) -> Tensor:
         or a.shape[2] != b.shape[1]
     ):
         raise ShapeError(f"bmm: incompatible shapes {tuple(a.shape)} x {tuple(b.shape)}")
-    out = Tensor(a.data @ b.data, dtype=np.result_type(a.dtype, b.dtype))
-    tape = active_tape()
-    if tape is not None and (a.requires_grad or b.requires_grad):
-        out.requires_grad = True
-
-        def _bwd():
-            g = out.grad
-            if a.requires_grad:
-                a._accum(g @ b.data.transpose(0, 2, 1))
-            if b.requires_grad:
-                b._accum(a.data.transpose(0, 2, 1) @ g)
-
-        tape._record(out, _bwd)
-    return out
+    return _product(a, b)
 
 
 def transpose(a, axes) -> Tensor:
     a = _as_tensor(a)
     axes = tuple(axes)
-    out = Tensor(np.transpose(a.data, axes), dtype=a.dtype)
-    tape = active_tape()
-    if tape is not None and a.requires_grad:
-        out.requires_grad = True
-        inverse = tuple(np.argsort(axes))
 
-        def _bwd():
-            a._accum(np.transpose(out.grad, inverse))
+    def _bwd(g):
+        a._accum(np.transpose(g, tuple(np.argsort(axes))))
 
-        tape._record(out, _bwd)
-    return out
+    return _op(np.transpose(a.data, axes), a.dtype, (a,), _bwd)
 
 
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
-    out = Tensor(np.reshape(a.data, shape), dtype=a.dtype)
-    tape = active_tape()
-    if tape is not None and a.requires_grad:
-        out.requires_grad = True
 
-        def _bwd():
-            a._accum(np.reshape(out.grad, a.data.shape))
+    def _bwd(g):
+        a._accum(np.reshape(g, a.data.shape))
 
-        tape._record(out, _bwd)
-    return out
+    return _op(np.reshape(a.data, shape), a.dtype, (a,), _bwd)
 
 
 def gather_rows(a, indices) -> Tensor:
@@ -299,53 +265,36 @@ def gather_rows(a, indices) -> Tensor:
         raise ShapeError("gather_rows expects a 1-D index array")
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise IndexError(f"gather_rows: index out of range for {a.shape[0]} rows")
-    out = Tensor(a.data[idx], dtype=a.dtype)
-    tape = active_tape()
-    if tape is not None and a.requires_grad:
-        out.requires_grad = True
 
-        def _bwd():
-            buf = np.zeros_like(a.data)
-            np.add.at(buf, idx, out.grad)
-            a._accum(buf)
+    def _bwd(g):
+        buf = np.zeros_like(a.data)
+        np.add.at(buf, idx, g)
+        a._accum(buf)
 
-        tape._record(out, _bwd)
-    return out
+    return _op(a.data[idx], a.dtype, (a,), _bwd)
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
-    out = Tensor(np.sum(a.data, axis=axis, keepdims=keepdims), dtype=a.dtype)
-    tape = active_tape()
-    if tape is not None and a.requires_grad:
-        out.requires_grad = True
 
-        def _bwd():
-            g = out.grad
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            a._accum(np.broadcast_to(g, a.data.shape).copy())
+    def _bwd(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        a._accum(np.broadcast_to(g, a.data.shape).copy())
 
-        tape._record(out, _bwd)
-    return out
+    return _op(np.sum(a.data, axis=axis, keepdims=keepdims), a.dtype, (a,), _bwd)
 
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = _as_tensor(a)
-    out = Tensor(np.mean(a.data, axis=axis, keepdims=keepdims), dtype=a.dtype)
-    tape = active_tape()
-    if tape is not None and a.requires_grad:
-        out.requires_grad = True
+
+    def _bwd(g):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
         count = a.data.size if axis is None else a.data.shape[axis]
+        a._accum(np.broadcast_to(g, a.data.shape) / np.asarray(count, dtype=a.dtype))
 
-        def _bwd():
-            g = out.grad
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            a._accum(np.broadcast_to(g, a.data.shape) / np.asarray(count, dtype=a.dtype))
-
-        tape._record(out, _bwd)
-    return out
+    return _op(np.mean(a.data, axis=axis, keepdims=keepdims), a.dtype, (a,), _bwd)
 
 
 def softmax(x, axis: int = -1) -> Tensor:
@@ -353,20 +302,13 @@ def softmax(x, axis: int = -1) -> Tensor:
     x = _as_tensor(x)
     shifted = x.data - np.max(x.data, axis=axis, keepdims=True)
     e = np.exp(shifted)
-    out_data = e / np.sum(e, axis=axis, keepdims=True)
-    out = Tensor(out_data, dtype=x.dtype)
-    tape = active_tape()
-    if tape is not None and x.requires_grad:
-        out.requires_grad = True
+    y = e / np.sum(e, axis=axis, keepdims=True)
 
-        def _bwd():
-            g = out.grad
-            y = out.data
-            inner = np.sum(g * y, axis=axis, keepdims=True)
-            x._accum((g - inner) * y)
+    def _bwd(g):
+        inner = np.sum(g * y, axis=axis, keepdims=True)
+        x._accum((g - inner) * y)
 
-        tape._record(out, _bwd)
-    return out
+    return _op(y, x.dtype, (x,), _bwd)
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -385,26 +327,20 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     var = np.mean((x.data - mu) ** 2, axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
     xhat = (x.data - mu) * inv_std
-    out = Tensor(xhat * gain.data + bias.data, dtype=x.dtype)
-    tape = active_tape()
-    if tape is not None and (x.requires_grad or gain.requires_grad or bias.requires_grad):
-        out.requires_grad = True
+
+    def _bwd(g):
         lead_axes = tuple(range(x.ndim - 1))
+        if gain.requires_grad:
+            gain._accum(np.sum(g * xhat, axis=lead_axes))
+        if bias.requires_grad:
+            bias._accum(np.sum(g, axis=lead_axes))
+        if x.requires_grad:
+            dxhat = g * gain.data
+            m1 = np.mean(dxhat, axis=-1, keepdims=True)
+            m2 = np.mean(dxhat * xhat, axis=-1, keepdims=True)
+            x._accum(inv_std * (dxhat - m1 - xhat * m2))
 
-        def _bwd():
-            g = out.grad
-            if gain.requires_grad:
-                gain._accum(np.sum(g * xhat, axis=lead_axes))
-            if bias.requires_grad:
-                bias._accum(np.sum(g, axis=lead_axes))
-            if x.requires_grad:
-                dxhat = g * gain.data
-                m1 = np.mean(dxhat, axis=-1, keepdims=True)
-                m2 = np.mean(dxhat * xhat, axis=-1, keepdims=True)
-                x._accum(inv_std * (dxhat - m1 - xhat * m2))
-
-        tape._record(out, _bwd)
-    return out
+    return _op(xhat * gain.data + bias.data, x.dtype, (x, gain, bias), _bwd)
 
 
 def gelu(x) -> Tensor:
@@ -414,50 +350,35 @@ def gelu(x) -> Tensor:
     # x * x * x, not x**3: NumPy's float32 cube is a slow pow() per element.
     u = c * (x.data + np.asarray(0.044715, dtype=x.dtype) * (x.data * x.data * x.data))
     t = np.tanh(u)
-    out = Tensor(0.5 * x.data * (1.0 + t), dtype=x.dtype)
-    tape = active_tape()
-    if tape is not None and x.requires_grad:
-        out.requires_grad = True
 
-        def _bwd():
-            du = c * (1.0 + np.asarray(3 * 0.044715, dtype=x.dtype) * x.data**2)
-            dx = 0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t * t) * du
-            x._accum(out.grad * dx)
+    def _bwd(g):
+        du = c * (1.0 + np.asarray(3 * 0.044715, dtype=x.dtype) * x.data**2)
+        dx = 0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t * t) * du
+        x._accum(g * dx)
 
-        tape._record(out, _bwd)
-    return out
+    return _op(0.5 * x.data * (1.0 + t), x.dtype, (x,), _bwd)
 
 
 def sqrt(x) -> Tensor:
     """Elementwise square root; inputs must be strictly positive for a finite
     backward (the package always clamps first, see clamp_min)."""
     x = _as_tensor(x)
-    out = Tensor(np.sqrt(x.data), dtype=x.dtype)
-    tape = active_tape()
-    if tape is not None and x.requires_grad:
-        out.requires_grad = True
+    root = np.sqrt(x.data)
 
-        def _bwd():
-            x._accum(out.grad * 0.5 / out.data)
+    def _bwd(g):
+        x._accum(g * 0.5 / root)
 
-        tape._record(out, _bwd)
-    return out
+    return _op(root, x.dtype, (x,), _bwd)
 
 
 def clamp_min(x, lo: float) -> Tensor:
     """max(x, lo) elementwise; clamped entries get zero gradient."""
     x = _as_tensor(x)
-    out = Tensor(np.maximum(x.data, np.asarray(lo, dtype=x.dtype)), dtype=x.dtype)
-    tape = active_tape()
-    if tape is not None and x.requires_grad:
-        out.requires_grad = True
-        pass_through = x.data > lo
 
-        def _bwd():
-            x._accum(out.grad * pass_through)
+    def _bwd(g):
+        x._accum(g * (x.data > lo))
 
-        tape._record(out, _bwd)
-    return out
+    return _op(np.maximum(x.data, np.asarray(lo, dtype=x.dtype)), x.dtype, (x,), _bwd)
 
 
 def cross_entropy_rows(logits, golds) -> Tensor:
@@ -474,19 +395,14 @@ def cross_entropy_rows(logits, golds) -> Tensor:
     m = np.max(logits.data, axis=1, keepdims=True)
     z = logits.data - m
     lse = m[:, 0] + np.log(np.sum(np.exp(z), axis=1))
-    out = Tensor(lse - logits.data[np.arange(n), idx], dtype=logits.dtype)
-    tape = active_tape()
-    if tape is not None and logits.requires_grad:
-        out.requires_grad = True
 
-        def _bwd():
-            e = np.exp(z)
-            p = e / e.sum(axis=1, keepdims=True)
-            p[np.arange(n), idx] -= 1.0
-            logits._accum(out.grad[:, None] * p)
+    def _bwd(g):
+        e = np.exp(z)
+        p = e / e.sum(axis=1, keepdims=True)
+        p[np.arange(n), idx] -= 1.0
+        logits._accum(g[:, None] * p)
 
-        tape._record(out, _bwd)
-    return out
+    return _op(lse - logits.data[np.arange(n), idx], logits.dtype, (logits,), _bwd)
 
 
 def bce_with_logits(scores, labels) -> Tensor:
@@ -501,14 +417,9 @@ def bce_with_logits(scores, labels) -> Tensor:
             f"bce_with_logits: labels shape {y.shape} != scores shape {tuple(scores.shape)}"
         )
     s = scores.data
-    out = Tensor(np.maximum(s, 0) - s * y + np.log1p(np.exp(-np.abs(s))), dtype=scores.dtype)
-    tape = active_tape()
-    if tape is not None and scores.requires_grad:
-        out.requires_grad = True
 
-        def _bwd():
-            sig = 1.0 / (1.0 + np.exp(-s))
-            scores._accum(out.grad * (sig - y))
+    def _bwd(g):
+        sig = 1.0 / (1.0 + np.exp(-s))
+        scores._accum(g * (sig - y))
 
-        tape._record(out, _bwd)
-    return out
+    return _op(np.maximum(s, 0) - s * y + np.log1p(np.exp(-np.abs(s))), scores.dtype, (scores,), _bwd)

@@ -457,7 +457,7 @@ def train(config: TrainConfig, pairs, heldout=None, init_from=None, _prefix_fn=N
     adapters = {}
     if config.dora is not None:
         adapters = attach_adapters(
-            weights_np, model_config, config.dora.rank, config.dora.targets, config.freeze, rng=dora_ss
+            weights_np, config.dora.rank, config.dora.targets, config.freeze, rng=dora_ss
         )
 
     # The optimizer manifest: non-frozen base tensors (minus adapted ones,

@@ -5,6 +5,7 @@ tests check the implementation against a second derivation, not against
 itself. Oracles run in float64.
 """
 
+import json
 import math
 
 import numpy as np
@@ -144,3 +145,34 @@ def head_loops(weights, hidden_rows):
     w = np.asarray(weights["head.w"], dtype=np.float64)
     b = np.asarray(weights["head.b"], dtype=np.float64)
     return matmul_loops(np.atleast_2d(hidden_rows), w) + b
+
+
+MALFORMED_CHECKPOINTS = (
+    "manifest-not-utf8",
+    "dimension-not-integer",
+    "offset-not-integer",
+    "config-rejected",
+)
+
+
+def malformed_checkpoint(blob: bytes, case: str) -> bytes:
+    """A copy of a valid TRM1 file with one defect planted, keeping every
+    length field consistent so that only the named defect is wrong."""
+    start = 12  # magic, version, manifest length
+    end = start + int.from_bytes(blob[8:12], "little")
+    manifest = blob[start:end]
+    name, dims, offset = manifest.split(b"\n")[0].split(b" ")
+    if case == "manifest-not-utf8":
+        manifest = b"\xff" + manifest[1:]
+    elif case == "dimension-not-integer":
+        manifest = manifest.replace(name + b" " + dims, name + b" q" + dims[1:], 1)
+    elif case == "offset-not-integer":
+        manifest = manifest.replace(dims + b" " + offset, dims + b" z" + offset[1:], 1)
+    tail = blob[end:]
+    if case == "config-rejected":
+        config_at = 8 + int.from_bytes(tail[:8], "little")
+        config = json.loads(tail[config_at + 4 :])
+        config["model"].update(hidden=8, n_heads=3)
+        block = json.dumps(config).encode("utf-8")
+        tail = tail[:config_at] + len(block).to_bytes(4, "little") + block
+    return blob[:start] + manifest + tail

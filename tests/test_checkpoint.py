@@ -14,6 +14,7 @@ from clozerm.checkpoint import (
     save_checkpoint,
 )
 from clozerm.model import ModelConfig, init_weights
+from helpers import MALFORMED_CHECKPOINTS, malformed_checkpoint
 
 
 def small_checkpoint(extra=None):
@@ -98,3 +99,13 @@ def test_float64_tensors_stored_as_float32(tmp_path):
     save_checkpoint(ckpt, tmp_path / "a.trm1")
     loaded = load_checkpoint(tmp_path / "a.trm1")
     assert loaded.tensors["head.b"].dtype == np.float32
+
+
+@pytest.mark.parametrize("case", MALFORMED_CHECKPOINTS)
+def test_malformed_file_raises_checkpoint_error(tmp_path, case):
+    good = tmp_path / "good.trm1"
+    save_checkpoint(small_checkpoint(), good)
+    bad = tmp_path / "bad.trm1"
+    bad.write_bytes(malformed_checkpoint(good.read_bytes(), case))
+    with pytest.raises(CheckpointError, match=str(bad)):
+        load_checkpoint(bad)

@@ -13,6 +13,7 @@ import clozerm
 from clozerm.checkpoint import load_checkpoint
 from clozerm.cli import run
 from clozerm.data import load_jsonl, save_jsonl, synth_generate
+from helpers import MALFORMED_CHECKPOINTS, malformed_checkpoint
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 PYPROJECT = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
@@ -118,6 +119,14 @@ def test_corrupt_checkpoint_exits_2(tmp_path, corpus):
     bad = tmp_path / "bad.trm1"
     bad.write_bytes(b"NOPE" + b"\x00" * 64)
     assert run(["eval", "--ckpt", str(bad), "--data", str(corpus)]) == 2
+
+
+@pytest.mark.parametrize("case", MALFORMED_CHECKPOINTS)
+def test_malformed_checkpoint_exits_2(tmp_path, trained, corpus, case, capsys):
+    bad = tmp_path / "bad.trm1"
+    bad.write_bytes(malformed_checkpoint(trained.read_bytes(), case))
+    assert run(["eval", "--ckpt", str(bad), "--data", str(corpus)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_unwritable_report_path_exits_2(trained, corpus, tmp_path):

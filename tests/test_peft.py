@@ -131,7 +131,7 @@ def random_adapted_model(seed, rank=2):
     )
     weights = init_weights(config, seed=seed)
     adapters = attach_adapters(
-        weights, config, rank, AdapterTargets(), FreezeSpec(), rng=rng
+        weights, rank, AdapterTargets(), FreezeSpec(), rng=rng
     )
     return config, weights, adapters
 
@@ -246,7 +246,7 @@ def test_adapters_skip_frozen_layers():
     config = mlm_config(n_layers=3)
     weights = init_weights(config, seed=2)
     adapters = attach_adapters(
-        weights, config, 2, AdapterTargets(), FreezeSpec(n_frozen_layers=2), rng=0
+        weights, 2, AdapterTargets(), FreezeSpec(n_frozen_layers=2), rng=0
     )
     assert adapters
     assert all(name.startswith("layer2.") for name in adapters)

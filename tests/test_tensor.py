@@ -358,6 +358,78 @@ def test_gradcheck(name):
         gradcheck(fn, arrays, tol=FD_TOL)
 
 
+# ------------------------------------------------------- recording rule
+
+# Each op of GRAD_CASES called once on that case's inputs.
+SINGLE_OPS = {
+    "add": add,
+    "sub": sub,
+    "mul": mul,
+    "div": div,
+    "matmul": matmul,
+    "bmm": bmm,
+    "reshape": lambda x: reshape(x, (3, 4)),
+    "transpose": lambda x: transpose(x, (0, 2, 1)),
+    "tsum": lambda x: tsum(x, axis=1, keepdims=True),
+    "tmean": lambda x: tmean(x, axis=1),
+    "softmax": softmax,
+    "layer_norm": layer_norm,
+    "gelu": gelu,
+    "sqrt": sqrt,
+    "clamp_min": lambda x: clamp_min(x, 0.0),
+    "gather_rows": lambda x: gather_rows(x, [0, 2, 2, 1]),
+    "cross_entropy_rows": lambda x: cross_entropy_rows(x, [1, 4, 0]),
+    "bce_with_logits": lambda x: bce_with_logits(x, [1.0, 0.0, 1.0, 1.0, 0.0, 0.0]),
+}
+MULTI_PARENT_OPS = ("add", "sub", "mul", "div", "matmul", "bmm", "layer_norm")
+
+
+def _op_inputs(name, requires):
+    _, arrays = GRAD_CASES[name](0)
+    return [t(a, grad=r) for a, r in zip(arrays, requires)]
+
+
+@pytest.mark.parametrize("name", sorted(GRAD_CASES))
+def test_recording_rule(name):
+    op = SINGLE_OPS[name]
+    n = len(GRAD_CASES[name](0)[1])
+
+    out = op(*_op_inputs(name, [True] * n))
+    assert not out.requires_grad  # no tape open
+
+    with Tape() as tape:
+        out = op(*_op_inputs(name, [False] * n))
+    assert len(tape) == 0 and not out.requires_grad
+
+    # All parents, then each parent alone, requiring a gradient.
+    for requires in [[True] * n] + [[i == j for i in range(n)] for j in range(n)]:
+        with Tape() as tape:
+            for calls in (1, 2):
+                out = op(*_op_inputs(name, requires))
+                assert len(tape) == calls and out.requires_grad
+
+
+def _grads(name, requires):
+    inputs = _op_inputs(name, requires)
+    with Tape() as tape:
+        out = SINGLE_OPS[name](*inputs)
+        loss = tsum(mul(out, _proj(out.shape, 0)))
+    tape.backward(loss)
+    return [x.grad for x in inputs]
+
+
+@pytest.mark.parametrize("name", MULTI_PARENT_OPS)
+def test_one_parent_requiring_grad_gets_the_full_gradient(name):
+    full = _grads(name, [True] * len(GRAD_CASES[name](0)[1]))
+    for which in range(len(full)):
+        grads = _grads(name, [i == which for i in range(len(full))])
+        for i, grad in enumerate(grads):
+            if i == which:
+                assert np.array_equal(grad, full[i])
+            else:
+                assert grad is None
+
+
 # ------------------------------------------------------------- properties
 
 
