@@ -2,10 +2,11 @@
 """Write a fixed-seed set of clozerm artifacts to OUTDIR.
 
 Covers the three objectives (checkpoint, trace CSV with held-out accuracy,
-eval report each), a DoRA run continued from the cloze checkpoint with
-eval_every set, its merge, a sweep and an objective comparison. Every file
-is deterministic, so `diff -r` between the outputs of two checkouts shows
-whether a refactor kept the artifacts byte-identical:
+eval report each), a cloze run at the README shape (hidden 64, 8 heads,
+batch 1) with gradient clipping, a DoRA run continued from the cloze
+checkpoint with eval_every set, its merge, a sweep and an objective
+comparison. Every file is deterministic, so `diff -r` between the outputs
+of two checkouts shows whether a refactor kept the artifacts byte-identical:
 
     PYTHONPATH=src python3 scripts/artifacts.py OUTDIR
 
@@ -19,6 +20,8 @@ from clozerm.cli import run
 
 SMALL = ["--n-layers", "2", "--hidden", "32", "--n-heads", "4", "--batch-size", "8",
          "--learning-rate", "3e-3", "--seed", "7"]
+README = ["--n-layers", "2", "--hidden", "64", "--n-heads", "8", "--batch-size", "1",
+          "--learning-rate", "1.75e-3", "--clip-norm", "1.0", "--seed", "7"]
 
 
 def main(argv=None):
@@ -45,6 +48,11 @@ def main(argv=None):
         clozerm("train", "--data", data, "--heldout", heldout, "--objective", objective,
                 "--out", ckpt, "--trace", out / f"{objective}.trace.csv", *SMALL)
         clozerm("eval", "--ckpt", ckpt, "--data", heldout, "--out", out / f"{objective}.eval.json")
+
+    readme = out / "readme.trm1"
+    clozerm("train", "--data", data, "--heldout", heldout, "--out", readme,
+            "--trace", out / "readme.trace.csv", *README)
+    clozerm("eval", "--ckpt", readme, "--data", heldout, "--out", out / "readme.eval.json")
 
     dora = out / "dora.trm1"
     clozerm("train", "--data", data, "--heldout", heldout, "--init-from", out / "cloze.trm1",

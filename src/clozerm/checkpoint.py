@@ -18,6 +18,7 @@ recorded in the config block.
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,10 +117,12 @@ def load_checkpoint(path) -> Checkpoint:
             entries.append((name, shape, int(offset)))
         except ValueError as exc:
             raise CheckpointError(f"{path}: malformed manifest line {line_no}: {exc}") from exc
+        if any(d < 0 for d in shape):
+            raise CheckpointError(f"{path}: negative dimension on manifest line {line_no}: {dims}")
 
     tensors = {}
     for name, shape, offset in entries:
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)  # Python ints: a huge shape must not wrap
         end = offset + 4 * count
         if offset < 0 or end > len(payload):
             raise CheckpointError(f"{path}: tensor {name} lies outside the payload")

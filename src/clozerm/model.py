@@ -21,16 +21,13 @@ from .errors import ConfigError, ContractError, ShapeError
 from .tensor import (
     Tensor,
     add,
-    bmm,
     gather_rows,
-    gelu,
     layer_norm,
     matmul,
-    mul,
     reshape,
-    softmax,
+    residual_attention,
+    residual_ffn,
     tmean,
-    transpose,
 )
 from .tokenizer import CLS_ID, MASK_ID
 
@@ -163,7 +160,6 @@ def encode_batch(weights, config: ModelConfig, ids: np.ndarray) -> Tensor:
     ids = np.asarray(ids, dtype=np.int64)
     _check_ids(config, ids)
     batch, seq = ids.shape
-    h = config.hidden
 
     positions = np.tile(np.arange(seq, dtype=np.int64), batch)
     x = add(
@@ -171,26 +167,16 @@ def encode_batch(weights, config: ModelConfig, ids: np.ndarray) -> Tensor:
         gather_rows(_get(weights, "pos_emb"), positions),
     )
 
-    nh, dh = config.n_heads, config.head_dim
-    scale = 1.0 / math.sqrt(dh)
+    scale = 1.0 / math.sqrt(config.head_dim)
     for i in range(config.n_layers):
         p = f"layer{i}."
         a = layer_norm(x, _get(weights, p + "ln1.gain"), _get(weights, p + "ln1.bias"))
-
-        def heads(t):
-            return reshape(transpose(reshape(t, (batch, seq, nh, dh)), (0, 2, 1, 3)), (batch * nh, seq, dh))
-
-        q = heads(matmul(a, _get(weights, p + "wq")))
-        k = heads(matmul(a, _get(weights, p + "wk")))
-        v = heads(matmul(a, _get(weights, p + "wv")))
-        scores = mul(bmm(q, transpose(k, (0, 2, 1))), scale)
-        attn = softmax(scores, axis=-1)
-        ctx = bmm(attn, v)
-        ctx = reshape(transpose(reshape(ctx, (batch, nh, seq, dh)), (0, 2, 1, 3)), (batch * seq, h))
-        x = add(x, matmul(ctx, _get(weights, p + "wo")))
-
+        x = residual_attention(
+            x, a, *(_get(weights, p + w) for w in ("wq", "wk", "wv", "wo")),
+            batch, seq, config.n_heads, scale,
+        )
         b = layer_norm(x, _get(weights, p + "ln2.gain"), _get(weights, p + "ln2.bias"))
-        x = add(x, matmul(gelu(matmul(b, _get(weights, p + "w1"))), _get(weights, p + "w2")))
+        x = residual_ffn(x, b, _get(weights, p + "w1"), _get(weights, p + "w2"))
 
     return layer_norm(x, _get(weights, "final_ln.gain"), _get(weights, "final_ln.bias"))
 

@@ -202,38 +202,19 @@ def div(a, b) -> Tensor:
     )
 
 
-def _product(a, b) -> Tensor:
-    """a @ b over the last two axes, for matmul and bmm."""
-
-    def _bwd(g):
-        if a.requires_grad:
-            a._accum(g @ np.swapaxes(b.data, -1, -2))
-        if b.requires_grad:
-            b._accum(np.swapaxes(a.data, -1, -2) @ g)
-
-    return _op(a.data @ b.data, np.result_type(a.dtype, b.dtype), (a, b), _bwd)
-
-
 def matmul(a, b) -> Tensor:
     a = _as_tensor(a)
     b = _as_tensor(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {tuple(a.shape)} x {tuple(b.shape)}")
-    return _product(a, b)
 
+    def _bwd(g):
+        if a.requires_grad:
+            a._accum(g @ b.data.T)
+        if b.requires_grad:
+            b._accum(a.data.T @ g)
 
-def bmm(a, b) -> Tensor:
-    """Batched matmul over matching leading dimension: [n,p,q] x [n,q,r]."""
-    a = _as_tensor(a)
-    b = _as_tensor(b)
-    if (
-        a.ndim != 3
-        or b.ndim != 3
-        or a.shape[0] != b.shape[0]
-        or a.shape[2] != b.shape[1]
-    ):
-        raise ShapeError(f"bmm: incompatible shapes {tuple(a.shape)} x {tuple(b.shape)}")
-    return _product(a, b)
+    return _op(a.data @ b.data, np.result_type(a.dtype, b.dtype), (a, b), _bwd)
 
 
 def transpose(a, axes) -> Tensor:
@@ -297,20 +278,6 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     return _op(np.mean(a.data, axis=axis, keepdims=keepdims), a.dtype, (a,), _bwd)
 
 
-def softmax(x, axis: int = -1) -> Tensor:
-    """Softmax along one axis, computed with max-subtraction for stability."""
-    x = _as_tensor(x)
-    shifted = x.data - np.max(x.data, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / np.sum(e, axis=axis, keepdims=True)
-
-    def _bwd(g):
-        inner = np.sum(g * y, axis=axis, keepdims=True)
-        x._accum((g - inner) * y)
-
-    return _op(y, x.dtype, (x,), _bwd)
-
-
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     """Zero-mean unit-variance normalization over the last axis, then affine."""
     x = _as_tensor(x)
@@ -323,40 +290,160 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
         )
     if eps <= 0:
         raise ContractError("layer_norm: eps must be positive")
-    mu = np.mean(x.data, axis=-1, keepdims=True)
-    var = np.mean((x.data - mu) ** 2, axis=-1, keepdims=True)
+    # add.reduce / h, not np.mean: the same bits (a float64 quotient rounded
+    # to float32 is the correctly rounded float32 quotient) without the
+    # wrapper's overhead.
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True) / h
+    var = np.add.reduce((x.data - mu) ** 2, axis=-1, keepdims=True) / h
     inv_std = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
     xhat = (x.data - mu) * inv_std
 
     def _bwd(g):
         lead_axes = tuple(range(x.ndim - 1))
         if gain.requires_grad:
-            gain._accum(np.sum(g * xhat, axis=lead_axes))
+            gain._accum(np.add.reduce(g * xhat, axis=lead_axes))
         if bias.requires_grad:
-            bias._accum(np.sum(g, axis=lead_axes))
+            bias._accum(np.add.reduce(g, axis=lead_axes))
         if x.requires_grad:
             dxhat = g * gain.data
-            m1 = np.mean(dxhat, axis=-1, keepdims=True)
-            m2 = np.mean(dxhat * xhat, axis=-1, keepdims=True)
+            m1 = np.add.reduce(dxhat, axis=-1, keepdims=True) / h
+            m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / h
             x._accum(inv_std * (dxhat - m1 - xhat * m2))
 
     return _op(xhat * gain.data + bias.data, x.dtype, (x, gain, bias), _bwd)
 
 
-def gelu(x) -> Tensor:
-    """Tanh-approximation GELU, elementwise."""
-    x = _as_tensor(x)
-    c = np.asarray(_GELU_C, dtype=x.dtype)
-    # x * x * x, not x**3: NumPy's float32 cube is a slow pow() per element.
-    u = c * (x.data + np.asarray(0.044715, dtype=x.dtype) * (x.data * x.data * x.data))
-    t = np.tanh(u)
+def _move_heads(t, split, shape, fresh):
+    """Reshape t to split, swap its two middle axes and reshape to shape.
+    With fresh set the result is a new C-ordered array, laid out as
+    Tensor._accum lays out a gradient, so that the matmuls it feeds pick the
+    same BLAS kernel; otherwise it is a view wherever reshape allows one."""
+    moved = t.reshape(split).transpose(0, 2, 1, 3)
+    if not fresh:
+        return moved.reshape(shape)
+    out = np.empty(moved.shape, dtype=moved.dtype)
+    np.copyto(out, moved)
+    return out.reshape(shape)
+
+
+def _split_heads(t, batch, seq, n_heads, fresh=False):
+    """[batch*seq, hidden] -> [batch*n_heads, seq, head_dim]."""
+    return _move_heads(t, (batch, seq, n_heads, -1), (batch * n_heads, seq, -1), fresh)
+
+
+def _merge_heads(t, batch, seq, n_heads, fresh=False):
+    """[batch*n_heads, seq, head_dim] -> [batch*seq, hidden]; inverse of _split_heads."""
+    return _move_heads(t, (batch, n_heads, seq, -1), (batch * seq, -1), fresh)
+
+
+def residual_attention(x, a, wq, wk, wv, wo, batch: int, seq: int, n_heads: int, scale: float) -> Tensor:
+    """x + merge(softmax(q @ k^T * scale) @ v) @ wo as one tape op, where q, k
+    and v are the head-split projections a @ wq, a @ wk and a @ wv; x and a
+    are [batch*seq, hidden].
+
+    The backward makes the NumPy calls that the unfused chain of matmul,
+    head split/merge, batched product, scale, softmax and residual add made
+    in reverse tape order: the residual gradient into x, then wo, the
+    attention core, and the projections v, k, q, each adding into a and then
+    into its weight. Gradients are therefore bit-identical to that chain's.
+    """
+    x, a, wq, wk, wv, wo = (_as_tensor(t) for t in (x, a, wq, wk, wv, wo))
+    h = x.shape[-1] if x.ndim else 0
+    if (
+        x.ndim != 2
+        or a.shape != x.shape
+        or any(w.shape != (h, h) for w in (wq, wk, wv, wo))
+        or x.shape[0] != batch * seq
+        or h % n_heads
+    ):
+        raise ShapeError(
+            f"residual_attention: x {tuple(x.shape)}, a {tuple(a.shape)} and (hidden, hidden)"
+            f" weights do not fit batch {batch}, seq {seq} and {n_heads} heads"
+        )
+    q, k, v = (_split_heads(a.data @ w.data, batch, seq, n_heads) for w in (wq, wk, wv))
+    kt = k.transpose(0, 2, 1)
+    s = q @ kt
+    scale = np.asarray(scale, dtype=s.dtype)
+    s = s * scale
+    e = np.exp(s - np.maximum.reduce(s, axis=-1, keepdims=True))
+    p = e / np.add.reduce(e, axis=-1, keepdims=True)
+    ctx = _merge_heads(p @ v, batch, seq, n_heads)
+    data = x.data + ctx @ wo.data
 
     def _bwd(g):
-        du = c * (1.0 + np.asarray(3 * 0.044715, dtype=x.dtype) * x.data**2)
-        dx = 0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t * t) * du
-        x._accum(g * dx)
+        if x.requires_grad:
+            x._accum(g)
+        need_q, need_k, need_v = (a.requires_grad or w.requires_grad for w in (wq, wk, wv))
+        if need_q or need_k or need_v:
+            d_ctx = _split_heads(g @ wo.data.T, batch, seq, n_heads, fresh=True)
+        if wo.requires_grad:
+            wo._accum(ctx.T @ g)
+        d_q = d_k = d_v = None
+        if need_q or need_k:
+            d_p = d_ctx @ v.swapaxes(-1, -2)
+            d_s = (d_p - np.add.reduce(d_p * p, axis=-1, keepdims=True)) * p * scale
+            if need_q:
+                d_q = d_s @ kt.swapaxes(-1, -2)
+            if need_k:
+                d_k = (q.swapaxes(-1, -2) @ d_s).swapaxes(-1, -2)
+        if need_v:
+            d_v = p.swapaxes(-1, -2) @ d_ctx
+        for w, d in ((wv, d_v), (wk, d_k), (wq, d_q)):
+            if d is not None:
+                d = _merge_heads(d, batch, seq, n_heads, fresh=True)
+                if a.requires_grad:
+                    a._accum(d @ w.data.T)
+                if w.requires_grad:
+                    w._accum(a.data.T @ d)
 
-    return _op(0.5 * x.data * (1.0 + t), x.dtype, (x,), _bwd)
+    return _op(data, data.dtype, (x, a, wq, wk, wv, wo), _bwd)
+
+
+def residual_ffn(x, b, w1, w2) -> Tensor:
+    """x + gelu(b @ w1) @ w2 as one tape op, with the tanh-approximation GELU;
+    x and b are [rows, hidden].
+
+    The backward makes the NumPy calls of the unfused matmul, GELU, matmul,
+    add chain in reverse tape order (x, w2, GELU, then b and w1), so
+    gradients are bit-identical to that chain's.
+    """
+    x, b, w1, w2 = (_as_tensor(t) for t in (x, b, w1, w2))
+    if (
+        x.ndim != 2
+        or b.shape != x.shape
+        or w1.ndim != 2
+        or w1.shape[0] != x.shape[1]
+        or w2.shape != (w1.shape[1], x.shape[1])
+    ):
+        raise ShapeError(
+            f"residual_ffn: incompatible shapes x {tuple(x.shape)}, b {tuple(b.shape)},"
+            f" w1 {tuple(w1.shape)}, w2 {tuple(w2.shape)}"
+        )
+    z = b.data @ w1.data
+    c = np.asarray(_GELU_C, dtype=z.dtype)
+    # z * z * z, not z**3: NumPy's float32 cube is a slow pow() per element.
+    t = np.tanh(c * (z + np.asarray(0.044715, dtype=z.dtype) * (z * z * z)))
+    act = 0.5 * z * (1.0 + t)
+    data = x.data + act @ w2.data
+
+    def _bwd(g):
+        if x.requires_grad:
+            x._accum(g)
+        need = b.requires_grad or w1.requires_grad
+        if need:
+            d_act = g @ w2.data.T
+        if w2.requires_grad:
+            w2._accum(act.T @ g)
+        if not need:
+            return
+        du = c * (1.0 + np.asarray(3 * 0.044715, dtype=z.dtype) * z**2)
+        d_z = d_act * (0.5 * (1.0 + t) + 0.5 * z * (1.0 - t * t) * du)
+        if b.requires_grad:
+            b._accum(d_z @ w1.data.T)
+        if w1.requires_grad:
+            w1._accum(b.data.T @ d_z)
+
+    return _op(data, data.dtype, (x, b, w1, w2), _bwd)
 
 
 def sqrt(x) -> Tensor:

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from clozerm.tensor import Tape, Tensor
+from clozerm.tensor import Tape, Tensor, _op, add, matmul, mul, reshape, transpose
 
 FD_H = 1e-3
 FD_TOL = 1e-3
@@ -147,9 +147,66 @@ def head_loops(weights, hidden_rows):
     return matmul_loops(np.atleast_2d(hidden_rows), w) + b
 
 
+
+# The encoder block as a chain of single tape ops (matmul, head split and
+# merge, batched product, scale, softmax, GELU, residual add): the oracle
+# for the bit-identity of the fused block ops. Each backward is recorded on
+# the tape, so the tape alone fixes the order in which gradients add up.
+
+
+def _bmm(a, b):
+    def _bwd(g):
+        if a.requires_grad:
+            a._accum(g @ np.swapaxes(b.data, -1, -2))
+        if b.requires_grad:
+            b._accum(np.swapaxes(a.data, -1, -2) @ g)
+
+    return _op(a.data @ b.data, a.dtype, (a, b), _bwd)
+
+
+def _softmax(x):
+    e = np.exp(x.data - np.max(x.data, axis=-1, keepdims=True))
+    y = e / np.sum(e, axis=-1, keepdims=True)
+
+    def _bwd(g):
+        x._accum((g - np.sum(g * y, axis=-1, keepdims=True)) * y)
+
+    return _op(y, x.dtype, (x,), _bwd)
+
+
+def _gelu(x):
+    c = np.asarray(math.sqrt(2.0 / math.pi), dtype=x.dtype)
+    t = np.tanh(c * (x.data + np.asarray(0.044715, dtype=x.dtype) * (x.data * x.data * x.data)))
+
+    def _bwd(g):
+        du = c * (1.0 + np.asarray(3 * 0.044715, dtype=x.dtype) * x.data**2)
+        x._accum(g * (0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t * t) * du))
+
+    return _op(0.5 * x.data * (1.0 + t), x.dtype, (x,), _bwd)
+
+
+def unfused_attention(x, a, wq, wk, wv, wo, batch, seq, n_heads, scale):
+    h = x.shape[1]
+    dh = h // n_heads
+
+    def heads(t):
+        return reshape(transpose(reshape(t, (batch, seq, n_heads, dh)), (0, 2, 1, 3)), (batch * n_heads, seq, dh))
+
+    q, k, v = heads(matmul(a, wq)), heads(matmul(a, wk)), heads(matmul(a, wv))
+    attn = _softmax(mul(_bmm(q, transpose(k, (0, 2, 1))), scale))
+    ctx = _bmm(attn, v)
+    ctx = reshape(transpose(reshape(ctx, (batch, n_heads, seq, dh)), (0, 2, 1, 3)), (batch * seq, h))
+    return add(x, matmul(ctx, wo))
+
+
+def unfused_ffn(x, b, w1, w2):
+    return add(x, matmul(_gelu(matmul(b, w1)), w2))
+
 MALFORMED_CHECKPOINTS = (
     "manifest-not-utf8",
     "dimension-not-integer",
+    "dimension-negative",
+    "dimension-overflow",
     "offset-not-integer",
     "config-rejected",
 )
@@ -166,6 +223,10 @@ def malformed_checkpoint(blob: bytes, case: str) -> bytes:
         manifest = b"\xff" + manifest[1:]
     elif case == "dimension-not-integer":
         manifest = manifest.replace(name + b" " + dims, name + b" q" + dims[1:], 1)
+    elif case == "dimension-negative":
+        manifest = manifest.replace(name + b" " + dims, name + b" -" + b"0" * (len(dims) - 2) + b"1", 1)
+    elif case == "dimension-overflow":  # 2**32 x 2**32 elements wrap to 0 in int64
+        manifest = manifest.replace(name + b" " + dims, name + b" 4294967296x4294967296", 1)
     elif case == "offset-not-integer":
         manifest = manifest.replace(dims + b" " + offset, dims + b" z" + offset[1:], 1)
     tail = blob[end:]
@@ -175,4 +236,4 @@ def malformed_checkpoint(blob: bytes, case: str) -> bytes:
         config["model"].update(hidden=8, n_heads=3)
         block = json.dumps(config).encode("utf-8")
         tail = tail[:config_at] + len(block).to_bytes(4, "little") + block
-    return blob[:start] + manifest + tail
+    return blob[:8] + len(manifest).to_bytes(4, "little") + manifest + tail

@@ -13,24 +13,23 @@ from clozerm.tensor import (
     Tensor,
     add,
     bce_with_logits,
-    bmm,
     clamp_min,
     cross_entropy_rows,
     div,
     gather_rows,
-    gelu,
     layer_norm,
     matmul,
     mul,
     reshape,
-    softmax,
+    residual_attention,
+    residual_ffn,
     sqrt,
     sub,
     tmean,
     transpose,
     tsum,
 )
-from helpers import FD_TOL, gradcheck, matmul_loops
+from helpers import FD_TOL, gradcheck, matmul_loops, unfused_attention, unfused_ffn
 
 SEEDS = range(5)
 
@@ -67,19 +66,29 @@ def test_matmul_shape_error_names_both_shapes():
     assert "(2, 3)" in msg and "(4, 2)" in msg
 
 
+def attention_weights(scores):
+    """residual_attention's softmax over one row of scores, seen by every
+    query: one head, scale 1, identity a, wq, wv and wo, zero residual, and
+    wk chosen so that q @ k^T repeats the row."""
+    n = len(scores)
+    eye = t(np.eye(n))
+    wk = t(np.outer(scores, np.ones(n)))
+    return residual_attention(t(np.zeros((n, n))), eye, eye, wk, eye, eye, 1, n, 1, 1.0).data
+
+
 def test_softmax_symmetry():
-    assert np.allclose(softmax(t([0.0, 0.0])).data, [0.5, 0.5])
+    assert np.allclose(attention_weights([0.0, 0.0]), [[0.5, 0.5], [0.5, 0.5]])
 
 
 def test_softmax_hand_values():
-    out = softmax(t([1.0, 2.0, 3.0]))
-    assert np.abs(out.data - [0.0900306, 0.2447285, 0.6652410]).max() < 1e-6
+    out = attention_weights([1.0, 2.0, 3.0])
+    assert np.abs(out - [0.0900306, 0.2447285, 0.6652410]).max() < 1e-6
 
 
 def test_softmax_no_overflow():
-    out = softmax(t([1000.0, 1000.0]))
-    assert np.allclose(out.data, [0.5, 0.5])
-    assert np.isfinite(out.data).all()
+    out = attention_weights([1000.0, 1000.0])
+    assert np.allclose(out, [[0.5, 0.5], [0.5, 0.5]])
+    assert np.isfinite(out).all()
 
 
 def test_layer_norm_constant_row():
@@ -99,10 +108,33 @@ def test_layer_norm_affine_only():
     assert np.allclose(out.data, [[5.0, 5.0, 5.0]])
 
 
+def gelu_of(value):
+    """residual_ffn's GELU at one point: 1x1 identity weights, zero residual."""
+    one = t([[1.0]])
+    return float(residual_ffn(t([[0.0]]), t([[value]]), one, one).data[0, 0])
+
+
 def test_gelu_fixed_points():
-    assert float(gelu(t(0.0)).data) == 0.0
-    assert abs(float(gelu(t(1.0)).data) - 0.841192) < 1e-4
-    assert abs(float(gelu(t(-10.0)).data)) < 1e-3
+    assert gelu_of(0.0) == 0.0
+    assert abs(gelu_of(1.0) - 0.841192) < 1e-4
+    assert abs(gelu_of(-10.0)) < 1e-3
+
+
+def test_residual_attention_shape_error_names_the_shapes():
+    x = t(np.zeros((6, 4)))
+    w = t(np.zeros((4, 4)))
+    with pytest.raises(ShapeError, match=r"\(6, 4\)"):
+        residual_attention(x, x, w, w, w, w, 2, 4, 2, 1.0)  # 2 x 4 != 6 rows
+    with pytest.raises(ShapeError):
+        residual_attention(x, x, w, w, w, w, 2, 3, 3, 1.0)  # 4 not divisible by 3
+    with pytest.raises(ShapeError):
+        residual_attention(x, x, w, t(np.zeros((4, 3))), w, w, 2, 3, 2, 1.0)
+
+
+def test_residual_ffn_shape_error_names_the_shapes():
+    x = t(np.zeros((3, 4)))
+    with pytest.raises(ShapeError, match=r"\(4, 6\)"):
+        residual_ffn(x, x, t(np.zeros((4, 6))), t(np.zeros((5, 4))))
 
 
 def test_cross_entropy_uniform():
@@ -234,13 +266,6 @@ def _case_matmul(seed):
     return lambda x, y: tsum(mul(matmul(x, y), p)), [a, b]
 
 
-def _case_bmm(seed):
-    rng = np.random.default_rng(seed)
-    a, b = rng.normal(size=(2, 2, 3)), rng.normal(size=(2, 3, 2))
-    p = _proj((2, 2, 2), seed)
-    return lambda x, y: tsum(mul(bmm(x, y), p)), [a, b]
-
-
 def _case_reshape(seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(2, 6))
@@ -269,13 +294,6 @@ def _case_tmean(seed):
     return lambda x: tsum(mul(tmean(x, axis=1), p)), [a]
 
 
-def _case_softmax(seed):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(2, 5))
-    p = _proj((2, 5), seed)
-    return lambda x: tsum(mul(softmax(x, axis=-1), p)), [a]
-
-
 def _case_layer_norm(seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(2, 4))
@@ -285,11 +303,22 @@ def _case_layer_norm(seed):
     return lambda x, gg, bb: tsum(mul(layer_norm(x, gg, bb), p)), [a, g, b]
 
 
-def _case_gelu(seed):
+# Batch 2, 2 heads of width 2, sequence 3: x and a are [6, 4].
+ATTN_SHAPE = dict(batch=2, seq=3, n_heads=2, scale=1.0 / math.sqrt(2.0))
+
+
+def _case_residual_attention(seed):
     rng = np.random.default_rng(seed)
-    a = rng.normal(size=(2, 4))
-    p = _proj((2, 4), seed)
-    return lambda x: tsum(mul(gelu(x), p)), [a]
+    arrays = [rng.normal(size=(6, 4)), rng.normal(size=(6, 4))] + [rng.normal(size=(4, 4)) for _ in range(4)]
+    p = _proj((6, 4), seed)
+    return lambda *ts: tsum(mul(residual_attention(*ts, **ATTN_SHAPE), p)), arrays
+
+
+def _case_residual_ffn(seed):
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=(3, 4)), rng.normal(size=(3, 4)), rng.normal(size=(4, 6)), rng.normal(size=(6, 4))]
+    p = _proj((3, 4), seed)
+    return lambda *ts: tsum(mul(residual_ffn(*ts), p)), arrays
 
 
 def _case_sqrt(seed):
@@ -335,14 +364,13 @@ GRAD_CASES = {
     "mul": _case_mul,
     "div": _case_div,
     "matmul": _case_matmul,
-    "bmm": _case_bmm,
     "reshape": _case_reshape,
     "transpose": _case_transpose,
     "tsum": _case_tsum,
     "tmean": _case_tmean,
-    "softmax": _case_softmax,
     "layer_norm": _case_layer_norm,
-    "gelu": _case_gelu,
+    "residual_attention": _case_residual_attention,
+    "residual_ffn": _case_residual_ffn,
     "sqrt": _case_sqrt,
     "clamp_min": _case_clamp_min,
     "gather_rows": _case_gather_rows,
@@ -367,21 +395,22 @@ SINGLE_OPS = {
     "mul": mul,
     "div": div,
     "matmul": matmul,
-    "bmm": bmm,
     "reshape": lambda x: reshape(x, (3, 4)),
     "transpose": lambda x: transpose(x, (0, 2, 1)),
     "tsum": lambda x: tsum(x, axis=1, keepdims=True),
     "tmean": lambda x: tmean(x, axis=1),
-    "softmax": softmax,
     "layer_norm": layer_norm,
-    "gelu": gelu,
+    "residual_attention": lambda *ts: residual_attention(*ts, **ATTN_SHAPE),
+    "residual_ffn": residual_ffn,
     "sqrt": sqrt,
     "clamp_min": lambda x: clamp_min(x, 0.0),
     "gather_rows": lambda x: gather_rows(x, [0, 2, 2, 1]),
     "cross_entropy_rows": lambda x: cross_entropy_rows(x, [1, 4, 0]),
     "bce_with_logits": lambda x: bce_with_logits(x, [1.0, 0.0, 1.0, 1.0, 0.0, 0.0]),
 }
-MULTI_PARENT_OPS = ("add", "sub", "mul", "div", "matmul", "bmm", "layer_norm")
+MULTI_PARENT_OPS = (
+    "add", "sub", "mul", "div", "matmul", "layer_norm", "residual_attention", "residual_ffn",
+)
 
 
 def _op_inputs(name, requires):
@@ -436,18 +465,53 @@ def test_one_parent_requiring_grad_gets_the_full_gradient(name):
 def test_determinism_bitwise():
     def run():
         rng = np.random.default_rng(11)
-        a = Tensor(rng.normal(size=(3, 4)).astype(np.float32), requires_grad=True)
-        b = Tensor(rng.normal(size=(4, 2)).astype(np.float32), requires_grad=True)
+        x, b = (Tensor(rng.normal(size=(3, 4)).astype(np.float32), requires_grad=True) for _ in range(2))
+        w1 = Tensor(rng.normal(size=(4, 2)).astype(np.float32), requires_grad=True)
+        w2 = Tensor(rng.normal(size=(2, 4)).astype(np.float32), requires_grad=True)
         with Tape() as tape:
-            loss = tsum(gelu(matmul(a, b)))
+            loss = tsum(residual_ffn(x, b, w1, w2))
         tape.backward(loss)
-        return loss.data.copy(), a.grad.copy(), b.grad.copy()
+        return [loss.data.copy()] + [p.grad.copy() for p in (x, b, w1, w2)]
 
-    l1, ga1, gb1 = run()
-    l2, ga2, gb2 = run()
-    assert np.array_equal(l1, l2)
-    assert np.array_equal(ga1, ga2)
-    assert np.array_equal(gb1, gb2)
+    for first, second in zip(run(), run()):
+        assert np.array_equal(first, second)
+
+
+def _block_run(build, arrays, dtype=np.float32):
+    """Output and every input's gradient of one block call."""
+    inputs = [Tensor(a.astype(dtype), requires_grad=True) for a in arrays]
+    with Tape() as tape:
+        out = build(*inputs)
+        loss = tsum(mul(out, _proj(out.shape, 0)))
+    tape.backward(loss)
+    return [out.data] + [x.grad for x in inputs]
+
+
+# README widths at two lengths, a batch of 3, and head width 1. At batch 1
+# and at head width 1 a head move can return a view where the unfused chain
+# held a C-ordered copy, and a matmul on that view rounds differently.
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch,seq,n_heads,hidden", [(1, 29, 8, 64), (1, 7, 8, 64), (3, 7, 4, 32), (1, 7, 8, 8)])
+def test_residual_attention_is_bitwise_the_unfused_chain(batch, seq, n_heads, hidden, dtype):
+    rng = np.random.default_rng(hidden)
+    arrays = [rng.normal(size=(batch * seq, hidden)) for _ in range(2)]
+    arrays += [rng.normal(0.0, 0.3, size=(hidden, hidden)) for _ in range(4)]
+    shape = (batch, seq, n_heads, 1.0 / math.sqrt(hidden // n_heads))
+    fused = _block_run(lambda *ts: residual_attention(*ts, *shape), arrays, dtype)
+    chain = _block_run(lambda *ts: unfused_attention(*ts, *shape), arrays, dtype)
+    for got, want in zip(fused, chain):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("rows,hidden", [(29, 64), (5, 3)])
+def test_residual_ffn_is_bitwise_the_unfused_chain(rows, hidden):
+    rng = np.random.default_rng(rows)
+    arrays = [rng.normal(size=(rows, hidden)) for _ in range(2)]
+    arrays += [rng.normal(size=(hidden, 4 * hidden)), rng.normal(size=(4 * hidden, hidden))]
+    fused = _block_run(residual_ffn, arrays)
+    chain = _block_run(unfused_ffn, arrays)
+    for got, want in zip(fused, chain):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 @settings(max_examples=50, deadline=None)
@@ -459,8 +523,8 @@ def test_determinism_bitwise():
     )
 )
 def test_softmax_rows_sum_to_one(row):
-    out = softmax(t([row]))
-    assert abs(float(out.data.sum()) - 1.0) < 1e-6
+    out = attention_weights(row)
+    assert np.abs(out.sum(axis=1) - 1.0).max() < 1e-6
 
 
 @settings(max_examples=50, deadline=None)

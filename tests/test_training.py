@@ -301,6 +301,23 @@ def test_loss_cloze_deterministic_bitwise():
     assert a == b
 
 
+def test_batch1_cloze_step_at_readme_shape_records_18_tape_ops():
+    # Per layer: layer_norm, residual_attention, layer_norm, residual_ffn.
+    # Around them: two embedding gathers and their add, the final layer
+    # norm, the mask-row gather, the head matmul and bias add, and the loss's
+    # cross entropy, sum and scale.
+    settings = ModelSettings(n_layers=2, hidden=64, n_heads=8, max_seq=64)
+    wt, config, tok = build_model("cloze", PAIRS, settings=settings)
+    for tensor in wt.values():
+        tensor.requires_grad = True
+    inst = build_cloze(PAIRS[0], TEMPLATE, "original", tok, settings.max_seq)
+    with Tape() as tape:
+        loss = loss_cloze(wt, config, [inst])
+    assert len(tape) == 18
+    tape.backward(loss)
+    assert all(tensor.grad is not None for tensor in wt.values())
+
+
 def test_loss_cloze_rejects_wrong_head():
     wt, config, tok = build_model("pooled", PAIRS)
     inst = build_pooled(PAIRS[0], TEMPLATE, "original", tok, SMALL.max_seq)
