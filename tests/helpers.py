@@ -152,9 +152,10 @@ def head_loops(weights, hidden_rows):
 # merge, batched product, scale, softmax, GELU, residual add): the oracle
 # for the bit-identity of the fused block ops. Each backward is recorded on
 # the tape, so the tape alone fixes the order in which gradients add up.
+# test_tensor checks bmm, softmax and gelu like the package's ops.
 
 
-def _bmm(a, b):
+def bmm(a, b):
     def _bwd(g):
         if a.requires_grad:
             a._accum(g @ np.swapaxes(b.data, -1, -2))
@@ -164,7 +165,7 @@ def _bmm(a, b):
     return _op(a.data @ b.data, a.dtype, (a, b), _bwd)
 
 
-def _softmax(x):
+def softmax(x):
     e = np.exp(x.data - np.max(x.data, axis=-1, keepdims=True))
     y = e / np.sum(e, axis=-1, keepdims=True)
 
@@ -174,7 +175,7 @@ def _softmax(x):
     return _op(y, x.dtype, (x,), _bwd)
 
 
-def _gelu(x):
+def gelu(x):
     c = np.asarray(math.sqrt(2.0 / math.pi), dtype=x.dtype)
     t = np.tanh(c * (x.data + np.asarray(0.044715, dtype=x.dtype) * (x.data * x.data * x.data)))
 
@@ -193,14 +194,14 @@ def unfused_attention(x, a, wq, wk, wv, wo, batch, seq, n_heads, scale):
         return reshape(transpose(reshape(t, (batch, seq, n_heads, dh)), (0, 2, 1, 3)), (batch * n_heads, seq, dh))
 
     q, k, v = heads(matmul(a, wq)), heads(matmul(a, wk)), heads(matmul(a, wv))
-    attn = _softmax(mul(_bmm(q, transpose(k, (0, 2, 1))), scale))
-    ctx = _bmm(attn, v)
+    attn = softmax(mul(bmm(q, transpose(k, (0, 2, 1))), scale))
+    ctx = bmm(attn, v)
     ctx = reshape(transpose(reshape(ctx, (batch, n_heads, seq, dh)), (0, 2, 1, 3)), (batch * seq, h))
     return add(x, matmul(ctx, wo))
 
 
 def unfused_ffn(x, b, w1, w2):
-    return add(x, matmul(_gelu(matmul(b, w1)), w2))
+    return add(x, matmul(gelu(matmul(b, w1)), w2))
 
 MALFORMED_CHECKPOINTS = (
     "manifest-not-utf8",

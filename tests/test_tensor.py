@@ -29,7 +29,7 @@ from clozerm.tensor import (
     transpose,
     tsum,
 )
-from helpers import FD_TOL, gradcheck, matmul_loops, unfused_attention, unfused_ffn
+from helpers import FD_TOL, bmm, gelu, gradcheck, matmul_loops, softmax, unfused_attention, unfused_ffn
 
 SEEDS = range(5)
 
@@ -321,6 +321,29 @@ def _case_residual_ffn(seed):
     return lambda *ts: tsum(mul(residual_ffn(*ts), p)), arrays
 
 
+# The unfused chain's own ops, which the bitwise tests below trust as the
+# oracle of the fused blocks.
+def _case_bmm(seed):
+    rng = np.random.default_rng(seed)
+    a, b = rng.normal(size=(2, 2, 3)), rng.normal(size=(2, 3, 2))
+    p = _proj((2, 2, 2), seed)
+    return lambda x, y: tsum(mul(bmm(x, y), p)), [a, b]
+
+
+def _case_softmax(seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(2, 5))
+    p = _proj((2, 5), seed)
+    return lambda x: tsum(mul(softmax(x), p)), [a]
+
+
+def _case_gelu(seed):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(2, 4))
+    p = _proj((2, 4), seed)
+    return lambda x: tsum(mul(gelu(x), p)), [a]
+
+
 def _case_sqrt(seed):
     rng = np.random.default_rng(seed)
     a = np.abs(rng.normal(size=(2, 3))) + 0.5
@@ -371,6 +394,9 @@ GRAD_CASES = {
     "layer_norm": _case_layer_norm,
     "residual_attention": _case_residual_attention,
     "residual_ffn": _case_residual_ffn,
+    "bmm": _case_bmm,
+    "softmax": _case_softmax,
+    "gelu": _case_gelu,
     "sqrt": _case_sqrt,
     "clamp_min": _case_clamp_min,
     "gather_rows": _case_gather_rows,
@@ -402,6 +428,9 @@ SINGLE_OPS = {
     "layer_norm": layer_norm,
     "residual_attention": lambda *ts: residual_attention(*ts, **ATTN_SHAPE),
     "residual_ffn": residual_ffn,
+    "bmm": bmm,
+    "softmax": softmax,
+    "gelu": gelu,
     "sqrt": sqrt,
     "clamp_min": lambda x: clamp_min(x, 0.0),
     "gather_rows": lambda x: gather_rows(x, [0, 2, 2, 1]),
@@ -409,7 +438,7 @@ SINGLE_OPS = {
     "bce_with_logits": lambda x: bce_with_logits(x, [1.0, 0.0, 1.0, 1.0, 0.0, 0.0]),
 }
 MULTI_PARENT_OPS = (
-    "add", "sub", "mul", "div", "matmul", "layer_norm", "residual_attention", "residual_ffn",
+    "add", "sub", "mul", "div", "matmul", "bmm", "layer_norm", "residual_attention", "residual_ffn",
 )
 
 
