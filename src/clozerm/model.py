@@ -12,7 +12,6 @@ reduces the sequence (CLS token or mean) to a two-way decision, and
 ``token-classifier`` emits one scalar score per token.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,13 +166,12 @@ def encode_batch(weights, config: ModelConfig, ids: np.ndarray) -> Tensor:
         gather_rows(_get(weights, "pos_emb"), positions),
     )
 
-    scale = 1.0 / math.sqrt(config.head_dim)
     for i in range(config.n_layers):
         p = f"layer{i}."
         a = layer_norm(x, _get(weights, p + "ln1.gain"), _get(weights, p + "ln1.bias"))
         x = residual_attention(
             x, a, *(_get(weights, p + w) for w in ("wq", "wk", "wv", "wo")),
-            batch, seq, config.n_heads, scale,
+            seq, config.n_heads,
         )
         b = layer_norm(x, _get(weights, p + "ln2.gain"), _get(weights, p + "ln2.bias"))
         x = residual_ffn(x, b, _get(weights, p + "w1"), _get(weights, p + "w2"))

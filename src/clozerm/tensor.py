@@ -15,6 +15,7 @@ never require gradients are immutable after construction and may be shared
 across threads for read-only inference.
 """
 
+import math
 import threading
 
 import numpy as np
@@ -321,9 +322,7 @@ def _move_heads(t, split, shape, fresh):
     moved = t.reshape(split).transpose(0, 2, 1, 3)
     if not fresh:
         return moved.reshape(shape)
-    out = np.empty(moved.shape, dtype=moved.dtype)
-    np.copyto(out, moved)
-    return out.reshape(shape)
+    return moved.copy().reshape(shape)
 
 
 def _split_heads(t, batch, seq, n_heads, fresh=False):
@@ -336,10 +335,10 @@ def _merge_heads(t, batch, seq, n_heads, fresh=False):
     return _move_heads(t, (batch, n_heads, seq, -1), (batch * seq, -1), fresh)
 
 
-def residual_attention(x, a, wq, wk, wv, wo, batch: int, seq: int, n_heads: int, scale: float) -> Tensor:
-    """x + merge(softmax(q @ k^T * scale) @ v) @ wo as one tape op, where q, k
-    and v are the head-split projections a @ wq, a @ wk and a @ wv; x and a
-    are [batch*seq, hidden].
+def residual_attention(x, a, wq, wk, wv, wo, seq: int, n_heads: int) -> Tensor:
+    """x + merge(softmax(q @ k^T / sqrt(head_dim)) @ v) @ wo as one tape op,
+    where q, k and v are the head-split projections a @ wq, a @ wk and a @ wv;
+    x and a are [batch*seq, hidden] and head_dim is hidden // n_heads.
 
     The backward makes the NumPy calls that the unfused chain of matmul,
     head split/merge, batched product, scale, softmax and residual add made
@@ -353,17 +352,20 @@ def residual_attention(x, a, wq, wk, wv, wo, batch: int, seq: int, n_heads: int,
         x.ndim != 2
         or a.shape != x.shape
         or any(w.shape != (h, h) for w in (wq, wk, wv, wo))
-        or x.shape[0] != batch * seq
+        or seq < 1
+        or x.shape[0] % seq
+        or n_heads < 1
         or h % n_heads
     ):
         raise ShapeError(
             f"residual_attention: x {tuple(x.shape)}, a {tuple(a.shape)} and (hidden, hidden)"
-            f" weights do not fit batch {batch}, seq {seq} and {n_heads} heads"
+            f" weights do not fit seq {seq} and {n_heads} heads"
         )
+    batch = x.shape[0] // seq
     q, k, v = (_split_heads(a.data @ w.data, batch, seq, n_heads) for w in (wq, wk, wv))
     kt = k.transpose(0, 2, 1)
     s = q @ kt
-    scale = np.asarray(scale, dtype=s.dtype)
+    scale = np.asarray(1.0 / math.sqrt(h // n_heads), dtype=s.dtype)
     s = s * scale
     e = np.exp(s - np.maximum.reduce(s, axis=-1, keepdims=True))
     p = e / np.add.reduce(e, axis=-1, keepdims=True)

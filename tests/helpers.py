@@ -186,9 +186,10 @@ def gelu(x):
     return _op(0.5 * x.data * (1.0 + t), x.dtype, (x,), _bwd)
 
 
-def unfused_attention(x, a, wq, wk, wv, wo, batch, seq, n_heads, scale):
+def unfused_attention(x, a, wq, wk, wv, wo, seq, n_heads):
     h = x.shape[1]
-    dh = h // n_heads
+    batch, dh = x.shape[0] // seq, h // n_heads
+    scale = 1.0 / math.sqrt(dh)
 
     def heads(t):
         return reshape(transpose(reshape(t, (batch, seq, n_heads, dh)), (0, 2, 1, 3)), (batch * n_heads, seq, dh))

@@ -68,12 +68,12 @@ def test_matmul_shape_error_names_both_shapes():
 
 def attention_weights(scores):
     """residual_attention's softmax over one row of scores, seen by every
-    query: one head, scale 1, identity a, wq, wv and wo, zero residual, and
-    wk chosen so that q @ k^T repeats the row."""
+    query: one head of width n, identity a, wq, wv and wo, zero residual, and
+    wk chosen so that q @ k^T / sqrt(n) repeats the row."""
     n = len(scores)
     eye = t(np.eye(n))
-    wk = t(np.outer(scores, np.ones(n)))
-    return residual_attention(t(np.zeros((n, n))), eye, eye, wk, eye, eye, 1, n, 1, 1.0).data
+    wk = t(np.outer(scores, np.ones(n)) * math.sqrt(n))
+    return residual_attention(t(np.zeros((n, n))), eye, eye, wk, eye, eye, n, 1).data
 
 
 def test_softmax_symmetry():
@@ -124,11 +124,11 @@ def test_residual_attention_shape_error_names_the_shapes():
     x = t(np.zeros((6, 4)))
     w = t(np.zeros((4, 4)))
     with pytest.raises(ShapeError, match=r"\(6, 4\)"):
-        residual_attention(x, x, w, w, w, w, 2, 4, 2, 1.0)  # 2 x 4 != 6 rows
+        residual_attention(x, x, w, w, w, w, 4, 2)  # 6 rows are not whole sequences of 4
     with pytest.raises(ShapeError):
-        residual_attention(x, x, w, w, w, w, 2, 3, 3, 1.0)  # 4 not divisible by 3
+        residual_attention(x, x, w, w, w, w, 3, 3)  # 4 not divisible by 3
     with pytest.raises(ShapeError):
-        residual_attention(x, x, w, t(np.zeros((4, 3))), w, w, 2, 3, 2, 1.0)
+        residual_attention(x, x, w, t(np.zeros((4, 3))), w, w, 3, 2)
 
 
 def test_residual_ffn_shape_error_names_the_shapes():
@@ -304,7 +304,7 @@ def _case_layer_norm(seed):
 
 
 # Batch 2, 2 heads of width 2, sequence 3: x and a are [6, 4].
-ATTN_SHAPE = dict(batch=2, seq=3, n_heads=2, scale=1.0 / math.sqrt(2.0))
+ATTN_SHAPE = dict(seq=3, n_heads=2)
 
 
 def _case_residual_attention(seed):
@@ -321,8 +321,6 @@ def _case_residual_ffn(seed):
     return lambda *ts: tsum(mul(residual_ffn(*ts), p)), arrays
 
 
-# The unfused chain's own ops, which the bitwise tests below trust as the
-# oracle of the fused blocks.
 def _case_bmm(seed):
     rng = np.random.default_rng(seed)
     a, b = rng.normal(size=(2, 2, 3)), rng.normal(size=(2, 3, 2))
@@ -394,9 +392,6 @@ GRAD_CASES = {
     "layer_norm": _case_layer_norm,
     "residual_attention": _case_residual_attention,
     "residual_ffn": _case_residual_ffn,
-    "bmm": _case_bmm,
-    "softmax": _case_softmax,
-    "gelu": _case_gelu,
     "sqrt": _case_sqrt,
     "clamp_min": _case_clamp_min,
     "gather_rows": _case_gather_rows,
@@ -404,17 +399,28 @@ GRAD_CASES = {
     "bce_with_logits": _case_bce,
 }
 
+# The unfused chain's own single ops in tests/helpers, which the bitwise
+# tests below trust as the oracle of the fused blocks. They are checked like
+# the package's ops but are not package ops, so criterion 03 does not count
+# them.
+ORACLE_CASES = {
+    "bmm": _case_bmm,
+    "softmax": _case_softmax,
+    "gelu": _case_gelu,
+}
+ALL_CASES = {**GRAD_CASES, **ORACLE_CASES}
 
-@pytest.mark.parametrize("name", sorted(GRAD_CASES))
+
+@pytest.mark.parametrize("name", sorted(ALL_CASES))
 def test_gradcheck(name):
     for seed in SEEDS:
-        fn, arrays = GRAD_CASES[name](seed)
+        fn, arrays = ALL_CASES[name](seed)
         gradcheck(fn, arrays, tol=FD_TOL)
 
 
 # ------------------------------------------------------- recording rule
 
-# Each op of GRAD_CASES called once on that case's inputs.
+# Each op of ALL_CASES called once on that case's inputs.
 SINGLE_OPS = {
     "add": add,
     "sub": sub,
@@ -443,14 +449,14 @@ MULTI_PARENT_OPS = (
 
 
 def _op_inputs(name, requires):
-    _, arrays = GRAD_CASES[name](0)
+    _, arrays = ALL_CASES[name](0)
     return [t(a, grad=r) for a, r in zip(arrays, requires)]
 
 
-@pytest.mark.parametrize("name", sorted(GRAD_CASES))
+@pytest.mark.parametrize("name", sorted(ALL_CASES))
 def test_recording_rule(name):
     op = SINGLE_OPS[name]
-    n = len(GRAD_CASES[name](0)[1])
+    n = len(ALL_CASES[name](0)[1])
 
     out = op(*_op_inputs(name, [True] * n))
     assert not out.requires_grad  # no tape open
@@ -478,7 +484,7 @@ def _grads(name, requires):
 
 @pytest.mark.parametrize("name", MULTI_PARENT_OPS)
 def test_one_parent_requiring_grad_gets_the_full_gradient(name):
-    full = _grads(name, [True] * len(GRAD_CASES[name](0)[1]))
+    full = _grads(name, [True] * len(ALL_CASES[name](0)[1]))
     for which in range(len(full)):
         grads = _grads(name, [i == which for i in range(len(full))])
         for i, grad in enumerate(grads):
@@ -525,9 +531,8 @@ def test_residual_attention_is_bitwise_the_unfused_chain(batch, seq, n_heads, hi
     rng = np.random.default_rng(hidden)
     arrays = [rng.normal(size=(batch * seq, hidden)) for _ in range(2)]
     arrays += [rng.normal(0.0, 0.3, size=(hidden, hidden)) for _ in range(4)]
-    shape = (batch, seq, n_heads, 1.0 / math.sqrt(hidden // n_heads))
-    fused = _block_run(lambda *ts: residual_attention(*ts, *shape), arrays, dtype)
-    chain = _block_run(lambda *ts: unfused_attention(*ts, *shape), arrays, dtype)
+    fused = _block_run(lambda *ts: residual_attention(*ts, seq, n_heads), arrays, dtype)
+    chain = _block_run(lambda *ts: unfused_attention(*ts, seq, n_heads), arrays, dtype)
     for got, want in zip(fused, chain):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
