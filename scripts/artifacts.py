@@ -3,8 +3,11 @@
 
 Covers the three objectives (checkpoint, trace CSV with held-out accuracy,
 eval report each), a cloze run at the README shape (hidden 64, 8 heads,
-batch 1) with gradient clipping, a DoRA run continued from the cloze
-checkpoint with eval_every set, its merge, a sweep and an objective
+batch 1) with gradient clipping, three DoRA runs (rank 4 on layer 1,
+continued from the cloze checkpoint with eval_every set; rank 8 on every
+layer, continued from the README-shape checkpoint at batch 1 with clipping;
+rank 2 on wq and w2 only, from scratch at batch 3), each merged and
+evaluated before and after the merge, a sweep and an objective
 comparison. Every file is deterministic, so `diff -r` between the outputs
 of two checkouts shows whether a refactor kept the artifacts byte-identical:
 
@@ -54,14 +57,18 @@ def main(argv=None):
             "--trace", out / "readme.trace.csv", *README)
     clozerm("eval", "--ckpt", readme, "--data", heldout, "--out", out / "readme.eval.json")
 
-    dora = out / "dora.trm1"
-    clozerm("train", "--data", data, "--heldout", heldout, "--init-from", out / "cloze.trm1",
-            "--dora-rank", 4, "--frozen-layers", 1, "--eval-every", 10, "--out", dora,
-            "--trace", out / "dora.trace.csv", *SMALL)
-    clozerm("merge", "--ckpt", dora, "--out", out / "dora.merged.trm1")
-    clozerm("eval", "--ckpt", dora, "--data", heldout, "--out", out / "dora.eval.json")
-    clozerm("eval", "--ckpt", out / "dora.merged.trm1", "--data", heldout,
-            "--out", out / "dora.merged.eval.json")
+    def adapt(name, *args):
+        ckpt, merged = out / f"{name}.trm1", out / f"{name}.merged.trm1"
+        clozerm("train", "--data", data, "--heldout", heldout, *args, "--out", ckpt,
+                "--trace", out / f"{name}.trace.csv")
+        clozerm("merge", "--ckpt", ckpt, "--out", merged)
+        for path, report in ((ckpt, name), (merged, f"{name}.merged")):
+            clozerm("eval", "--ckpt", path, "--data", heldout, "--out", out / f"{report}.eval.json")
+
+    adapt("dora", "--init-from", out / "cloze.trm1", "--dora-rank", 4, "--frozen-layers", 1,
+          "--eval-every", 10, *SMALL)
+    adapt("dora-readme", "--init-from", readme, "--dora-rank", 8, "--eval-every", 60, *README)
+    adapt("dora-scratch", "--dora-rank", 2, "--dora-targets", "wq,w2", *SMALL, "--batch-size", 3)
 
     clozerm("sweep", "--data", data, "--trials", 3, "--ranks", "0,4", "--frozen-max", 1,
             "--out", out / "sweep.csv", *SMALL)

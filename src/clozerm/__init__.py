@@ -72,7 +72,6 @@ from .peft import (
     FreezeSpec,
     apply_freeze,
     attach_adapters,
-    dora_effective,
     dora_init,
     dora_merge,
     merge_adapters,

@@ -10,6 +10,10 @@ Adapter matrices follow the output-by-input convention (rows are output
 features), so magnitudes and norms are per row as stored. Encoder weights
 are stored input-by-output, which is why attachment points at the
 transpose; the two views describe the same per-output-feature quantity.
+
+The formula is one tape op, ``tensor.dora_weight``, on the base as the
+encoder stores it: training records it once per adapted matrix, and
+held-out scoring, ``merge`` and ``dora_merge`` call it without a tape.
 """
 
 import dataclasses
@@ -19,10 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import Checkpoint
-from .errors import ConfigError, ContractError
-from .tensor import Tensor, add, clamp_min, div, matmul, mul, reshape, sqrt, transpose, tsum
-
-ROW_NORM_EPS = 1e-8
+from .errors import CheckpointError, ConfigError, ContractError
+from .tensor import Tensor, dora_weight
 
 ADAPTER_ROLES = ("wq", "wk", "wv", "wo", "w1", "w2")
 
@@ -106,25 +108,11 @@ def dora_init(w0, rank: int, rng=None, base_name: str = "") -> DoraAdapter:
     )
 
 
-def dora_effective(w0, adapter: DoraAdapter) -> Tensor:
-    """m * (W0 + B@A) / max(rownorm, eps), differentiable in A, B, m only.
-
-    The row norm is computed as sqrt(max(sum-of-squares, eps^2)), which
-    equals max(rownorm, eps) exactly while keeping the backward pass finite
-    on all-zero rows.
-    """
-    base = Tensor(_base_data(w0), requires_grad=False)
-    d_out = base.shape[0]
-    directed = add(base, matmul(adapter.B, adapter.A))
-    sum_sq = tsum(mul(directed, directed), axis=1, keepdims=True)
-    norm = sqrt(clamp_min(sum_sq, ROW_NORM_EPS * ROW_NORM_EPS))
-    return mul(reshape(adapter.m, (d_out, 1)), div(directed, norm))
-
-
 def dora_merge(w0, adapter: DoraAdapter) -> np.ndarray:
-    """Fold the adapter into a plain weight numerically equal to
-    dora_effective; the adapter is discarded by the caller."""
-    return dora_effective(w0, adapter).data.copy()
+    """The adapter folded into a plain [d_out, d_in] weight, for a base w0
+    stored output-by-input like the adapter; the value of tensor.dora_weight,
+    computed without a tape."""
+    return dora_weight(_base_data(w0).T, adapter.A, adapter.B, adapter.m).data.T.copy()
 
 
 def infer_n_layers(weights) -> int:
@@ -189,45 +177,48 @@ def adapted_forward_weights(weights, adapters):
     if not adapters:
         return weights
     out = dict(weights)
-    for name, adapter in adapters.items():
-        base_t = np.ascontiguousarray(np.asarray(_raw(weights[name])).T)
-        out[name] = transpose(dora_effective(base_t, adapter), (1, 0))
+    for name, ad in adapters.items():
+        out[name] = dora_weight(weights[name], ad.A, ad.B, ad.m)
     return out
-
-
-def _raw(w):
-    return w.data if isinstance(w, Tensor) else w
 
 
 def adapter_tensors(adapters) -> dict:
     """Flatten adapters into checkpoint tensors under the 'adapter.' prefix."""
-    flat = {}
-    for name in adapters:
-        ad = adapters[name]
-        flat[f"adapter.{name}.A"] = ad.A.data
-        flat[f"adapter.{name}.B"] = ad.B.data
-        flat[f"adapter.{name}.m"] = ad.m.data
-    return flat
+    return {f"adapter.{name}.{p}": getattr(ad, p).data for name, ad in adapters.items() for p in "ABm"}
 
 
 def adapters_from_checkpoint(ckpt: Checkpoint) -> dict:
-    """Rebuild trainable DoraAdapter objects from 'adapter.*' tensors."""
+    """Rebuild trainable DoraAdapter objects from 'adapter.*' tensors; a
+    missing dora block or rank, a missing, misplaced or misshapen adapter
+    tensor raises CheckpointError."""
+    parts = {}
+    for name in ckpt.tensors:
+        if name.startswith("adapter."):
+            base, _, part = name[len("adapter.") :].rpartition(".")
+            parts.setdefault(base, set()).add(part)
     dora_info = ckpt.extra.get("dora")
     if not dora_info:
+        if parts:
+            raise CheckpointError("checkpoint has adapter tensors but no dora block")
         return {}
-    rank = int(dora_info["rank"])
-    bases = sorted(
-        {name[len("adapter.") : -2] for name in ckpt.tensors if name.startswith("adapter.")}
-    )
+    rank = dora_info.get("rank") if isinstance(dora_info, dict) else None
+    if type(rank) is not int or rank < 1:
+        raise CheckpointError(f"dora block needs a positive integer rank, got {rank!r}")
     adapters = {}
-    for base in bases:
-        adapters[base] = DoraAdapter(
-            base_name=base,
-            A=Tensor(ckpt.tensors[f"adapter.{base}.A"].copy(), requires_grad=True),
-            B=Tensor(ckpt.tensors[f"adapter.{base}.B"].copy(), requires_grad=True),
-            m=Tensor(ckpt.tensors[f"adapter.{base}.m"].copy(), requires_grad=True),
-            rank=rank,
-        )
+    for base in sorted(parts):
+        w0 = ckpt.tensors.get(base)
+        if w0 is None or w0.ndim != 2:
+            raise CheckpointError(f"adapter on {base!r}, which is not a 2-D base weight")
+        if parts[base] != {"A", "B", "m"}:
+            raise CheckpointError(f"adapter {base} has tensors {sorted(parts[base])}, not A, B and m")
+        d_in, d_out = w0.shape
+        tensors = {}
+        for part, shape in (("A", (rank, d_in)), ("B", (d_out, rank)), ("m", (d_out,))):
+            arr = ckpt.tensors[f"adapter.{base}.{part}"]
+            if arr.shape != shape:
+                raise CheckpointError(f"adapter.{base}.{part} has shape {arr.shape}, not {shape} (rank {rank})")
+            tensors[part] = Tensor(arr.copy(), requires_grad=True)
+        adapters[base] = DoraAdapter(base_name=base, rank=rank, **tensors)
     return adapters
 
 
@@ -235,10 +226,9 @@ def merge_adapters(weights, adapters) -> dict:
     """Arrays of a base weight dict (arrays or Tensors) with every adapted
     matrix replaced by its folded, input-by-output DoRA value; the other
     entries are the given arrays, uncopied, in the same order."""
-    out = {name: _raw(w) for name, w in weights.items()}
-    for name, adapter in adapters.items():
-        base_t = np.ascontiguousarray(out[name].T)
-        out[name] = np.ascontiguousarray(dora_merge(base_t, adapter).T)
+    out = {name: w.data if isinstance(w, Tensor) else w for name, w in weights.items()}
+    for name, ad in adapters.items():
+        out[name] = np.ascontiguousarray(dora_weight(out[name], ad.A, ad.B, ad.m).data)
     return out
 
 

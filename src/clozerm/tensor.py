@@ -24,6 +24,8 @@ from .errors import ContractError, ShapeError
 
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 
+ROW_NORM_EPS = 1e-8
+
 _state = threading.local()
 
 
@@ -187,20 +189,8 @@ def add(a, b) -> Tensor:
     return _binary(a, b, lambda x, y: x + y, lambda g, x, y, o: g, lambda g, x, y, o: g)
 
 
-def sub(a, b) -> Tensor:
-    return _binary(a, b, lambda x, y: x - y, lambda g, x, y, o: g, lambda g, x, y, o: -g)
-
-
 def mul(a, b) -> Tensor:
     return _binary(a, b, lambda x, y: x * y, lambda g, x, y, o: g * y, lambda g, x, y, o: g * x)
-
-
-def div(a, b) -> Tensor:
-    """Elementwise a / b. Callers must keep b bounded away from zero; the
-    guarded paths in this package clamp denominators before dividing."""
-    return _binary(
-        a, b, lambda x, y: x / y, lambda g, x, y, o: g / y, lambda g, x, y, o: -g * o / y
-    )
 
 
 def matmul(a, b) -> Tensor:
@@ -216,16 +206,6 @@ def matmul(a, b) -> Tensor:
             b._accum(a.data.T @ g)
 
     return _op(a.data @ b.data, np.result_type(a.dtype, b.dtype), (a, b), _bwd)
-
-
-def transpose(a, axes) -> Tensor:
-    a = _as_tensor(a)
-    axes = tuple(axes)
-
-    def _bwd(g):
-        a._accum(np.transpose(g, tuple(np.argsort(axes))))
-
-    return _op(np.transpose(a.data, axes), a.dtype, (a,), _bwd)
 
 
 def reshape(a, shape) -> Tensor:
@@ -448,26 +428,53 @@ def residual_ffn(x, b, w1, w2) -> Tensor:
     return _op(data, data.dtype, (x, b, w1, w2), _bwd)
 
 
-def sqrt(x) -> Tensor:
-    """Elementwise square root; inputs must be strictly positive for a finite
-    backward (the package always clamps first, see clamp_min)."""
-    x = _as_tensor(x)
-    root = np.sqrt(x.data)
+def dora_weight(w0, a, b, m) -> Tensor:
+    """The DoRA effective weight (m * V / max(rownorm(V), 1e-8))^T as one tape
+    op, V = w0^T + b @ a, for a frozen base w0 [d_in, d_out] (no gradient
+    reaches it), a [rank, d_in], b [d_out, rank] and m [d_out]. The result
+    is the transposed view of a C-ordered array. The norm is
+    sqrt(max(sum of squares, 1e-16)), finite in backward on all-zero rows.
+
+    The backward makes the NumPy calls of the unfused chain in reverse tape
+    order (m; V through the direction, the norm path and both V * V terms;
+    b; a), so gradients are bit-identical to that chain's.
+    """
+    w0 = _as_tensor(w0).data
+    a, b, m = (_as_tensor(t) for t in (a, b, m))
+    d_in, d_out = w0.shape if w0.ndim == 2 else (-1, -1)
+    if a.ndim != 2 or a.shape[1] != d_in or b.shape != (d_out, a.shape[0]) or m.shape != (d_out,):
+        raise ShapeError(
+            f"dora_weight: incompatible shapes w0 {w0.shape}, a {a.shape}, b {b.shape}, m {m.shape}"
+        )
+    lo = ROW_NORM_EPS * ROW_NORM_EPS
+    # The add of the transposed view gives a C-ordered V, so the row sums
+    # below reduce in the same order as on a transposed copy.
+    v = w0.T + b.data @ a.data
+    sum_sq = np.sum(v * v, axis=1, keepdims=True)
+    norm = np.sqrt(np.maximum(sum_sq, np.asarray(lo, dtype=sum_sq.dtype)))
+    direction = v / norm
+    m_col = m.data.reshape(-1, 1)
+    eff = m_col * direction
 
     def _bwd(g):
-        x._accum(g * 0.5 / root)
+        g = g.T  # C-ordered: Tensor._accum lays g out like the F-ordered output
+        if m.requires_grad:
+            m._accum(np.sum(g * direction, axis=1))
+        if not (a.requires_grad or b.requires_grad):
+            return
+        d_dir = g * m_col
+        d_v = d_dir / norm
+        d_norm = np.sum(-d_dir * direction / norm, axis=1, keepdims=True)
+        d_sum_sq = d_norm * 0.5 / norm * (sum_sq > lo)
+        d_sq = d_sum_sq * v
+        d_v += d_sq  # twice, not 2 * d_sq: the chain's mul(V, V) added two terms
+        d_v += d_sq
+        if b.requires_grad:
+            b._accum(d_v @ a.data.T)
+        if a.requires_grad:
+            a._accum(b.data.T @ d_v)
 
-    return _op(root, x.dtype, (x,), _bwd)
-
-
-def clamp_min(x, lo: float) -> Tensor:
-    """max(x, lo) elementwise; clamped entries get zero gradient."""
-    x = _as_tensor(x)
-
-    def _bwd(g):
-        x._accum(g * (x.data > lo))
-
-    return _op(np.maximum(x.data, np.asarray(lo, dtype=x.dtype)), x.dtype, (x,), _bwd)
+    return _op(eff.T, eff.dtype, (a, b, m), _bwd)
 
 
 def cross_entropy_rows(logits, golds) -> Tensor:

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from clozerm.tensor import Tape, Tensor, _op, add, matmul, mul, reshape, transpose
+from clozerm.tensor import Tape, Tensor, _binary, _op, add, matmul, mul, reshape, tsum
 
 FD_H = 1e-3
 FD_TOL = 1e-3
@@ -148,11 +148,40 @@ def head_loops(weights, hidden_rows):
 
 
 
-# The encoder block as a chain of single tape ops (matmul, head split and
-# merge, batched product, scale, softmax, GELU, residual add): the oracle
-# for the bit-identity of the fused block ops. Each backward is recorded on
-# the tape, so the tape alone fixes the order in which gradients add up.
-# test_tensor checks bmm, softmax and gelu like the package's ops.
+# The encoder block and the DoRA effective weight as chains of single tape
+# ops (matmul, head split and merge, batched product, scale, softmax, GELU,
+# residual add; add, square, row sum, clamp, square root, division, scale,
+# transpose): the oracles for the bit-identity of the fused ops. Each
+# backward is recorded on the tape, so the tape alone fixes the order in
+# which gradients add up. test_tensor checks the single ops defined here
+# like the package's ops.
+
+
+def transpose(a, axes):
+    def _bwd(g):
+        a._accum(np.transpose(g, tuple(np.argsort(axes))))
+
+    return _op(np.transpose(a.data, axes), a.dtype, (a,), _bwd)
+
+
+def div(a, b):
+    return _binary(a, b, lambda x, y: x / y, lambda g, x, y, o: g / y, lambda g, x, y, o: -g * o / y)
+
+
+def sqrt(x):
+    root = np.sqrt(x.data)
+
+    def _bwd(g):
+        x._accum(g * 0.5 / root)
+
+    return _op(root, x.dtype, (x,), _bwd)
+
+
+def clamp_min(x, lo):
+    def _bwd(g):
+        x._accum(g * (x.data > lo))
+
+    return _op(np.maximum(x.data, np.asarray(lo, dtype=x.dtype)), x.dtype, (x,), _bwd)
 
 
 def bmm(a, b):
@@ -203,6 +232,17 @@ def unfused_attention(x, a, wq, wk, wv, wo, seq, n_heads):
 
 def unfused_ffn(x, b, w1, w2):
     return add(x, matmul(gelu(matmul(b, w1)), w2))
+
+
+def unfused_dora(w0, a, b, m):
+    """(m * V / max(rownorm V, 1e-8))^T with V = w0^T + b @ a, for a constant
+    base w0 stored input-by-output; V's norm is sqrt(max(sum of squares,
+    1e-16)) on a C-ordered copy of w0^T."""
+    base = Tensor(np.ascontiguousarray(np.asarray(w0).T))
+    directed = add(base, matmul(b, a))
+    norm = sqrt(clamp_min(tsum(mul(directed, directed), axis=1, keepdims=True), 1e-8 * 1e-8))
+    return transpose(mul(reshape(m, (m.shape[0], 1)), div(directed, norm)), (1, 0))
+
 
 MALFORMED_CHECKPOINTS = (
     "manifest-not-utf8",

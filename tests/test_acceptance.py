@@ -39,8 +39,8 @@ from clozerm.peft import (
     FreezeSpec,
     adapted_forward_weights,
     adapter_tensors,
-    dora_effective,
     dora_init,
+    dora_merge,
     merge_checkpoint,
     weight_average,
 )
@@ -134,7 +134,7 @@ def test_criterion_04_dora_identity_and_merge():
         d_out, d_in = int(rng.integers(2, 12)), int(rng.integers(2, 12))
         w0 = rng.normal(size=(d_out, d_in)).astype(np.float32)
         adapter = dora_init(w0, rank=min(2, d_out, d_in), rng=rng)
-        assert np.abs(dora_effective(w0, adapter).data - w0).max() < 1e-6
+        assert np.abs(dora_merge(w0, adapter) - w0).max() < 1e-6
 
     # end-to-end adapter-vs-merged equivalence
     from test_peft import perturb, random_adapted_model

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import clozerm
-from clozerm.checkpoint import load_checkpoint
+from clozerm.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from clozerm.cli import run
 from clozerm.data import load_jsonl, save_jsonl, synth_generate
 from helpers import MALFORMED_CHECKPOINTS, malformed_checkpoint
@@ -186,6 +186,40 @@ def test_merge_folds_adapters_and_result_evaluates(tmp_path, corpus, capsys):
     assert "overall" in capsys.readouterr().out
 
 
+@pytest.fixture(scope="module")
+def dora_trained(tmp_path_factory, corpus):
+    out = tmp_path_factory.mktemp("dora") / "dora.trm1"
+    assert run(["train", "--data", str(corpus), "--out", str(out), *TINY, "--dora-rank", "2"]) == 0
+    return out
+
+
+# One defect each in the rank-2 adapters (hidden 16) of a DoRA checkpoint:
+# (tensors, dora block) -> (tensors, dora block or None to drop it).
+MALFORMED_ADAPTERS = {
+    "no-dora-block": lambda t, d: (t, None),
+    "dora-block-without-rank": lambda t, d: (t, {k: v for k, v in d.items() if k != "rank"}),
+    "missing-B": lambda t, d: ({n: a for n, a in t.items() if n != "adapter.layer0.wq.B"}, d),
+    "unknown-base": lambda t, d: ({n.replace(".layer0.wq.", ".layer9.wq."): a for n, a in t.items()}, d),
+    "wrong-rank-A": lambda t, d: ({**t, "adapter.layer0.wq.A": np.zeros((3, 16), np.float32)}, d),
+    "wrong-length-m": lambda t, d: ({**t, "adapter.layer0.wq.m": np.zeros(17, np.float32)}, d),
+}
+
+
+@pytest.mark.parametrize("command", ["eval", "merge"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_ADAPTERS))
+def test_malformed_adapters_exit_2(tmp_path, dora_trained, corpus, case, command, capsys):
+    good = load_checkpoint(dora_trained)
+    tensors, dora = MALFORMED_ADAPTERS[case](dict(good.tensors), good.extra["dora"])
+    extra = {k: v for k, v in good.extra.items() if k != "dora"}
+    if dora is not None:
+        extra["dora"] = dora
+    bad = tmp_path / "bad.trm1"
+    save_checkpoint(Checkpoint(config=good.config, tensors=tensors, extra=extra), bad)
+    args = ["--data", str(corpus)] if command == "eval" else ["--out", str(tmp_path / "merged.trm1")]
+    assert run([command, "--ckpt", str(bad), *args]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_eval_writes_json_report(tmp_path, trained, corpus, capsys):
     report_path = tmp_path / "report.json"
     assert run(["eval", "--ckpt", str(trained), "--data", str(corpus),
@@ -199,8 +233,6 @@ def test_eval_writes_json_report(tmp_path, trained, corpus, capsys):
 
 
 def test_eval_non_finite_logits_exits_3(tmp_path, trained, corpus, capsys):
-    from clozerm.checkpoint import Checkpoint, save_checkpoint
-
     full = load_checkpoint(trained)
     tensors = dict(full.tensors)
     tensors["head.w"] = np.full_like(tensors["head.w"], np.nan)
@@ -227,8 +259,6 @@ def test_average_of_identical_checkpoints_is_identity(tmp_path, trained):
 
 
 def test_average_manifest_mismatch_exits_1_naming_tensor(tmp_path, trained, capsys):
-    from clozerm.checkpoint import Checkpoint, save_checkpoint
-
     full = load_checkpoint(trained)
     tensors = dict(full.tensors)
     del tensors["head.b"]

@@ -14,14 +14,13 @@ from clozerm.peft import (
     adapter_tensors,
     apply_freeze,
     attach_adapters,
-    dora_effective,
     dora_init,
     dora_merge,
     merge_adapters,
     merge_checkpoint,
     weight_average,
 )
-from clozerm.tensor import Tape, Tensor, tsum
+from clozerm.tensor import Tape, Tensor, dora_weight, tsum
 from clozerm.tokenizer import MASK_ID
 
 
@@ -38,7 +37,7 @@ def test_init_is_identity():
     rng = np.random.default_rng(0)
     w0 = rng.normal(size=(4, 6)).astype(np.float32)
     adapter = dora_init(w0, rank=2)
-    eff = dora_effective(w0, adapter).data
+    eff = dora_merge(w0, adapter)
     assert np.abs(eff - w0).max() < 1e-6
 
 
@@ -52,7 +51,7 @@ def test_init_hand_norms_and_zero_row_guard():
     w0 = np.array([[3.0, 4.0], [0.0, 0.0]], dtype=np.float32)
     adapter = dora_init(w0, rank=1)
     assert np.allclose(adapter.m.data, [5.0, 0.0])
-    eff = dora_effective(w0, adapter).data
+    eff = dora_merge(w0, adapter)
     assert np.isfinite(eff).all()
     assert np.abs(eff - w0).max() < 1e-6  # zero row stays zero, no NaN
 
@@ -72,14 +71,14 @@ def test_init_rank_out_of_range():
             dora_init(w0, rank=rank)
 
 
-# -------------------------------------------------------- dora_effective
+# ----------------------------------------------------------- dora_weight
 
 
 def test_effective_rescales_rows_to_magnitude():
     w0 = np.array([[3.0, 4.0]], dtype=np.float32)
     adapter = dora_init(w0, rank=1)
     adapter.m.data[...] = [10.0]
-    eff = dora_effective(w0, adapter).data
+    eff = dora_merge(w0, adapter)
     assert np.abs(eff - [[6.0, 8.0]]).max() < 1e-5
 
 
@@ -89,7 +88,7 @@ def test_effective_against_loop_oracle():
     adapter = dora_init(w0, rank=2, rng=np.random.default_rng(4))
     adapter.B.data[...] = rng.normal(size=(4, 2)).astype(np.float32)
     adapter.m.data[...] = rng.normal(size=4).astype(np.float32)
-    got = dora_effective(w0, adapter).data
+    got = dora_merge(w0, adapter)
 
     directed = w0.astype(np.float64) + adapter.B.data.astype(np.float64) @ adapter.A.data.astype(np.float64)
     want = np.empty_like(directed)
@@ -103,12 +102,14 @@ def test_effective_gradients_reach_adapter_not_base():
     rng = np.random.default_rng(5)
     w0 = rng.normal(size=(3, 5)).astype(np.float32)
     adapter = dora_init(w0, rank=2, rng=np.random.default_rng(6))
+    adapter.B.data[...] = rng.normal(size=(3, 2)).astype(np.float32)  # B = 0 would stop A's gradient
+    base = Tensor(w0.T, requires_grad=True)  # input-by-output, as the encoder stores it
     with Tape() as tape:
-        loss = tsum(dora_effective(w0, adapter))
+        loss = tsum(dora_weight(base, adapter.A, adapter.B, adapter.m))
     tape.backward(loss)
-    assert adapter.A.grad is None or np.abs(adapter.A.grad).sum() >= 0  # exists path
-    assert adapter.B.grad is not None and np.abs(adapter.B.grad).sum() > 0
-    assert adapter.m.grad is not None and np.abs(adapter.m.grad).sum() > 0
+    assert base.grad is None
+    for grad in (adapter.A.grad, adapter.B.grad, adapter.m.grad):
+        assert grad is not None and np.abs(grad).sum() > 0
 
 
 def test_merge_equals_effective():
@@ -116,7 +117,10 @@ def test_merge_equals_effective():
     w0 = rng.normal(size=(4, 4)).astype(np.float32)
     adapter = dora_init(w0, rank=2, rng=np.random.default_rng(8))
     adapter.B.data[...] = rng.normal(size=(4, 2)).astype(np.float32)
-    assert np.array_equal(dora_merge(w0, adapter), dora_effective(w0, adapter).data)
+    with Tape() as tape:
+        eff = dora_weight(w0.T, adapter.A, adapter.B, adapter.m)
+    assert len(tape) == 1
+    assert np.array_equal(dora_merge(w0, adapter), eff.data.T)
 
 
 # -------------------------------------------------- end-to-end adapters

@@ -1,5 +1,6 @@
 """Autodiff engine: forward oracles, gradient checks, tape contracts."""
 
+import itertools
 import math
 
 import numpy as np
@@ -13,9 +14,8 @@ from clozerm.tensor import (
     Tensor,
     add,
     bce_with_logits,
-    clamp_min,
     cross_entropy_rows,
-    div,
+    dora_weight,
     gather_rows,
     layer_norm,
     matmul,
@@ -23,13 +23,24 @@ from clozerm.tensor import (
     reshape,
     residual_attention,
     residual_ffn,
-    sqrt,
-    sub,
     tmean,
-    transpose,
     tsum,
 )
-from helpers import FD_TOL, bmm, gelu, gradcheck, matmul_loops, softmax, unfused_attention, unfused_ffn
+from helpers import (
+    FD_TOL,
+    bmm,
+    clamp_min,
+    div,
+    gelu,
+    gradcheck,
+    matmul_loops,
+    softmax,
+    sqrt,
+    transpose,
+    unfused_attention,
+    unfused_dora,
+    unfused_ffn,
+)
 
 SEEDS = range(5)
 
@@ -237,13 +248,6 @@ def _case_add(seed):
     return lambda x, y: tsum(mul(add(x, y), p)), [a, b]
 
 
-def _case_sub(seed):
-    rng = np.random.default_rng(seed)
-    a, b = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
-    p = _proj((2, 3), seed)
-    return lambda x, y: tsum(mul(sub(x, y), p)), [a, b]
-
-
 def _case_mul(seed):
     rng = np.random.default_rng(seed)
     a, b = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
@@ -321,6 +325,19 @@ def _case_residual_ffn(seed):
     return lambda *ts: tsum(mul(residual_ffn(*ts), p)), arrays
 
 
+def _dora_base(seed):
+    """The frozen base of the dora_weight case: [d_in 4, d_out 3]."""
+    return np.random.default_rng(seed + 2000).normal(size=(4, 3))
+
+
+def _case_dora_weight(seed):
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=(2, 4)), rng.normal(size=(3, 2)), rng.normal(size=3)]  # a, b, m at rank 2
+    w0 = _dora_base(seed)
+    p = _proj((4, 3), seed)
+    return lambda *ts: tsum(mul(dora_weight(w0, *ts), p)), arrays
+
+
 def _case_bmm(seed):
     rng = np.random.default_rng(seed)
     a, b = rng.normal(size=(2, 2, 3)), rng.normal(size=(2, 3, 2))
@@ -381,32 +398,32 @@ def _case_bce(seed):
 
 GRAD_CASES = {
     "add": _case_add,
-    "sub": _case_sub,
     "mul": _case_mul,
-    "div": _case_div,
     "matmul": _case_matmul,
     "reshape": _case_reshape,
-    "transpose": _case_transpose,
     "tsum": _case_tsum,
     "tmean": _case_tmean,
     "layer_norm": _case_layer_norm,
     "residual_attention": _case_residual_attention,
     "residual_ffn": _case_residual_ffn,
-    "sqrt": _case_sqrt,
-    "clamp_min": _case_clamp_min,
+    "dora_weight": _case_dora_weight,
     "gather_rows": _case_gather_rows,
     "cross_entropy_rows": _case_ce_rows,
     "bce_with_logits": _case_bce,
 }
 
-# The unfused chain's own single ops in tests/helpers, which the bitwise
-# tests below trust as the oracle of the fused blocks. They are checked like
+# The unfused chains' own single ops in tests/helpers, which the bitwise
+# tests below trust as the oracle of the fused ops. They are checked like
 # the package's ops but are not package ops, so criterion 03 does not count
 # them.
 ORACLE_CASES = {
     "bmm": _case_bmm,
     "softmax": _case_softmax,
     "gelu": _case_gelu,
+    "transpose": _case_transpose,
+    "div": _case_div,
+    "sqrt": _case_sqrt,
+    "clamp_min": _case_clamp_min,
 }
 ALL_CASES = {**GRAD_CASES, **ORACLE_CASES}
 
@@ -423,7 +440,6 @@ def test_gradcheck(name):
 # Each op of ALL_CASES called once on that case's inputs.
 SINGLE_OPS = {
     "add": add,
-    "sub": sub,
     "mul": mul,
     "div": div,
     "matmul": matmul,
@@ -434,6 +450,7 @@ SINGLE_OPS = {
     "layer_norm": layer_norm,
     "residual_attention": lambda *ts: residual_attention(*ts, **ATTN_SHAPE),
     "residual_ffn": residual_ffn,
+    "dora_weight": lambda *ts: dora_weight(_dora_base(0), *ts),
     "bmm": bmm,
     "softmax": softmax,
     "gelu": gelu,
@@ -444,7 +461,7 @@ SINGLE_OPS = {
     "bce_with_logits": lambda x: bce_with_logits(x, [1.0, 0.0, 1.0, 1.0, 0.0, 0.0]),
 }
 MULTI_PARENT_OPS = (
-    "add", "sub", "mul", "div", "matmul", "bmm", "layer_norm", "residual_attention", "residual_ffn",
+    "add", "mul", "div", "matmul", "bmm", "layer_norm", "residual_attention", "residual_ffn", "dora_weight",
 )
 
 
@@ -546,6 +563,38 @@ def test_residual_ffn_is_bitwise_the_unfused_chain(rows, hidden):
     chain = _block_run(unfused_ffn, arrays)
     for got, want in zip(fused, chain):
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+# A [d_in, d_out] base at the README FFN width and a small one, each with
+# an all-zero row of V (a zero column of w0 and a zero row of b), which
+# takes the clamp path; every subset of a, b and m requires a gradient.
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("requires", list(itertools.product([False, True], repeat=3)))
+@pytest.mark.parametrize("d_in,d_out,rank", [(64, 256, 8), (5, 3, 2)])
+def test_dora_weight_is_bitwise_the_unfused_chain(d_in, d_out, rank, requires, dtype):
+    rng = np.random.default_rng(d_in)
+    w0 = rng.normal(size=(d_in, d_out)).astype(dtype)
+    arrays = [rng.normal(size=(rank, d_in)), rng.normal(size=(d_out, rank)), rng.normal(size=d_out)]
+    w0[:, 1] = 0.0
+    arrays[1][1] = 0.0
+
+    def run(build):
+        inputs = [Tensor(a.astype(dtype), requires_grad=r) for a, r in zip(arrays, requires)]
+        with Tape() as tape:
+            out = build(w0, *inputs)
+            loss = tsum(mul(out, _proj(out.shape, 0)))
+        if any(requires):
+            tape.backward(loss)
+        return [out.data] + [x.grad for x in inputs]
+
+    fused, chain = run(dora_weight), run(unfused_dora)
+    assert not fused[0].flags.c_contiguous and fused[0].T.flags.c_contiguous
+    assert np.array_equal(fused[0][:, 1], np.zeros(d_in))
+    for got, want in zip(fused, chain):
+        if want is None:
+            assert got is None
+        else:
+            assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 @settings(max_examples=50, deadline=None)

@@ -32,6 +32,7 @@ from clozerm.model import (
     forward_token_labels,
     init_weights,
 )
+from clozerm.peft import AdapterTargets, adapted_forward_weights, apply_freeze, attach_adapters
 from clozerm.tensor import Tape, Tensor
 from clozerm.training import (
     DoraSettings,
@@ -316,6 +317,25 @@ def test_batch1_cloze_step_at_readme_shape_records_18_tape_ops():
     assert len(tape) == 18
     tape.backward(loss)
     assert all(tensor.grad is not None for tensor in wt.values())
+
+
+def test_dora_step_at_readme_shape_records_17_tape_ops():
+    # With layer 0 and the embeddings frozen, the ops before layer 1 record
+    # nothing. Layer 1's four block ops and the seven of the head and loss
+    # remain, plus one dora_weight op per adapted matrix of layer 1.
+    settings = ModelSettings(n_layers=2, hidden=64, n_heads=8, max_seq=64)
+    wt, config, tok = build_model("cloze", PAIRS, settings=settings)
+    weights = {name: tensor.data for name, tensor in wt.items()}
+    freeze = FreezeSpec(n_frozen_layers=1)
+    adapters = attach_adapters(weights, 8, AdapterTargets(), freeze, rng=0)
+    for name in apply_freeze(weights, freeze):
+        wt[name].requires_grad = name not in adapters
+    inst = build_cloze(PAIRS[0], TEMPLATE, "original", tok, settings.max_seq)
+    with Tape() as tape:
+        loss = loss_cloze(adapted_forward_weights(wt, adapters), config, [inst])
+    assert len(adapters) == 6 and len(tape) == 17
+    tape.backward(loss)
+    assert all(t.grad is not None for ad in adapters.values() for t in (ad.A, ad.B, ad.m))
 
 
 def test_loss_cloze_rejects_wrong_head():
