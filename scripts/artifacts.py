@@ -7,8 +7,9 @@ batch 1) with gradient clipping, three DoRA runs (rank 4 on layer 1,
 continued from the cloze checkpoint with eval_every set; rank 8 on every
 layer, continued from the README-shape checkpoint at batch 1 with clipping;
 rank 2 on wq and w2 only, from scratch at batch 3), each merged and
-evaluated before and after the merge, a sweep and an objective
-comparison. Every file is deterministic, so `diff -r` between the outputs
+evaluated before and after the merge, the average of the cloze and merged
+rank-4 checkpoints with its eval, an eval of the README-shape checkpoint
+under an overriding --prefix, a sweep and an objective comparison. Every file is deterministic, so `diff -r` between the outputs
 of two checkouts shows whether a refactor kept the artifacts byte-identical:
 
     PYTHONPATH=src python3 scripts/artifacts.py OUTDIR
@@ -69,6 +70,12 @@ def main(argv=None):
           "--eval-every", 10, *SMALL)
     adapt("dora-readme", "--init-from", readme, "--dora-rank", 8, "--eval-every", 60, *README)
     adapt("dora-scratch", "--dora-rank", 2, "--dora-targets", "wq,w2", *SMALL, "--batch-size", 3)
+
+    average = out / "average.trm1"
+    clozerm("average", out / "cloze.trm1", out / "dora.merged.trm1", "--out", average)
+    clozerm("eval", "--ckpt", average, "--data", heldout, "--out", out / "average.eval.json")
+    clozerm("eval", "--ckpt", readme, "--data", heldout, "--prefix", "Which response is safer?",
+            "--out", out / "readme.safer.eval.json")
 
     clozerm("sweep", "--data", data, "--trials", 3, "--ranks", "0,4", "--frozen-max", 1,
             "--out", out / "sweep.csv", *SMALL)

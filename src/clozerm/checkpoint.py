@@ -11,9 +11,10 @@ Layout, all integers little-endian:
     config length in bytes              u32
     config JSON: {"model": {...}, "extra": {...}}
 
-Readers reject unknown versions. Adapter tensors travel under names
-prefixed "adapter." next to the base weights, with their rank and targets
-recorded in the config block.
+Readers reject unknown versions, and base tensors whose names or shapes
+differ from the model config's manifest. Adapter tensors travel under
+names prefixed "adapter." next to the base weights, with their rank and
+targets recorded in the config block; peft checks those.
 """
 
 import dataclasses
@@ -25,7 +26,8 @@ import numpy as np
 
 from .errors import CheckpointError, ConfigError
 from .fileio import atomic_write_bytes
-from .model import ModelConfig
+from .model import ModelConfig, manifest
+from .tokenizer import Tokenizer
 
 MAGIC = b"TRM1"
 VERSION = 1
@@ -122,6 +124,8 @@ def load_checkpoint(path) -> Checkpoint:
 
     tensors = {}
     for name, shape, offset in entries:
+        if name in tensors:
+            raise CheckpointError(f"{path}: duplicate tensor {name}")
         count = math.prod(shape)  # Python ints: a huge shape must not wrap
         end = offset + 4 * count
         if offset < 0 or end > len(payload):
@@ -135,4 +139,28 @@ def load_checkpoint(path) -> Checkpoint:
         extra = cfg.get("extra", {})
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise CheckpointError(f"{path}: malformed config block: {exc}") from exc
+
+    expected = dict(manifest(config))
+    for name in tensors:
+        if not name.startswith("adapter.") and name not in expected:
+            raise CheckpointError(f"{path}: tensor {name} is not in the model's manifest")
+    for name, shape in expected.items():
+        if name not in tensors:
+            raise CheckpointError(f"{path}: tensor {name} is missing")
+        if tensors[name].shape != shape:
+            raise CheckpointError(f"{path}: tensor {name} has shape {tensors[name].shape}, not {shape}")
     return Checkpoint(config=config, tensors=tensors, extra=extra)
+
+
+def stored_tokenizer(ckpt: Checkpoint) -> Tokenizer:
+    """The tokenizer over the checkpoint's stored vocabulary; a missing
+    vocabulary, or one Tokenizer or the embedding table rejects, raises
+    CheckpointError."""
+    vocab = ckpt.extra.get("vocab")
+    size = ckpt.config.vocab_size
+    if not isinstance(vocab, list) or len(vocab) != size or not all(isinstance(t, str) for t in vocab):
+        raise CheckpointError(f"checkpoint lacks a stored vocabulary of {size} token strings")
+    try:
+        return Tokenizer(vocab)
+    except ConfigError as exc:
+        raise CheckpointError(f"stored vocabulary is invalid: {exc}") from exc

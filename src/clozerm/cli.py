@@ -251,10 +251,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    model = EvalModel.from_checkpoint(load_checkpoint(args.ckpt))
-    pairs = load_jsonl(args.data)
-    template = ClozeTemplate(prefix=args.prefix) if args.prefix else None
-    report = eval_dataset(model, pairs, template=template)
+    template = ClozeTemplate(args.prefix) if args.prefix else None
+    model = EvalModel.from_checkpoint(load_checkpoint(args.ckpt), template=template)
+    report = eval_dataset(model, load_jsonl(args.data))
     if args.out:
         atomic_write_text(args.out, report_to_json(report))
     sys.stdout.write(report_to_table(report))

@@ -21,9 +21,9 @@ tail-truncated to one equal budget each; scaffold text never shrinks.
 import json
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .errors import ConfigError, ContractError, DataError, SkipRecord
+from .errors import CheckpointError, ConfigError, DataError, SkipRecord
 from .fileio import atomic_write_text
 from .tokenizer import CLS_ID, MASK_ID, VERB1_ID, VERB2_ID, Tokenizer, build_vocab
 
@@ -46,10 +46,8 @@ DOMAIN_PREFIXES = {
     "safety": PREFIX_POOL[2],
 }
 
-CANONICAL_LAYOUT = (
-    "{prefix}\nProblem: {x}\nOption 1: {a}\nOption 2: {b}\n"
-    "The better response is Option [MASK]."
-)
+POOLED_LAYOUT = "{prefix}\nProblem: {x}\nOption 1: {a}\nOption 2: {b}"
+CANONICAL_LAYOUT = POOLED_LAYOUT + "\nThe better response is Option [MASK]."
 RESPONSE_LAYOUT = "{prefix}\nProblem: {x}\nResponse: {y}"
 
 REFUSAL_MARKER = "I can't help with that"
@@ -79,29 +77,40 @@ class PreferencePair:
 
 @dataclass
 class ClozeTemplate:
-    """An instruction prefix plus the segment layout ending in one mask slot."""
+    """The instruction prefix each pair is rendered with: one prefix, or a
+    domain -> prefix map whose missing domains fall back to it. The layouts
+    are fixed; a checkpoint records the template as its "template" block."""
 
     prefix: str
-    layout: str = CANONICAL_LAYOUT
+    domain_prefixes: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.prefix:
-            raise ConfigError("template prefix must be non-empty")
-        for token in ("{prefix}", "{x}", "{a}", "{b}", "[MASK]"):
-            if self.layout.count(token) != 1:
-                raise ConfigError(f"layout must contain {token} exactly once")
-        mask_at = self.layout.index("[MASK]")
-        if self.layout.index("{a}") > mask_at or self.layout.index("{b}") > mask_at:
-            raise ConfigError("both options must appear before the mask slot")
+        if not isinstance(self.domain_prefixes, dict) or set(self.domain_prefixes) - set(DOMAINS):
+            raise ConfigError(f"template prefix map {self.domain_prefixes!r} must be keyed by {DOMAINS}")
+        if not all(isinstance(p, str) and p for p in (self.prefix, *self.domain_prefixes.values())):
+            raise ConfigError("template prefixes must be non-empty strings")
 
-    def pooled_layout(self) -> str:
-        """The layout with the preference statement (the line holding the
-        mask) removed; used by the pooled-classifier objective."""
-        mask_at = self.layout.index("[MASK]")
-        cut = self.layout.rfind("\n", 0, mask_at)
-        if cut <= 0:
-            raise ContractError("cannot derive a pooled layout: mask is on the first line")
-        return self.layout[:cut]
+    def prefix_for(self, domain: str) -> str:
+        return self.domain_prefixes.get(domain, self.prefix)
+
+    def to_block(self) -> dict:
+        block = {"layout": CANONICAL_LAYOUT, "prefix": self.prefix}
+        if self.domain_prefixes:
+            block["domain_prefixes"] = dict(self.domain_prefixes)
+        return block
+
+    @classmethod
+    def from_block(cls, block) -> "ClozeTemplate":
+        """The template of a checkpoint's "template" block; a missing or
+        malformed block, or one with another layout, raises CheckpointError."""
+        if not isinstance(block, dict):
+            raise CheckpointError("checkpoint has no template block")
+        if block.get("layout") != CANONICAL_LAYOUT or set(block) - {"layout", "prefix", "domain_prefixes"}:
+            raise CheckpointError(f"template block {block!r} is not the canonical layout and prefixes")
+        try:
+            return cls(block.get("prefix"), block.get("domain_prefixes", {}))
+        except ConfigError as exc:
+            raise CheckpointError(f"malformed template block: {exc}") from exc
 
 
 @dataclass
@@ -143,16 +152,9 @@ def _parse_layout(layout: str):
     return parts
 
 
-def _render_text(parts, values, mask_fill: str) -> str:
-    out = []
-    for kind, val in parts:
-        if kind == "lit":
-            out.append(val)
-        elif val == "mask":
-            out.append(mask_fill)
-        else:
-            out.append(values[val])
-    return "".join(out)
+_CLOZE_PARTS = _parse_layout(CANONICAL_LAYOUT)
+_POOLED_PARTS = _parse_layout(POOLED_LAYOUT)
+_RESPONSE_PARTS = _parse_layout(RESPONSE_LAYOUT)
 
 
 def _encode_segments(parts, values, tokenizer: Tokenizer):
@@ -214,8 +216,8 @@ def build_cloze(pair, template: ClozeTemplate, order: str, tokenizer: Tokenizer,
     "1"); 'swapped' puts the rejected response there (gold "2").
     """
     a, b = _ordered_options(pair, order)
-    values = {"prefix": template.prefix, "x": pair.prompt, "a": a, "b": b}
-    segments = _encode_segments(_parse_layout(template.layout), values, tokenizer)
+    values = {"prefix": template.prefix_for(pair.domain), "x": pair.prompt, "a": a, "b": b}
+    segments = _encode_segments(_CLOZE_PARTS, values, tokenizer)
     ids, spans = _assemble(segments, max_seq, pair.id, body_kinds=("a", "b"))
     mask_position = spans["mask"][0]
     gold = VERB1_ID if order == ORDER_ORIGINAL else VERB2_ID
@@ -226,8 +228,8 @@ def build_pooled(pair, template: ClozeTemplate, order: str, tokenizer: Tokenizer
     """Same scaffold as the cloze rendering minus the preference statement;
     class 0 means Option 1 is the better response."""
     a, b = _ordered_options(pair, order)
-    values = {"prefix": template.prefix, "x": pair.prompt, "a": a, "b": b}
-    segments = _encode_segments(_parse_layout(template.pooled_layout()), values, tokenizer)
+    values = {"prefix": template.prefix_for(pair.domain), "x": pair.prompt, "a": a, "b": b}
+    segments = _encode_segments(_POOLED_PARTS, values, tokenizer)
     ids, _ = _assemble(segments, max_seq, pair.id, body_kinds=("a", "b"))
     label = 0 if order == ORDER_ORIGINAL else 1
     return PooledInstance(ids, label, order, pair.id)
@@ -235,11 +237,11 @@ def build_pooled(pair, template: ClozeTemplate, order: str, tokenizer: Tokenizer
 
 def build_token_level(pair, template: ClozeTemplate, tokenizer: Tokenizer, max_seq: int) -> TokenLevelExample:
     """Render each candidate separately for per-token binary labeling."""
-    parts = _parse_layout(RESPONSE_LAYOUT)
     rendered = {}
+    prefix = template.prefix_for(pair.domain)
     for key, text in (("chosen", pair.chosen), ("rejected", pair.rejected)):
-        values = {"prefix": template.prefix, "x": pair.prompt, "y": text}
-        segments = _encode_segments(parts, values, tokenizer)
+        values = {"prefix": prefix, "x": pair.prompt, "y": text}
+        segments = _encode_segments(_RESPONSE_PARTS, values, tokenizer)
         ids, spans = _assemble(segments, max_seq, pair.id, body_kinds=("y",))
         rendered[key] = (ids, spans["y"])
     return TokenLevelExample(
@@ -251,26 +253,20 @@ def build_token_level(pair, template: ClozeTemplate, tokenizer: Tokenizer, max_s
     )
 
 
-def vocab_texts(pairs, layout: str = CANONICAL_LAYOUT, prefixes=PREFIX_POOL):
+def vocab_texts(pairs):
     """Every string the vocabulary must cover: the prefix pool plus each
     pair's filled cloze rendering and both response renderings."""
-    parts = _parse_layout(layout)
-    rparts = _parse_layout(RESPONSE_LAYOUT)
-    for prefix in prefixes:
-        yield prefix
-    base = prefixes[0]
+    yield from PREFIX_POOL
+    base = PREFIX_POOL[0]
+    filled = CANONICAL_LAYOUT.replace("[MASK]", "1")
     for pair in pairs:
-        yield _render_text(
-            parts,
-            {"prefix": base, "x": pair.prompt, "a": pair.chosen, "b": pair.rejected},
-            mask_fill="1",
-        )
-        yield _render_text(rparts, {"prefix": base, "x": pair.prompt, "y": pair.chosen}, "")
-        yield _render_text(rparts, {"prefix": base, "x": pair.prompt, "y": pair.rejected}, "")
+        yield filled.format(prefix=base, x=pair.prompt, a=pair.chosen, b=pair.rejected)
+        for response in (pair.chosen, pair.rejected):
+            yield RESPONSE_LAYOUT.format(prefix=base, x=pair.prompt, y=response)
 
 
-def build_tokenizer(pairs, layout: str = CANONICAL_LAYOUT) -> Tokenizer:
-    return build_vocab(vocab_texts(pairs, layout=layout))
+def build_tokenizer(pairs) -> Tokenizer:
+    return build_vocab(vocab_texts(pairs))
 
 
 @dataclass

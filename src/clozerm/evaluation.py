@@ -15,12 +15,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .checkpoint import Checkpoint
+from .checkpoint import Checkpoint, stored_tokenizer
 from .data import (
     DOMAINS,
     ORDERS,
     ORDER_ORIGINAL,
-    PREFIX_POOL,
     ClozeTemplate,
     build_cloze,
     build_pooled,
@@ -86,21 +85,15 @@ class EvalModel:
     template: ClozeTemplate
 
     @classmethod
-    def from_checkpoint(cls, ckpt: Checkpoint) -> "EvalModel":
+    def from_checkpoint(cls, ckpt: Checkpoint, template: "ClozeTemplate | None" = None) -> "EvalModel":
+        """The merged model with its stored vocabulary and template block;
+        an explicit template replaces the block."""
         merged = merge_checkpoint(ckpt)
-        vocab = merged.extra.get("vocab")
-        if not vocab:
-            raise ContractError("checkpoint lacks a stored vocabulary")
-        info = merged.extra.get("template") or {}
-        template = ClozeTemplate(
-            prefix=info.get("prefix", PREFIX_POOL[0]),
-            layout=info.get("layout", ClozeTemplate.__dataclass_fields__["layout"].default),
-        )
         return cls(
             config=merged.config,
             weights=merged.tensors,
-            tokenizer=Tokenizer(list(vocab)),
-            template=template,
+            tokenizer=stored_tokenizer(merged),
+            template=template or ClozeTemplate.from_block(merged.extra.get("template")),
         )
 
 
@@ -126,8 +119,9 @@ def _span_mean(scores: Tensor, span) -> float:
     return float(np.asarray(scores.data, dtype=np.float64)[start:end].mean())
 
 
-def score_pair(model: EvalModel, pair, template: "ClozeTemplate | None" = None) -> list:
-    """The pair's two TrialRecords, in ORDERS order.
+def score_pair(model: EvalModel, pair) -> list:
+    """The pair's two TrialRecords, in ORDERS order, rendered with the
+    model's template.
 
     Each head reduces an order to one logit per option slot: mlm takes the
     full-vocab logits at the mask for the two verbalizer tokens, pooled its
@@ -137,7 +131,7 @@ def score_pair(model: EvalModel, pair, template: "ClozeTemplate | None" = None) 
     logits gives p1 and p2. A non-finite option logit raises
     DivergenceError instead of being scored.
     """
-    template = template or model.template
+    template = model.template
     cfg = model.config
     if cfg.head_kind == HEAD_MLM:
         option_logits = []
@@ -213,7 +207,7 @@ def aggregate_trials(trials, gflops_per_token: float = 0.0, n_skipped: int = 0) 
     )
 
 
-def eval_dataset(model: EvalModel, pairs, template: "ClozeTemplate | None" = None) -> EvalReport:
+def eval_dataset(model: EvalModel, pairs) -> EvalReport:
     """Score every pair in both orders and aggregate. Pairs whose options
     cannot fit the model's max_seq are skipped and counted."""
     pairs = list(pairs)
@@ -223,7 +217,7 @@ def eval_dataset(model: EvalModel, pairs, template: "ClozeTemplate | None" = Non
     n_skipped = 0
     for pair in pairs:
         try:
-            trials.extend(score_pair(model, pair, template))
+            trials.extend(score_pair(model, pair))
         except SkipRecord:
             n_skipped += 1
     if not trials:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .checkpoint import Checkpoint
+from .checkpoint import Checkpoint, stored_tokenizer
 from .data import (
     DOMAIN_PREFIXES,
     ORDER_ORIGINAL,
@@ -67,7 +67,6 @@ from .tensor import (
     reshape,
     tsum,
 )
-from .tokenizer import Tokenizer
 
 OBJECTIVES = ("cloze", "pooled", "token-level")
 _OBJECTIVE_HEADS = {
@@ -312,10 +311,9 @@ _LOSSES = {
 }
 
 
-def _build_instances(pairs, objective, tokenizer, max_seq, template_for, order_rng, order_policy, skipped=None):
+def _build_instances(pairs, objective, tokenizer, max_seq, template, order_rng, order_policy, skipped=None):
     out = []
     for pair in pairs:
-        template = template_for(pair)
         try:
             if objective == "token-level":
                 out.append(build_token_level(pair, template, tokenizer, max_seq))
@@ -403,13 +401,14 @@ def _clip_global_norm(grads, max_norm: float) -> float:
     return norm
 
 
-def train(config: TrainConfig, pairs, heldout=None, init_from=None, _prefix_fn=None) -> TrainResult:
+def train(config: TrainConfig, pairs, heldout=None, init_from=None, _template=None) -> TrainResult:
     """Train one model over the pair list; deterministic given config.seed.
 
     heldout: optional pair list scored at eval_every steps and at the final
     step (accuracy lands in the trace). init_from: checkpoint to continue
     from (any adapters in it are merged first); its stored vocabulary is
-    reused, so new text falls back to UNK.
+    reused, so new text falls back to UNK. _template, train_aao's domain
+    map, replaces ClozeTemplate(config.prefix) everywhere.
     """
     pairs = list(pairs)
     if not pairs:
@@ -420,24 +419,10 @@ def train(config: TrainConfig, pairs, heldout=None, init_from=None, _prefix_fn=N
     ss = np.random.SeedSequence(config.seed)
     init_ss, dora_ss, order_ss, shuffle_ss = ss.spawn(4)
 
-    base_template = ClozeTemplate(prefix=config.prefix)
-    if _prefix_fn is None:
-        template_for = lambda pair: base_template  # noqa: E731
-    else:
-        cache = {}
-
-        def template_for(pair):
-            prefix = _prefix_fn(pair)
-            if prefix not in cache:
-                cache[prefix] = ClozeTemplate(prefix=prefix)
-            return cache[prefix]
-
+    template = _template or ClozeTemplate(config.prefix)
     if init_from is not None:
         base_ckpt = merge_checkpoint(init_from)
-        vocab = base_ckpt.extra.get("vocab")
-        if not vocab:
-            raise ContractError("init checkpoint lacks a stored vocabulary")
-        tokenizer = Tokenizer(list(vocab))
+        tokenizer = stored_tokenizer(base_ckpt)
         model_config = base_ckpt.config
         want = (settings.n_layers, settings.hidden, settings.n_heads, settings.ffn_mult, settings.max_seq)
         got = (model_config.n_layers, model_config.hidden, model_config.n_heads,
@@ -486,7 +471,7 @@ def train(config: TrainConfig, pairs, heldout=None, init_from=None, _prefix_fn=N
     for epoch in range(config.epochs):
         instances = _build_instances(
             pairs, config.objective, tokenizer, model_config.max_seq,
-            template_for, order_rng, config.order_policy,
+            template, order_rng, config.order_policy,
             skipped if epoch == 0 else None,
         )
         if not instances:
@@ -512,7 +497,7 @@ def train(config: TrainConfig, pairs, heldout=None, init_from=None, _prefix_fn=N
             if heldout is not None and (
                 is_last or (config.eval_every > 0 and (step + 1) % config.eval_every == 0)
             ):
-                acc = _heldout_accuracy(wt, adapters, model_config, tokenizer, base_template, heldout)
+                acc = _heldout_accuracy(wt, adapters, model_config, tokenizer, template, heldout)
             trace.append(TraceRow(step=step, lr=lr_t, loss=loss_value, heldout_acc=acc))
             step += 1
 
@@ -521,7 +506,7 @@ def train(config: TrainConfig, pairs, heldout=None, init_from=None, _prefix_fn=N
         tensors[name] = arr.copy()
     extra = {
         "vocab": list(tokenizer.tokens),
-        "template": {"layout": base_template.layout, "prefix": base_template.prefix},
+        "template": template.to_block(),
         "objective": config.objective,
         "train": {
             "learning_rate": config.learning_rate,
@@ -646,8 +631,7 @@ def sweep(spec: SweepSpec, pairs) -> list:
     for index, draw in enumerate(draws):
         cfg = trial_config(spec, draw)
         run = train(cfg, train_pairs)
-        model = EvalModel.from_checkpoint(run.checkpoint)
-        report = eval_dataset(model, eval_pairs, template=ClozeTemplate(prefix=draw.prefix))
+        report = eval_dataset(EvalModel.from_checkpoint(run.checkpoint), eval_pairs)
         results.append(
             TrialResult(
                 index=index,
@@ -683,14 +667,12 @@ def trials_to_csv(results) -> str:
 def train_aao(config: TrainConfig, datasets_by_domain, heldout=None) -> TrainResult:
     """All-at-once run: concatenate every domain's pairs (keys in sorted
     order), render each pair with its own domain's tuned prefix, and train
-    as a single globally shuffled run."""
+    as a single globally shuffled run. The checkpoint records the
+    domain -> prefix map, so it is scored with the prompts it trained on."""
     if len(datasets_by_domain) < 2:
         raise ConfigError("all-at-once training needs at least 2 domains")
     all_pairs = []
     for key in sorted(datasets_by_domain):
         all_pairs.extend(datasets_by_domain[key])
-
-    def prefix_for(pair):
-        return DOMAIN_PREFIXES[pair.domain]
-
-    return train(config, all_pairs, heldout=heldout, _prefix_fn=prefix_for)
+    template = ClozeTemplate(config.prefix, DOMAIN_PREFIXES)
+    return train(config, all_pairs, heldout=heldout, _template=template)

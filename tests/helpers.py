@@ -251,6 +251,10 @@ MALFORMED_CHECKPOINTS = (
     "dimension-overflow",
     "offset-not-integer",
     "config-rejected",
+    "tensor-duplicate",
+    "tensor-missing",
+    "tensor-unknown",
+    "tensor-misshapen",
 )
 
 
@@ -271,6 +275,16 @@ def malformed_checkpoint(blob: bytes, case: str) -> bytes:
         manifest = manifest.replace(name + b" " + dims, name + b" 4294967296x4294967296", 1)
     elif case == "offset-not-integer":
         manifest = manifest.replace(dims + b" " + offset, dims + b" z" + offset[1:], 1)
+    elif case == "tensor-duplicate":
+        manifest = manifest.replace(b"\npos_emb ", b"\ntok_emb ", 1)
+    elif case == "tensor-missing":
+        lines = manifest.split(b"\n")
+        manifest = b"\n".join(line for line in lines if not line.startswith(b"layer0.wq "))
+    elif case == "tensor-unknown":
+        manifest = manifest.replace(b"\npos_emb ", b"\npos_emx ", 1)
+    elif case == "tensor-misshapen":  # the same element count, transposed
+        rows, cols = dims.split(b"x")
+        manifest = manifest.replace(name + b" " + dims, name + b" " + cols + b"x" + rows, 1)
     tail = blob[end:]
     if case == "config-rejected":
         config_at = 8 + int.from_bytes(tail[:8], "little")

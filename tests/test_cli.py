@@ -12,7 +12,16 @@ import pytest
 import clozerm
 from clozerm.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from clozerm.cli import run
-from clozerm.data import load_jsonl, save_jsonl, synth_generate
+from clozerm.data import (
+    DOMAIN_PREFIXES,
+    SYNTH_TASKS,
+    ClozeTemplate,
+    load_jsonl,
+    save_jsonl,
+    synth_generate,
+)
+from clozerm.evaluation import EvalModel, eval_dataset
+from clozerm.training import ModelSettings, TrainConfig, train_aao
 from helpers import MALFORMED_CHECKPOINTS, malformed_checkpoint
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -249,6 +258,71 @@ def test_eval_prefix_override(trained, corpus):
                 "--prefix", "Which response is more correct?"]) == 0
 
 
+def rewrite_extra(src, dst, **changes):
+    """Copy checkpoint src to dst with its extra block updated; a None value
+    drops the key."""
+    ckpt = load_checkpoint(src)
+    extra = {**ckpt.extra, **changes}
+    extra = {k: v for k, v in extra.items() if v is not None}
+    save_checkpoint(Checkpoint(config=ckpt.config, tensors=ckpt.tensors, extra=extra), dst)
+    return dst
+
+
+def test_eval_without_template_block_needs_prefix(tmp_path, trained, corpus, capsys):
+    stripped = rewrite_extra(trained, tmp_path / "no-template.trm1", template=None)
+    assert run(["eval", "--ckpt", str(stripped), "--data", str(corpus)]) == 2
+    assert "template" in capsys.readouterr().err
+    assert run(["eval", "--ckpt", str(stripped), "--data", str(corpus), "--prefix", "Solve:"]) == 0
+
+
+def test_average_keeps_template_only_when_inputs_agree(tmp_path, trained, corpus):
+    other = tmp_path / "other.trm1"
+    assert run(["train", "--data", str(corpus), "--out", str(other), *TINY, "--prefix", "Other:"]) == 0
+    same, mixed = tmp_path / "same.trm1", tmp_path / "mixed.trm1"
+    assert run(["average", str(trained), str(trained), "--out", str(same)]) == 0
+    assert load_checkpoint(same).extra["template"] == load_checkpoint(trained).extra["template"]
+    assert run(["average", str(trained), str(other), "--out", str(mixed)]) == 0
+    assert "template" not in load_checkpoint(mixed).extra
+    assert run(["eval", "--ckpt", str(mixed), "--data", str(corpus)]) == 2
+    assert run(["eval", "--ckpt", str(mixed), "--data", str(corpus), "--prefix", "Solve:"]) == 0
+
+
+@pytest.mark.parametrize("vocab", ["missing", "short", "duplicate"])
+def test_missing_or_invalid_vocabulary_exits_2(tmp_path, trained, corpus, vocab, capsys):
+    tokens = load_checkpoint(trained).extra["vocab"]
+    bad_vocab = {"missing": None, "short": tokens[:-1], "duplicate": tokens[:-1] + tokens[-2:-1]}[vocab]
+    bad = rewrite_extra(trained, tmp_path / "bad.trm1", vocab=bad_vocab)
+    assert run(["eval", "--ckpt", str(bad), "--data", str(corpus)]) == 2
+    assert run(["train", "--data", str(corpus), "--init-from", str(bad),
+                "--out", str(tmp_path / "x.trm1"), *TINY]) == 2
+    assert "vocabulary" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def aao_trained(tmp_path_factory):
+    root = tmp_path_factory.mktemp("aao")
+    by_task = {task: synth_generate(task, n, seed=seed)
+               for task, n, seed in (("arithmetic", 16, 2), ("refusal", 8, 3), ("verbosity", 8, 4))}
+    config = TrainConfig(learning_rate=3e-3, batch_size=4, prefix="Solve:",
+                         model=ModelSettings(n_layers=1, hidden=16, n_heads=2, ffn_mult=2, max_seq=48))
+    save_checkpoint(train_aao(config, by_task).checkpoint, root / "aao.trm1")
+    heldout = [p for task in SYNTH_TASKS for p in synth_generate(task, 6, seed=9)]
+    save_jsonl(heldout, root / "heldout.jsonl")
+    return root / "aao.trm1", root / "heldout.jsonl"
+
+
+def test_eval_scores_aao_checkpoint_with_each_domain_prompt(tmp_path, aao_trained):
+    ckpt, data = aao_trained
+    out = tmp_path / "report.json"
+    assert run(["eval", "--ckpt", str(ckpt), "--data", str(data), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    pairs = load_jsonl(data)
+    for domain, prefix in DOMAIN_PREFIXES.items():
+        model = EvalModel.from_checkpoint(load_checkpoint(ckpt), template=ClozeTemplate(prefix))
+        own = [p for p in pairs if p.domain == domain]
+        assert payload[domain] == eval_dataset(model, own).total_accuracy
+
+
 def test_average_of_identical_checkpoints_is_identity(tmp_path, trained):
     avg = tmp_path / "avg.trm1"
     assert run(["average", str(trained), str(trained), "--out", str(avg)]) == 0
@@ -258,15 +332,12 @@ def test_average_of_identical_checkpoints_is_identity(tmp_path, trained):
         assert np.array_equal(averaged.tensors[name], arr)
 
 
-def test_average_manifest_mismatch_exits_1_naming_tensor(tmp_path, trained, capsys):
-    full = load_checkpoint(trained)
-    tensors = dict(full.tensors)
-    del tensors["head.b"]
-    clipped = tmp_path / "clipped.trm1"
-    save_checkpoint(Checkpoint(config=full.config, tensors=tensors, extra=full.extra), clipped)
+def test_average_manifest_mismatch_exits_1_naming_tensor(tmp_path, trained, dora_trained, capsys):
+    # Both files load (a file missing a tensor does not: exit 2), but the
+    # adapter tensors of the unmerged DoRA checkpoint are not in the other.
     out = tmp_path / "avg.trm1"
-    assert run(["average", str(trained), str(clipped), "--out", str(out)]) == 1
-    assert "head.b" in capsys.readouterr().err
+    assert run(["average", str(trained), str(dora_trained), "--out", str(out)]) == 1
+    assert "adapter.layer0.wq.A" in capsys.readouterr().err
     assert not out.exists()
 
 

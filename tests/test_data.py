@@ -6,6 +6,7 @@ import pytest
 
 from clozerm.data import (
     CANONICAL_LAYOUT,
+    DOMAIN_PREFIXES,
     DOMAINS,
     ORDER_ORIGINAL,
     ORDER_SWAPPED,
@@ -23,7 +24,7 @@ from clozerm.data import (
     scan_jsonl,
     synth_generate,
 )
-from clozerm.errors import ConfigError, ContractError, DataError, SkipRecord
+from clozerm.errors import CheckpointError, ConfigError, DataError, SkipRecord
 from clozerm.tokenizer import CLS_ID, MASK_ID, VERB1_ID, VERB2_ID
 
 MAX_SEQ = 64
@@ -52,25 +53,71 @@ def tok_for(pairs):
 # ---------------------------------------------------------------- template
 
 
-def test_template_requires_each_placeholder_once():
-    with pytest.raises(ConfigError):
-        ClozeTemplate(prefix="p", layout="{prefix}\n{x}\n{a}\nOption [MASK].")
-    with pytest.raises(ConfigError):
-        ClozeTemplate(
-            prefix="p", layout="{prefix}\n{x}\n{a}\n{b}\n{a}\nOption [MASK]."
-        )
-
-
-def test_template_requires_options_before_mask():
-    with pytest.raises(ConfigError):
-        ClozeTemplate(prefix="p", layout="{prefix}\n{x}\nOption [MASK].\n{a}\n{b}")
-
-
 def test_pooled_layout_drops_preference_statement():
-    tpl = template()
-    pooled = tpl.pooled_layout()
-    assert "[MASK]" not in pooled
-    assert "{a}" in pooled and "{b}" in pooled
+    p = pair()
+    tok = tok_for([p])
+    for order in (ORDER_ORIGINAL, ORDER_SWAPPED):
+        cloze = build_cloze(p, template(), order, tok, MAX_SEQ).token_ids
+        pooled = build_pooled(p, template(), order, tok, MAX_SEQ).token_ids
+        assert cloze[: len(pooled)] == pooled
+        assert tok.decode(cloze[len(pooled) :]) == "\nThe better response is Option<mask>."
+
+
+def test_template_prefix_for_falls_back_to_prefix():
+    tpl = ClozeTemplate("Solve:", {"safety": "Which response is safer?"})
+    assert tpl.prefix_for("safety") == "Which response is safer?"
+    assert tpl.prefix_for("reasoning") == "Solve:"
+    assert ClozeTemplate("Solve:").prefix_for("safety") == "Solve:"
+
+
+def test_builders_render_each_domain_with_its_prefix():
+    chat = pair(domain="chat")
+    tok = tok_for([chat])
+    mapped = ClozeTemplate("Solve:", {"chat": PREFIX_POOL[3]})
+    plain = ClozeTemplate(PREFIX_POOL[3])
+    for build in (build_cloze, build_pooled):
+        assert build(chat, mapped, ORDER_ORIGINAL, tok, MAX_SEQ) == build(chat, plain, ORDER_ORIGINAL, tok, MAX_SEQ)
+    assert build_token_level(chat, mapped, tok, MAX_SEQ) == build_token_level(chat, plain, tok, MAX_SEQ)
+    other = build_cloze(pair(), mapped, ORDER_ORIGINAL, tok, MAX_SEQ)
+    assert other == build_cloze(pair(), ClozeTemplate("Solve:"), ORDER_ORIGINAL, tok, MAX_SEQ)
+
+
+def test_template_block_round_trip_keeps_single_prefix_bytes():
+    assert ClozeTemplate("Solve:").to_block() == {"layout": CANONICAL_LAYOUT, "prefix": "Solve:"}
+    for tpl in (ClozeTemplate("Solve:"), ClozeTemplate("Solve:", dict(DOMAIN_PREFIXES))):
+        block = json.loads(json.dumps(tpl.to_block()))
+        assert ClozeTemplate.from_block(block) == tpl
+    assert ClozeTemplate("Solve:", DOMAIN_PREFIXES).to_block()["domain_prefixes"] == DOMAIN_PREFIXES
+
+
+GOOD_BLOCK = {"layout": CANONICAL_LAYOUT, "prefix": "Solve:", "domain_prefixes": {"chat": "Hi."}}
+BAD_BLOCKS = {
+    "missing": None,
+    "not-a-dict": ["Solve:"],
+    "non-canonical-layout": {**GOOD_BLOCK, "layout": "{prefix}\n{x}\n{a}\n{b}\nOption [MASK]."},
+    "no-layout": {k: v for k, v in GOOD_BLOCK.items() if k != "layout"},
+    "empty-prefix": {**GOOD_BLOCK, "prefix": ""},
+    "no-prefix": {k: v for k, v in GOOD_BLOCK.items() if k != "prefix"},
+    "non-string-prefix": {**GOOD_BLOCK, "prefix": 7},
+    "unknown-domain": {**GOOD_BLOCK, "domain_prefixes": {"sports": "Hi."}},
+    "empty-domain-prefix": {**GOOD_BLOCK, "domain_prefixes": {"chat": ""}},
+    "map-not-a-dict": {**GOOD_BLOCK, "domain_prefixes": ["chat", "Hi."]},
+    "unknown-key": {**GOOD_BLOCK, "prefixes": ["Hi."]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_BLOCKS))
+def test_from_block_rejects_malformed_blocks(case):
+    assert ClozeTemplate.from_block(GOOD_BLOCK).prefix_for("chat") == "Hi."
+    with pytest.raises(CheckpointError):
+        ClozeTemplate.from_block(BAD_BLOCKS[case])
+
+
+def test_template_rejects_unknown_domain_and_empty_prefix():
+    with pytest.raises(ConfigError):
+        ClozeTemplate("")
+    with pytest.raises(ConfigError):
+        ClozeTemplate("Solve:", {"sports": "Hi."})
 
 
 # -------------------------------------------------------------- build_cloze

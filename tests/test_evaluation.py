@@ -18,7 +18,7 @@ from clozerm.data import (
     build_tokenizer,
     synth_generate,
 )
-from clozerm.errors import ConfigError, ContractError, DivergenceError
+from clozerm.errors import CheckpointError, ConfigError, ContractError, DivergenceError
 from clozerm.evaluation import (
     EvalModel,
     TIE_EPS,
@@ -285,8 +285,35 @@ def test_eval_model_from_checkpoint_restores_template_and_vocab():
     assert 0.0 <= report.total_accuracy <= 1.0
 
     stripped = Checkpoint(config=result.checkpoint.config, tensors=result.checkpoint.tensors, extra={})
-    with pytest.raises(ContractError):
+    with pytest.raises(CheckpointError):
         EvalModel.from_checkpoint(stripped)
+
+
+def with_extra(ckpt, **changes):
+    """The checkpoint with its extra block updated; a None value drops the key."""
+    extra = {**ckpt.extra, **changes}
+    return Checkpoint(ckpt.config, ckpt.tensors, {k: v for k, v in extra.items() if v is not None})
+
+
+def test_eval_model_rejects_missing_or_invalid_vocab():
+    ckpt = train(TrainConfig(learning_rate=1e-3, batch_size=8, model=SMALL), PAIRS).checkpoint
+    vocab = ckpt.extra["vocab"]
+    for bad in (None, [], vocab[:-1], vocab[1:] + vocab[:1], vocab[:-1] + vocab[-2:-1], vocab[:-1] + [7]):
+        with pytest.raises(CheckpointError):
+            EvalModel.from_checkpoint(with_extra(ckpt, vocab=bad))
+
+
+def test_eval_model_needs_template_block_unless_given_one():
+    ckpt = train(TrainConfig(learning_rate=1e-3, batch_size=8, model=SMALL, prefix="Solve:"), PAIRS).checkpoint
+    stripped = with_extra(ckpt, template=None)
+    with pytest.raises(CheckpointError, match="template"):
+        EvalModel.from_checkpoint(stripped)
+    given = ClozeTemplate("Solve:")
+    model = EvalModel.from_checkpoint(stripped, template=given)
+    assert model.template == given
+    assert report_to_json(eval_dataset(model, PAIRS)) == report_to_json(
+        eval_dataset(EvalModel.from_checkpoint(ckpt), PAIRS)
+    )
 
 
 # ---------------------------------------------------------------------------

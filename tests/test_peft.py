@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from clozerm.checkpoint import Checkpoint
+from clozerm.data import DOMAIN_PREFIXES, ClozeTemplate
 from clozerm.errors import ConfigError, ContractError
 from clozerm.model import ModelConfig, count_params, forward_mlm, init_weights, manifest
 from clozerm.peft import (
@@ -369,3 +370,19 @@ def test_average_rejects_config_mismatch():
     )
     with pytest.raises(ContractError):
         weight_average([a, b])
+
+
+def test_average_keeps_template_block_only_when_all_agree():
+    mapped = ClozeTemplate("Solve:", DOMAIN_PREFIXES).to_block()
+    plain = ClozeTemplate("Solve:").to_block()
+
+    def with_template(block, seed):
+        ck = ckpt_with(lambda w: w.copy(), seed=seed)
+        ck.extra = {"template": block}
+        return ck
+
+    agreeing = [with_template(mapped, 0), with_template(mapped, 1)]
+    assert weight_average(agreeing).extra["template"] == mapped
+    for blocks in ((mapped, plain), (plain, mapped, plain), (mapped, None)):
+        averaged = weight_average([with_template(b, i) for i, b in enumerate(blocks)])
+        assert "template" not in averaged.extra

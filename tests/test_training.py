@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from clozerm.checkpoint import Checkpoint
 from clozerm.data import (
+    CANONICAL_LAYOUT,
     DOMAIN_PREFIXES,
     ClozeTemplate,
     PreferencePair,
@@ -17,12 +19,14 @@ from clozerm.data import (
     synth_generate,
 )
 from clozerm.errors import (
+    CheckpointError,
     ConfigError,
     ContractError,
     DataError,
     DivergenceError,
     ShapeError,
 )
+from clozerm.evaluation import EvalModel, eval_dataset, score_pair
 from clozerm.model import (
     HEAD_MLM,
     HEAD_POOLED,
@@ -626,6 +630,17 @@ def test_train_resume_rejects_head_mismatch():
         train(small_config(objective="pooled"), PAIRS, init_from=pre.checkpoint)
 
 
+def test_train_resume_rejects_missing_or_invalid_vocab():
+    pre = train(small_config(), PAIRS).checkpoint
+    vocab = pre.extra["vocab"]
+    for bad in (None, vocab[:-1], vocab[:-1] + vocab[-2:-1]):
+        extra = {k: v for k, v in pre.extra.items() if k != "vocab"}
+        if bad is not None:
+            extra["vocab"] = bad
+        with pytest.raises(CheckpointError, match="vocabulary"):
+            train(small_config(), PAIRS, init_from=Checkpoint(pre.config, pre.tensors, extra))
+
+
 def test_train_with_adapters_emits_adapter_tensors():
     result = train(small_config(dora=DoraSettings(rank=2)), PAIRS)
     names = [n for n in result.checkpoint.tensors if n.startswith("adapter.")]
@@ -810,6 +825,27 @@ def test_train_aao_duplicate_domain_behaves_as_doubled_dataset():
     plain = train(small_config(prefix=DOMAIN_PREFIXES["reasoning"]), list(PAIRS) * 2)
     assert tensors_equal(aao.checkpoint.tensors, plain.checkpoint.tensors)
     assert [row.loss for row in aao.trace] == [row.loss for row in plain.trace]
+
+
+AAO_DOMAINS = {
+    "arithmetic": synth_generate("arithmetic", 12, seed=4),
+    "refusal": synth_generate("refusal", 6, seed=5),
+    "verbosity": synth_generate("verbosity", 6, seed=6),
+}
+AAO_HELDOUT = [p for task, seed in (("arithmetic", 7), ("refusal", 8), ("verbosity", 9))
+                 for p in synth_generate(task, 4, seed=seed)]
+
+
+def test_train_aao_checkpoint_and_trace_score_with_domain_prompts():
+    run = train_aao(small_config(), AAO_DOMAINS, heldout=AAO_HELDOUT)
+    assert run.checkpoint.extra["template"] == {
+        "layout": CANONICAL_LAYOUT, "prefix": "Solve:", "domain_prefixes": DOMAIN_PREFIXES,
+    }
+    model = EvalModel.from_checkpoint(run.checkpoint)
+    assert run.trace[-1].heldout_acc == eval_dataset(model, AAO_HELDOUT).total_accuracy
+    for pair in AAO_HELDOUT:
+        own = dataclasses.replace(model, template=ClozeTemplate(DOMAIN_PREFIXES[pair.domain]))
+        assert score_pair(model, pair) == score_pair(own, pair)
 
 
 def test_train_aao_mixed_domains_change_the_run():
