@@ -135,7 +135,7 @@ def _add_model_flags(p):
                    help="pooling for the pooled objective")
 
 
-def _add_train_flags(p):
+def _add_train_flags(p, prefix=PREFIX_POOL[0], prefix_help="instruction prefix"):
     p.add_argument("--config", metavar="FILE",
                    help="key=value config file; explicit flags override it")
     p.add_argument("--learning-rate", type=float, default=1e-3,
@@ -145,7 +145,7 @@ def _add_train_flags(p):
     p.add_argument("--epochs", type=int, default=1, help="passes over the training pairs")
     p.add_argument("--seed", type=int, default=0, help="run seed")
     p.add_argument("--objective", choices=OBJECTIVES, default="cloze", help="training objective")
-    p.add_argument("--prefix", default=PREFIX_POOL[0], help="instruction prefix")
+    p.add_argument("--prefix", default=prefix, help=prefix_help)
     p.add_argument("--order-policy", choices=ORDER_POLICIES, default="shuffled",
                    help="option-order rendering policy")
     p.add_argument("--frozen-layers", type=int, default=0,
@@ -225,6 +225,8 @@ def _cmd_train(args) -> int:
 def _cmd_sweep(args) -> int:
     pairs = load_jsonl(args.data)
     ranks = tuple(int(s) for s in args.ranks.split(","))
+    prefixes = PREFIX_POOL if args.prefix is None else (args.prefix,)
+    args.prefix = prefixes[0]  # the base config needs one; each trial sets its draw
     spec = SweepSpec(
         base=_train_config_from(args),
         trials=args.trials,
@@ -235,6 +237,7 @@ def _cmd_sweep(args) -> int:
         frozen_min=args.frozen_min,
         frozen_max=args.frozen_max,
         heldout_fraction=args.heldout_fraction,
+        prefixes=prefixes,
     )
     results = sweep(spec, pairs)
     csv_text = trials_to_csv(results)
@@ -328,7 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frozen-max", type=int, default=0, help="largest frozen-layer count drawn")
     p.add_argument("--heldout-fraction", type=float, default=0.2,
                    help="fraction of pairs held out for trial scoring")
-    _add_train_flags(p)
+    _add_train_flags(p, prefix=None,
+                     prefix_help="instruction prefix of every trial (default: each trial draws"
+                                 " one from the prefix pool)")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a JSONL corpus",

@@ -31,8 +31,8 @@ from .model import (
     HEAD_POOLED,
     HEAD_TOKEN,
     count_params,
-    forward_mlm,
-    forward_pooled,
+    forward_mlm_batch,
+    forward_pooled_batch,
     forward_token_labels,
 )
 from .peft import merge_checkpoint
@@ -119,6 +119,16 @@ def _span_mean(scores: Tensor, span) -> float:
     return float(np.asarray(scores.data, dtype=np.float64)[start:end].mean())
 
 
+def _both_orders(instances, pair) -> np.ndarray:
+    """The [2, seq] ids of a pair's two renders, scored in one forward. The
+    orders hold the same segments with the option slots swapped, so they
+    render to equal length."""
+    lengths = [len(inst.token_ids) for inst in instances]
+    if lengths[0] != lengths[1]:
+        raise ContractError(f"the two orders of pair {pair.id!r} render to lengths {lengths}")
+    return np.asarray([inst.token_ids for inst in instances], dtype=np.int64)
+
+
 def score_pair(model: EvalModel, pair) -> list:
     """The pair's two TrialRecords, in ORDERS order, rendered with the
     model's template.
@@ -127,24 +137,23 @@ def score_pair(model: EvalModel, pair) -> list:
     full-vocab logits at the mask for the two verbalizer tokens, pooled its
     two class logits (class 0 means Option 1 is the better response), and
     the token head the mean span scores of the chosen and rejected
-    responses, swapped for the second order. A two-way softmax over those
-    logits gives p1 and p2. A non-finite option logit raises
-    DivergenceError instead of being scored.
+    responses, swapped for the second order. The mlm and pooled heads score
+    both orders in one forward; the token head runs one per response, since
+    the two differ in length. A two-way softmax over those logits gives p1
+    and p2. A non-finite option logit raises DivergenceError instead of
+    being scored.
     """
     template = model.template
     cfg = model.config
     if cfg.head_kind == HEAD_MLM:
-        option_logits = []
-        for order in ORDERS:
-            inst = build_cloze(pair, template, order, model.tokenizer, cfg.max_seq)
-            logits = forward_mlm(model.weights, cfg, inst.token_ids, inst.mask_position).data
-            option_logits.append((float(logits[VERB1_ID]), float(logits[VERB2_ID])))
+        insts = [build_cloze(pair, template, order, model.tokenizer, cfg.max_seq) for order in ORDERS]
+        positions = [inst.mask_position for inst in insts]
+        logits = forward_mlm_batch(model.weights, cfg, _both_orders(insts, pair), positions).data
+        option_logits = [(float(row[VERB1_ID]), float(row[VERB2_ID])) for row in logits]
     elif cfg.head_kind == HEAD_POOLED:
-        option_logits = []
-        for order in ORDERS:
-            inst = build_pooled(pair, template, order, model.tokenizer, cfg.max_seq)
-            logits = forward_pooled(model.weights, cfg, inst.token_ids).data
-            option_logits.append((float(logits[0]), float(logits[1])))
+        insts = [build_pooled(pair, template, order, model.tokenizer, cfg.max_seq) for order in ORDERS]
+        logits = forward_pooled_batch(model.weights, cfg, _both_orders(insts, pair)).data
+        option_logits = [(float(row[0]), float(row[1])) for row in logits]
     elif cfg.head_kind == HEAD_TOKEN:
         ex = build_token_level(pair, template, model.tokenizer, cfg.max_seq)
         chosen = _span_mean(forward_token_labels(model.weights, cfg, ex.chosen_ids), ex.chosen_span)

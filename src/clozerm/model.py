@@ -153,25 +153,36 @@ def _check_ids(config, ids: np.ndarray) -> None:
         raise IndexError(f"token id out of range for vocabulary of {config.vocab_size}")
 
 
-def encode_batch(weights, config: ModelConfig, ids: np.ndarray) -> Tensor:
+def encode_batch(weights, config: ModelConfig, ids: np.ndarray, query=None) -> Tensor:
     """Run the encoder stack on [batch, seq] ids; returns [batch*seq, hidden]
-    final hidden states (after the final layer norm)."""
+    final hidden states (after the final layer norm).
+
+    With query, an int array [batch] of positions, returns only each
+    sequence's hidden state at its query position, [batch, hidden]: the last
+    layer computes attention queries, FFN and final layer norm at those rows
+    alone, since nothing else reads the other rows."""
     ids = np.asarray(ids, dtype=np.int64)
     _check_ids(config, ids)
     batch, seq = ids.shape
+    if query is not None:
+        query = np.asarray(query, dtype=np.int64)
+        if query.shape != (batch,) or (query < 0).any() or (query >= seq).any():
+            raise ContractError("query must hold one position inside each sequence")
 
     positions = np.tile(np.arange(seq, dtype=np.int64), batch)
     x = add(
         gather_rows(_get(weights, "tok_emb"), ids.reshape(-1)),
         gather_rows(_get(weights, "pos_emb"), positions),
     )
+    if query is not None and config.n_layers == 0:
+        x = gather_rows(x, np.arange(batch, dtype=np.int64) * seq + query)
 
     for i in range(config.n_layers):
         p = f"layer{i}."
         a = layer_norm(x, _get(weights, p + "ln1.gain"), _get(weights, p + "ln1.bias"))
         x = residual_attention(
             x, a, *(_get(weights, p + w) for w in ("wq", "wk", "wv", "wo")),
-            seq, config.n_heads,
+            seq, config.n_heads, query=query if i == config.n_layers - 1 else None,
         )
         b = layer_norm(x, _get(weights, p + "ln2.gain"), _get(weights, p + "ln2.bias"))
         x = residual_ffn(x, b, _get(weights, p + "w1"), _get(weights, p + "w2"))
@@ -196,9 +207,7 @@ def forward_mlm_batch(weights, config: ModelConfig, ids: np.ndarray, mask_positi
         raise ContractError("mask position outside the sequence")
     if (ids[np.arange(batch), pos] != MASK_ID).any():
         raise ContractError("mask position does not hold the mask token")
-    hidden = encode_batch(weights, config, ids)
-    rows = gather_rows(hidden, np.arange(batch, dtype=np.int64) * seq + pos)
-    return _head(weights, rows)
+    return _head(weights, encode_batch(weights, config, ids, query=pos))
 
 
 def forward_mlm(weights, config: ModelConfig, token_ids, mask_position: int) -> Tensor:
@@ -214,12 +223,12 @@ def forward_pooled_batch(weights, config: ModelConfig, ids: np.ndarray) -> Tenso
         raise ContractError(f"forward_pooled requires the pooled-classifier head, got {config.head_kind}")
     ids = np.asarray(ids, dtype=np.int64)
     batch, seq = ids.shape
-    hidden = encode_batch(weights, config, ids)
     if config.pooling == "cls":
         if (ids[:, 0] != CLS_ID).any():
             raise ContractError("cls pooling requires sequences to start with the CLS token")
-        pooled = gather_rows(hidden, np.arange(batch, dtype=np.int64) * seq)
+        pooled = encode_batch(weights, config, ids, query=np.zeros(batch, dtype=np.int64))
     else:
+        hidden = encode_batch(weights, config, ids)
         pooled = tmean(reshape(hidden, (batch, seq, config.hidden)), axis=1)
     return _head(weights, pooled)
 

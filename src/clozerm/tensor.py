@@ -315,16 +315,23 @@ def _merge_heads(t, batch, seq, n_heads, fresh=False):
     return _move_heads(t, (batch, n_heads, seq, -1), (batch * seq, -1), fresh)
 
 
-def residual_attention(x, a, wq, wk, wv, wo, seq: int, n_heads: int) -> Tensor:
+def residual_attention(x, a, wq, wk, wv, wo, seq: int, n_heads: int, query=None) -> Tensor:
     """x + merge(softmax(q @ k^T / sqrt(head_dim)) @ v) @ wo as one tape op,
     where q, k and v are the head-split projections a @ wq, a @ wk and a @ wv;
     x and a are [batch*seq, hidden] and head_dim is hidden // n_heads.
 
-    The backward makes the NumPy calls that the unfused chain of matmul,
-    head split/merge, batched product, scale, softmax and residual add made
-    in reverse tape order: the residual gradient into x, then wo, the
-    attention core, and the projections v, k, q, each adding into a and then
-    into its weight. Gradients are therefore bit-identical to that chain's.
+    With query, an int array [batch] of positions, only the rows
+    rows = arange(batch)*seq + query are computed: q is projected from
+    a[rows] alone (k and v still from every row) and the result is
+    x[rows] + attn @ wo, shaped [batch, hidden]. The backward scatters the
+    gradients of x and of the q-side of a into those rows.
+
+    Without query the backward makes the NumPy calls that the unfused chain
+    of matmul, head split/merge, batched product, scale, softmax and residual
+    add made in reverse tape order: the residual gradient into x, then wo,
+    the attention core, and the projections v, k, q, each adding into a and
+    then into its weight. Gradients are therefore bit-identical to that
+    chain's.
     """
     x, a, wq, wk, wv, wo = (_as_tensor(t) for t in (x, a, wq, wk, wv, wo))
     h = x.shape[-1] if x.ndim else 0
@@ -342,22 +349,43 @@ def residual_attention(x, a, wq, wk, wv, wo, seq: int, n_heads: int) -> Tensor:
             f" weights do not fit seq {seq} and {n_heads} heads"
         )
     batch = x.shape[0] // seq
-    q, k, v = (_split_heads(a.data @ w.data, batch, seq, n_heads) for w in (wq, wk, wv))
+    if query is None:
+        n_q, x_q, a_q = seq, x.data, a.data
+    else:
+        query = np.asarray(query, dtype=np.int64)
+        if query.shape != (batch,):
+            raise ShapeError(f"residual_attention: query must have shape ({batch},), got {query.shape}")
+        if batch and (query.min() < 0 or query.max() >= seq):
+            raise IndexError(f"residual_attention: query position outside a sequence of {seq}")
+        rows = np.arange(batch, dtype=np.int64) * seq + query
+        n_q, x_q, a_q = 1, x.data[rows], a.data[rows]
+
+    def scatter(d):
+        """A [batch, hidden] gradient of the query rows as a gradient of
+        every row; the rows are distinct, so assignment suffices."""
+        if query is None:
+            return d
+        full = np.zeros((x.shape[0], h), dtype=d.dtype)
+        full[rows] = d
+        return full
+
+    q = _split_heads(a_q @ wq.data, batch, n_q, n_heads)
+    k, v = (_split_heads(a.data @ w.data, batch, seq, n_heads) for w in (wk, wv))
     kt = k.transpose(0, 2, 1)
     s = q @ kt
     scale = np.asarray(1.0 / math.sqrt(h // n_heads), dtype=s.dtype)
     s = s * scale
     e = np.exp(s - np.maximum.reduce(s, axis=-1, keepdims=True))
     p = e / np.add.reduce(e, axis=-1, keepdims=True)
-    ctx = _merge_heads(p @ v, batch, seq, n_heads)
-    data = x.data + ctx @ wo.data
+    ctx = _merge_heads(p @ v, batch, n_q, n_heads)
+    data = x_q + ctx @ wo.data
 
     def _bwd(g):
         if x.requires_grad:
-            x._accum(g)
+            x._accum(scatter(g))
         need_q, need_k, need_v = (a.requires_grad or w.requires_grad for w in (wq, wk, wv))
         if need_q or need_k or need_v:
-            d_ctx = _split_heads(g @ wo.data.T, batch, seq, n_heads, fresh=True)
+            d_ctx = _split_heads(g @ wo.data.T, batch, n_q, n_heads, fresh=True)
         if wo.requires_grad:
             wo._accum(ctx.T @ g)
         d_q = d_k = d_v = None
@@ -370,13 +398,14 @@ def residual_attention(x, a, wq, wk, wv, wo, seq: int, n_heads: int) -> Tensor:
                 d_k = (q.swapaxes(-1, -2) @ d_s).swapaxes(-1, -2)
         if need_v:
             d_v = p.swapaxes(-1, -2) @ d_ctx
-        for w, d in ((wv, d_v), (wk, d_k), (wq, d_q)):
+        for w, d, a_in, q_side in ((wv, d_v, a.data, False), (wk, d_k, a.data, False), (wq, d_q, a_q, True)):
             if d is not None:
-                d = _merge_heads(d, batch, seq, n_heads, fresh=True)
+                d = _merge_heads(d, batch, n_q if q_side else seq, n_heads, fresh=True)
                 if a.requires_grad:
-                    a._accum(d @ w.data.T)
+                    d_a = d @ w.data.T
+                    a._accum(scatter(d_a) if q_side else d_a)
                 if w.requires_grad:
-                    w._accum(a.data.T @ d)
+                    w._accum(a_in.T @ d)
 
     return _op(data, data.dtype, (x, a, wq, wk, wv, wo), _bwd)
 
@@ -450,7 +479,7 @@ def dora_weight(w0, a, b, m) -> Tensor:
     # The add of the transposed view gives a C-ordered V, so the row sums
     # below reduce in the same order as on a transposed copy.
     v = w0.T + b.data @ a.data
-    sum_sq = np.sum(v * v, axis=1, keepdims=True)
+    sum_sq = np.add.reduce(v * v, axis=1, keepdims=True)
     norm = np.sqrt(np.maximum(sum_sq, np.asarray(lo, dtype=sum_sq.dtype)))
     direction = v / norm
     m_col = m.data.reshape(-1, 1)
@@ -459,12 +488,12 @@ def dora_weight(w0, a, b, m) -> Tensor:
     def _bwd(g):
         g = g.T  # C-ordered: Tensor._accum lays g out like the F-ordered output
         if m.requires_grad:
-            m._accum(np.sum(g * direction, axis=1))
+            m._accum(np.add.reduce(g * direction, axis=1))
         if not (a.requires_grad or b.requires_grad):
             return
         d_dir = g * m_col
         d_v = d_dir / norm
-        d_norm = np.sum(-d_dir * direction / norm, axis=1, keepdims=True)
+        d_norm = np.add.reduce(-d_dir * direction / norm, axis=1, keepdims=True)
         d_sum_sq = d_norm * 0.5 / norm * (sum_sq > lo)
         d_sq = d_sum_sq * v
         d_v += d_sq  # twice, not 2 * d_sq: the chain's mul(V, V) added two terms
@@ -488,9 +517,9 @@ def cross_entropy_rows(logits, golds) -> Tensor:
         raise ShapeError(f"cross_entropy_rows: golds must have shape ({n},)")
     if idx.size and (idx.min() < 0 or idx.max() >= v):
         raise IndexError(f"gold id out of range for vocabulary of {v}")
-    m = np.max(logits.data, axis=1, keepdims=True)
+    m = np.maximum.reduce(logits.data, axis=1, keepdims=True)
     z = logits.data - m
-    lse = m[:, 0] + np.log(np.sum(np.exp(z), axis=1))
+    lse = m[:, 0] + np.log(np.add.reduce(np.exp(z), axis=1))
 
     def _bwd(g):
         e = np.exp(z)

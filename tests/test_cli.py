@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: exit codes, artifacts, golden help."""
 
+import csv
 import json
 import os
 import pathlib
@@ -14,6 +15,7 @@ from clozerm.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from clozerm.cli import run
 from clozerm.data import (
     DOMAIN_PREFIXES,
+    PREFIX_POOL,
     SYNTH_TASKS,
     ClozeTemplate,
     load_jsonl,
@@ -382,6 +384,20 @@ def test_sweep_writes_ranked_csv_deterministically(tmp_path, corpus, capsys):
     assert lines[0].startswith("trial,learning_rate,dora_rank")
     assert len(lines) == 3
     assert "best: trial" in capsys.readouterr().out
+
+
+def test_sweep_prefix_flag_sets_every_trial_prefix(tmp_path, corpus):
+    argv = ["sweep", "--data", str(corpus), "--trials", "4", "--ranks", "0", "--seed", "4",
+            *FLAT[:-2]]
+    prefixes = {}
+    for name, extra in (("given", ["--prefix", "Solve:"]), ("drawn", [])):
+        out = tmp_path / f"{name}.csv"
+        assert run(argv + extra + ["--out", str(out)]) == 0
+        rows = list(csv.DictReader(out.read_text().splitlines()))
+        assert len(rows) == 4
+        prefixes[name] = {row["prefix"] for row in rows}
+    assert prefixes["given"] == {"Solve:"}
+    assert prefixes["drawn"] <= set(PREFIX_POOL)
 
 
 def test_compare_reports_three_objectives(tmp_path, corpus, capsys):

@@ -4,21 +4,27 @@ CSV emission, and the three-objective comparison."""
 import json
 import math
 
+import clozerm.evaluation
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from clozerm.checkpoint import Checkpoint
 from clozerm.data import (
     DOMAIN_PREFIXES,
+    ORDER_SWAPPED,
     ORDERS,
     ClozeTemplate,
     PreferencePair,
     build_cloze,
+    build_pooled,
     build_token_level,
     build_tokenizer,
     synth_generate,
 )
-from clozerm.errors import CheckpointError, ConfigError, ContractError, DivergenceError
+from clozerm.errors import CheckpointError, ConfigError, ContractError, DivergenceError, SkipRecord
 from clozerm.evaluation import (
     EvalModel,
     TIE_EPS,
@@ -132,6 +138,59 @@ def test_non_finite_option_logits_raise_divergence(objective):
         score_pair(model, PAIRS[0])
     with pytest.raises(DivergenceError, match="non-finite"):
         eval_dataset(model, PAIRS)
+
+
+@pytest.mark.parametrize("objective,forwards", [("cloze", 1), ("pooled", 1), ("token-level", 2)])
+def test_score_pair_forwards_per_pair(objective, forwards, monkeypatch):
+    model = make_model(objective=objective, seed=3)
+    calls = []
+    for name in ("forward_mlm_batch", "forward_pooled_batch", "forward_token_labels"):
+        original = getattr(clozerm.evaluation, name)
+        monkeypatch.setattr(clozerm.evaluation, name, lambda *a, _f=original: calls.append(1) or _f(*a))
+    for pair in PAIRS:
+        score_pair(model, pair)
+    assert len(calls) == forwards * len(PAIRS)
+
+
+WORDS = st.lists(st.sampled_from(["2", "+", "3", "=", "5", "the", "answer", "is", "no"]), min_size=1, max_size=30)
+
+
+# Both orders hold the same segments with the option slots swapped, so one
+# forward can score them: their renders have equal length, and a pair that
+# does not fit max_seq is skipped in both orders. The example truncates both
+# options to fit.
+@settings(max_examples=60, deadline=None)
+@given(prompt=WORDS, a=WORDS, b=WORDS, max_seq=st.integers(4, 64))
+@example(prompt=["2", "+", "3"], a=["the"] * 30, b=["no"] * 25, max_seq=40)
+def test_both_orders_render_to_equal_length(prompt, a, b, max_seq):
+    if a == b:
+        return
+    pair = PreferencePair("p", " ".join(prompt), " ".join(a), " ".join(b), "reasoning")
+    tokenizer = make_model().tokenizer
+    for build in (build_cloze, build_pooled):
+        lengths = []
+        for order in ORDERS:
+            try:
+                lengths.append(len(build(pair, TEMPLATE, order, tokenizer, max_seq).token_ids))
+            except SkipRecord:
+                lengths.append("skipped")
+        assert lengths[0] == lengths[1]
+        assert lengths[0] == "skipped" or lengths[0] <= max_seq
+
+
+@pytest.mark.parametrize("objective,builder", [("cloze", "build_cloze"), ("pooled", "build_pooled")])
+def test_score_pair_rejects_orders_of_unequal_length(objective, builder, monkeypatch):
+    original = getattr(clozerm.evaluation, builder)
+
+    def longer_swapped(pair, template, order, tokenizer, max_seq):
+        inst = original(pair, template, order, tokenizer, max_seq)
+        if order == ORDER_SWAPPED:
+            inst.token_ids = inst.token_ids + [inst.token_ids[-1]]
+        return inst
+
+    monkeypatch.setattr(clozerm.evaluation, builder, longer_swapped)
+    with pytest.raises(ContractError, match="render to lengths"):
+        score_pair(make_model(objective=objective, seed=3), PAIRS[0])
 
 
 def test_score_pair_token_head_swapped_trial_mirrors_original():

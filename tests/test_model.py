@@ -11,9 +11,11 @@ from clozerm.model import (
     HEAD_TOKEN,
     ModelConfig,
     count_params,
+    encode_batch,
     forward_mlm,
     forward_mlm_batch,
     forward_pooled,
+    forward_pooled_batch,
     forward_token_labels,
     init_weights,
     manifest,
@@ -213,6 +215,42 @@ def test_batch_forward_matches_per_example():
     for row in range(3):
         single = forward_mlm(weights, config, list(ids[row]), 2).data
         assert np.abs(batch[row] - single).max() < 1e-6
+
+
+@pytest.mark.parametrize("n_layers", [0, 2])
+def test_encode_batch_at_query_rows_matches_gather_after_full(n_layers):
+    config = mlm_config(n_layers=n_layers, hidden=8, n_heads=2)
+    weights = init_weights(config, seed=6)
+    ids = np.random.default_rng(6).integers(0, config.vocab_size, size=(3, 6))
+    query = np.array([0, 5, 2])
+    full = encode_batch(weights, config, ids).data
+    got = encode_batch(weights, config, ids, query=query).data
+    assert got.shape == (3, config.hidden)
+    assert np.abs(got - full[np.arange(3) * 6 + query]).max() < 1e-6
+
+
+def test_encode_batch_rejects_query_outside_a_sequence():
+    config = mlm_config()
+    weights = init_weights(config, seed=0)
+    ids = np.full((2, 4), 6)
+    for query in ([0, 4], [-1, 0], [0, 1, 2]):
+        with pytest.raises(ContractError, match="query"):
+            encode_batch(weights, config, ids, query=query)
+
+
+def test_cls_and_mean_pooling_give_one_row_per_sequence():
+    cls_cfg = mlm_config(head_kind=HEAD_POOLED, pooling="cls", hidden=8, n_heads=2)
+    mean_cfg = mlm_config(head_kind=HEAD_POOLED, pooling="mean", hidden=8, n_heads=2)
+    weights = init_weights(cls_cfg, seed=3)
+    ids = [[CLS_ID, 6, 7, 8, 9], [CLS_ID, 9, 4, 6, 7]]
+    got_cls = forward_pooled_batch(weights, cls_cfg, ids).data
+    got_mean = forward_pooled_batch(weights, mean_cfg, ids).data
+    assert got_cls.shape == got_mean.shape == (2, 2)
+    hidden = encode_batch(weights, cls_cfg, ids).data
+    want_cls = hidden[[0, 5]] @ weights["head.w"] + weights["head.b"]
+    want_mean = hidden.reshape(2, 5, -1).mean(axis=1) @ weights["head.w"] + weights["head.b"]
+    assert np.abs(got_cls - want_cls).max() < 1e-5
+    assert np.abs(got_mean - want_mean).max() < 1e-5
 
 
 def test_serialization_round_trip_forward_bitwise():

@@ -140,6 +140,12 @@ def test_residual_attention_shape_error_names_the_shapes():
         residual_attention(x, x, w, w, w, w, 3, 3)  # 4 not divisible by 3
     with pytest.raises(ShapeError):
         residual_attention(x, x, w, t(np.zeros((4, 3))), w, w, 3, 2)
+    with pytest.raises(ShapeError, match=r"query must have shape \(2,\)"):
+        residual_attention(x, x, w, w, w, w, 3, 2, query=[0, 1, 2])
+    with pytest.raises(IndexError, match="query position"):
+        residual_attention(x, x, w, w, w, w, 3, 2, query=[0, 3])
+    with pytest.raises(IndexError, match="query position"):
+        residual_attention(x, x, w, w, w, w, 3, 2, query=[-1, 0])
 
 
 def test_residual_ffn_shape_error_names_the_shapes():
@@ -318,6 +324,16 @@ def _case_residual_attention(seed):
     return lambda *ts: tsum(mul(residual_attention(*ts, **ATTN_SHAPE), p)), arrays
 
 
+# The first row of the first sequence and the last row of the second.
+ATTN_QUERY = np.array([0, 2])
+
+
+def _case_residual_attention_query(seed):
+    _, arrays = _case_residual_attention(seed)
+    p = _proj((2, 4), seed)
+    return lambda *ts: tsum(mul(residual_attention(*ts, **ATTN_SHAPE, query=ATTN_QUERY), p)), arrays
+
+
 def _case_residual_ffn(seed):
     rng = np.random.default_rng(seed)
     arrays = [rng.normal(size=(3, 4)), rng.normal(size=(3, 4)), rng.normal(size=(4, 6)), rng.normal(size=(6, 4))]
@@ -405,6 +421,7 @@ GRAD_CASES = {
     "tmean": _case_tmean,
     "layer_norm": _case_layer_norm,
     "residual_attention": _case_residual_attention,
+    "residual_attention_query": _case_residual_attention_query,
     "residual_ffn": _case_residual_ffn,
     "dora_weight": _case_dora_weight,
     "gather_rows": _case_gather_rows,
@@ -449,6 +466,7 @@ SINGLE_OPS = {
     "tmean": lambda x: tmean(x, axis=1),
     "layer_norm": layer_norm,
     "residual_attention": lambda *ts: residual_attention(*ts, **ATTN_SHAPE),
+    "residual_attention_query": lambda *ts: residual_attention(*ts, **ATTN_SHAPE, query=ATTN_QUERY),
     "residual_ffn": residual_ffn,
     "dora_weight": lambda *ts: dora_weight(_dora_base(0), *ts),
     "bmm": bmm,
@@ -461,7 +479,8 @@ SINGLE_OPS = {
     "bce_with_logits": lambda x: bce_with_logits(x, [1.0, 0.0, 1.0, 1.0, 0.0, 0.0]),
 }
 MULTI_PARENT_OPS = (
-    "add", "mul", "div", "matmul", "bmm", "layer_norm", "residual_attention", "residual_ffn", "dora_weight",
+    "add", "mul", "div", "matmul", "bmm", "layer_norm", "residual_attention", "residual_attention_query",
+    "residual_ffn", "dora_weight",
 )
 
 
@@ -552,6 +571,23 @@ def test_residual_attention_is_bitwise_the_unfused_chain(batch, seq, n_heads, hi
     chain = _block_run(lambda *ts: unfused_attention(*ts, seq, n_heads), arrays, dtype)
     for got, want in zip(fused, chain):
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+# A batch of 3 whose query positions include the first and the last row of
+# a sequence, at a small shape and at the README widths.
+@pytest.mark.parametrize("seq,n_heads,hidden,query", [(5, 2, 4, [0, 4, 2]), (29, 8, 64, [28, 0, 13])])
+def test_residual_attention_query_equals_gather_after_full(seq, n_heads, hidden, query):
+    rng = np.random.default_rng(seq)
+    arrays = [rng.normal(size=(3 * seq, hidden)) for _ in range(2)]
+    arrays += [rng.normal(0.0, 0.3, size=(hidden, hidden)) for _ in range(4)]
+    rows = np.arange(3) * seq + np.asarray(query)
+    at_rows = _block_run(lambda *ts: residual_attention(*ts, seq, n_heads, query=query), arrays, np.float64)
+    gathered = _block_run(
+        lambda *ts: gather_rows(residual_attention(*ts, seq, n_heads), rows), arrays, np.float64
+    )
+    for got, want in zip(at_rows, gathered):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 
 
 @pytest.mark.parametrize("rows,hidden", [(29, 64), (5, 3)])

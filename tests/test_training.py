@@ -306,11 +306,11 @@ def test_loss_cloze_deterministic_bitwise():
     assert a == b
 
 
-def test_batch1_cloze_step_at_readme_shape_records_18_tape_ops():
-    # Per layer: layer_norm, residual_attention, layer_norm, residual_ffn.
-    # Around them: two embedding gathers and their add, the final layer
-    # norm, the mask-row gather, the head matmul and bias add, and the loss's
-    # cross entropy, sum and scale.
+def test_batch1_cloze_step_at_readme_shape_records_17_tape_ops():
+    # Per layer: layer_norm, residual_attention, layer_norm, residual_ffn;
+    # the last layer's attention computes only the mask row. Around them:
+    # two embedding gathers and their add, the final layer norm, the head
+    # matmul and bias add, and the loss's cross entropy, sum and scale.
     settings = ModelSettings(n_layers=2, hidden=64, n_heads=8, max_seq=64)
     wt, config, tok = build_model("cloze", PAIRS, settings=settings)
     for tensor in wt.values():
@@ -318,15 +318,16 @@ def test_batch1_cloze_step_at_readme_shape_records_18_tape_ops():
     inst = build_cloze(PAIRS[0], TEMPLATE, "original", tok, settings.max_seq)
     with Tape() as tape:
         loss = loss_cloze(wt, config, [inst])
-    assert len(tape) == 18
+    assert len(tape) == 17
     tape.backward(loss)
     assert all(tensor.grad is not None for tensor in wt.values())
 
 
-def test_dora_step_at_readme_shape_records_17_tape_ops():
+def test_dora_step_at_readme_shape_records_16_tape_ops():
     # With layer 0 and the embeddings frozen, the ops before layer 1 record
-    # nothing. Layer 1's four block ops and the seven of the head and loss
-    # remain, plus one dora_weight op per adapted matrix of layer 1.
+    # nothing. Layer 1's four block ops and the six of the final layer norm,
+    # head and loss remain, plus one dora_weight op per adapted matrix of
+    # layer 1.
     settings = ModelSettings(n_layers=2, hidden=64, n_heads=8, max_seq=64)
     wt, config, tok = build_model("cloze", PAIRS, settings=settings)
     weights = {name: tensor.data for name, tensor in wt.items()}
@@ -337,7 +338,7 @@ def test_dora_step_at_readme_shape_records_17_tape_ops():
     inst = build_cloze(PAIRS[0], TEMPLATE, "original", tok, settings.max_seq)
     with Tape() as tape:
         loss = loss_cloze(adapted_forward_weights(wt, adapters), config, [inst])
-    assert len(adapters) == 6 and len(tape) == 17
+    assert len(adapters) == 6 and len(tape) == 16
     tape.backward(loss)
     assert all(t.grad is not None for ad in adapters.values() for t in (ad.A, ad.B, ad.m))
 
