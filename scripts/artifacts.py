@@ -9,8 +9,12 @@ layer, continued from the README-shape checkpoint at batch 1 with clipping;
 rank 2 on wq and w2 only, from scratch at batch 3), each merged and
 evaluated before and after the merge, the average of the cloze and merged
 rank-4 checkpoints with its eval, an eval of the README-shape checkpoint
-under an overriding --prefix, a sweep and an objective comparison. Every file is deterministic, so `diff -r` between the outputs
-of two checkouts shows whether a refactor kept the artifacts byte-identical:
+under an overriding --prefix, evals of the three objectives' and the
+README-shape checkpoints on a 90-pair held-out set (30 single-length
+arithmetic pairs, so several full scoring chunks and a remainder), a sweep
+and an objective comparison. Every file is deterministic, so `diff -r`
+between the outputs of two checkouts shows whether a refactor kept the
+artifacts byte-identical:
 
     PYTHONPATH=src python3 scripts/artifacts.py OUTDIR
 
@@ -76,6 +80,14 @@ def main(argv=None):
     clozerm("eval", "--ckpt", average, "--data", heldout, "--out", out / "average.eval.json")
     clozerm("eval", "--ckpt", readme, "--data", heldout, "--prefix", "Which response is safer?",
             "--out", out / "readme.safer.eval.json")
+
+    wide = out / "wide-heldout.jsonl"
+    for task, seed in (("arithmetic", 5), ("refusal", 6), ("verbosity", 7)):
+        clozerm("synth", "--task", task, "--n", 30, "--seed", seed, "--out", out / f"wide-{task}.jsonl")
+    wide.write_text("".join((out / f"wide-{t}.jsonl").read_text()
+                            for t in ("arithmetic", "refusal", "verbosity")))
+    for name in ("cloze", "pooled", "token-level", "readme"):
+        clozerm("eval", "--ckpt", out / f"{name}.trm1", "--data", wide, "--out", out / f"{name}.wide.eval.json")
 
     clozerm("sweep", "--data", data, "--trials", 3, "--ranks", "0,4", "--frozen-max", 1,
             "--out", out / "sweep.csv", *SMALL)

@@ -23,6 +23,7 @@ from .data import (
     PreferencePair,
     TokenLevelExample,
     build_cloze,
+    build_orders,
     build_pooled,
     build_token_level,
     build_tokenizer,
@@ -56,6 +57,7 @@ from .evaluation import (
     overall,
     parse_tradeoff,
     score_pair,
+    score_pairs,
 )
 from .model import (
     ModelConfig,

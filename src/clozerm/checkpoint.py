@@ -11,8 +11,9 @@ Layout, all integers little-endian:
     config length in bytes              u32
     config JSON: {"model": {...}, "extra": {...}}
 
-Readers reject unknown versions, and base tensors whose names or shapes
-differ from the model config's manifest. Adapter tensors travel under
+Readers reject unknown versions, non-finite weights, bytes after the
+config block, and base tensors whose names or shapes differ from the model
+config's manifest. Adapter tensors travel under
 names prefixed "adapter." next to the base weights, with their rank and
 targets recorded in the config block; peft checks those.
 """
@@ -131,6 +132,8 @@ def load_checkpoint(path) -> Checkpoint:
         if offset < 0 or end > len(payload):
             raise CheckpointError(f"{path}: tensor {name} lies outside the payload")
         arr = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: tensor {name} holds non-finite values")
         tensors[name] = arr.astype(np.float32, copy=True).reshape(shape)
 
     try:
@@ -139,6 +142,8 @@ def load_checkpoint(path) -> Checkpoint:
         extra = cfg.get("extra", {})
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise CheckpointError(f"{path}: malformed config block: {exc}") from exc
+    if r.pos != len(blob):
+        raise CheckpointError(f"{path}: {len(blob) - r.pos} trailing bytes after the config block")
 
     expected = dict(manifest(config))
     for name in tensors:

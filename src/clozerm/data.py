@@ -201,38 +201,45 @@ def _assemble(segments, max_seq: int, record_id: str, body_kinds):
     return ids, spans
 
 
-def _ordered_options(pair: PreferencePair, order: str):
-    if order == ORDER_ORIGINAL:
-        return pair.chosen, pair.rejected
-    if order == ORDER_SWAPPED:
-        return pair.rejected, pair.chosen
-    raise ConfigError(f"unknown order {order!r}")
+_SWAP_SLOTS = {"a": "b", "b": "a"}
+
+
+def build_orders(pair, template: ClozeTemplate, tokenizer: Tokenizer, max_seq: int,
+                 orders=ORDERS, pooled: bool = False) -> list:
+    """Render one pair in each of the given orders, from one encoding of its
+    segments: a ClozeInstance per order, or a PooledInstance with pooled set.
+
+    order 'original' puts the chosen response at Option 1 (cloze gold
+    verbalizer "1", pooled class 0); 'swapped' holds the same segments with
+    the option slots swapped (gold "2", class 1). The pooled rendering is
+    the cloze scaffold minus the preference statement.
+    """
+    for order in orders:
+        if order not in ORDERS:
+            raise ConfigError(f"unknown order {order!r}")
+    values = {"prefix": template.prefix_for(pair.domain), "x": pair.prompt, "a": pair.chosen, "b": pair.rejected}
+    segments = _encode_segments(_POOLED_PARTS if pooled else _CLOZE_PARTS, values, tokenizer)
+    slots = dict(segments)
+    swapped = [(kind, slots[_SWAP_SLOTS[kind]] if kind in _SWAP_SLOTS else ids) for kind, ids in segments]
+    out = []
+    for order in orders:
+        original = order == ORDER_ORIGINAL
+        ids, spans = _assemble(segments if original else swapped, max_seq, pair.id, body_kinds=("a", "b"))
+        if pooled:
+            out.append(PooledInstance(ids, 0 if original else 1, order, pair.id))
+        else:
+            out.append(ClozeInstance(ids, spans["mask"][0], VERB1_ID if original else VERB2_ID, order, pair.id))
+    return out
 
 
 def build_cloze(pair, template: ClozeTemplate, order: str, tokenizer: Tokenizer, max_seq: int) -> ClozeInstance:
-    """Render one pair into a masked cloze instance.
-
-    order 'original' puts the chosen response at Option 1 (gold verbalizer
-    "1"); 'swapped' puts the rejected response there (gold "2").
-    """
-    a, b = _ordered_options(pair, order)
-    values = {"prefix": template.prefix_for(pair.domain), "x": pair.prompt, "a": a, "b": b}
-    segments = _encode_segments(_CLOZE_PARTS, values, tokenizer)
-    ids, spans = _assemble(segments, max_seq, pair.id, body_kinds=("a", "b"))
-    mask_position = spans["mask"][0]
-    gold = VERB1_ID if order == ORDER_ORIGINAL else VERB2_ID
-    return ClozeInstance(ids, mask_position, gold, order, pair.id)
+    """Render one pair into a masked cloze instance in one order."""
+    return build_orders(pair, template, tokenizer, max_seq, orders=(order,))[0]
 
 
 def build_pooled(pair, template: ClozeTemplate, order: str, tokenizer: Tokenizer, max_seq: int) -> PooledInstance:
-    """Same scaffold as the cloze rendering minus the preference statement;
-    class 0 means Option 1 is the better response."""
-    a, b = _ordered_options(pair, order)
-    values = {"prefix": template.prefix_for(pair.domain), "x": pair.prompt, "a": a, "b": b}
-    segments = _encode_segments(_POOLED_PARTS, values, tokenizer)
-    ids, _ = _assemble(segments, max_seq, pair.id, body_kinds=("a", "b"))
-    label = 0 if order == ORDER_ORIGINAL else 1
-    return PooledInstance(ids, label, order, pair.id)
+    """Render one pair into a pooled-classifier instance in one order."""
+    return build_orders(pair, template, tokenizer, max_seq, orders=(order,), pooled=True)[0]
 
 
 def build_token_level(pair, template: ClozeTemplate, tokenizer: Tokenizer, max_seq: int) -> TokenLevelExample:

@@ -21,8 +21,7 @@ from .data import (
     ORDERS,
     ORDER_ORIGINAL,
     ClozeTemplate,
-    build_cloze,
-    build_pooled,
+    build_orders,
     build_token_level,
 )
 from .errors import ConfigError, ContractError, DivergenceError, SkipRecord
@@ -33,13 +32,17 @@ from .model import (
     count_params,
     forward_mlm_batch,
     forward_pooled_batch,
-    forward_token_labels,
+    forward_token_batch,
 )
 from .peft import merge_checkpoint
-from .tensor import Tensor
 from .tokenizer import VERB1_ID, VERB2_ID, Tokenizer
 
 TIE_EPS = 1e-9
+
+# Pairs scored per forward. At the README width a pair's forward is largely
+# fixed per-call cost; on a 2-core VM four pairs of one length per forward
+# beat eight and sixteen, and larger stacks took more page faults.
+GROUP_PAIRS = 4
 
 
 @dataclass
@@ -112,63 +115,99 @@ def _predict(p1: float, p2: float) -> str:
     return "1" if p1 > p2 else "2"
 
 
-def _span_mean(scores: Tensor, span) -> float:
+def _span_mean(scores: np.ndarray, span) -> float:
     start, end = span
     if end <= start:
         raise ContractError("empty response span")
-    return float(np.asarray(scores.data, dtype=np.float64)[start:end].mean())
+    return float(np.asarray(scores, dtype=np.float64)[start:end].mean())
 
 
-def _both_orders(instances, pair) -> np.ndarray:
-    """The [2, seq] ids of a pair's two renders, scored in one forward. The
+def _render(model: EvalModel, pair) -> list:
+    """The pair's two rows as (token ids, what the head reads there): the
+    two orders with their mask positions (mlm) or None (pooled), or the
+    chosen and the rejected response with their spans (token head). The
     orders hold the same segments with the option slots swapped, so they
     render to equal length."""
-    lengths = [len(inst.token_ids) for inst in instances]
+    cfg = model.config
+    if cfg.head_kind == HEAD_TOKEN:
+        ex = build_token_level(pair, model.template, model.tokenizer, cfg.max_seq)
+        return [(ex.chosen_ids, ex.chosen_span), (ex.rejected_ids, ex.rejected_span)]
+    if cfg.head_kind not in (HEAD_MLM, HEAD_POOLED):
+        raise ContractError(f"unknown head kind {cfg.head_kind!r}")
+    pooled = cfg.head_kind == HEAD_POOLED
+    insts = build_orders(pair, model.template, model.tokenizer, cfg.max_seq, pooled=pooled)
+    lengths = [len(inst.token_ids) for inst in insts]
     if lengths[0] != lengths[1]:
         raise ContractError(f"the two orders of pair {pair.id!r} render to lengths {lengths}")
-    return np.asarray([inst.token_ids for inst in instances], dtype=np.int64)
+    return [(inst.token_ids, None if pooled else inst.mask_position) for inst in insts]
 
 
-def score_pair(model: EvalModel, pair) -> list:
-    """The pair's two TrialRecords, in ORDERS order, rendered with the
-    model's template.
+def _score_rows(model: EvalModel, rows) -> list:
+    """One forward over equal-length rows: per row the two verbalizer
+    logits at the mask (mlm), the two class logits (pooled), or the mean
+    score over the response span (token head)."""
+    cfg = model.config
+    ids = np.asarray([row_ids for row_ids, _ in rows], dtype=np.int64)
+    if cfg.head_kind == HEAD_MLM:
+        logits = forward_mlm_batch(model.weights, cfg, ids, [read for _, read in rows]).data
+        return [(float(row[VERB1_ID]), float(row[VERB2_ID])) for row in logits]
+    if cfg.head_kind == HEAD_POOLED:
+        logits = forward_pooled_batch(model.weights, cfg, ids).data
+        return [(float(row[0]), float(row[1])) for row in logits]
+    scores = forward_token_batch(model.weights, cfg, ids).data
+    return [_span_mean(row, span) for row, (_, span) in zip(scores, rows)]
+
+
+def score_pairs(model: EvalModel, pairs, skipped=None) -> list:
+    """The two TrialRecords of each pair, in input order and ORDERS order,
+    rendered with the model's template.
 
     Each head reduces an order to one logit per option slot: mlm takes the
     full-vocab logits at the mask for the two verbalizer tokens, pooled its
     two class logits (class 0 means Option 1 is the better response), and
     the token head the mean span scores of the chosen and rejected
-    responses, swapped for the second order. The mlm and pooled heads score
-    both orders in one forward; the token head runs one per response, since
-    the two differ in length. A two-way softmax over those logits gives p1
-    and p2. A non-finite option logit raises DivergenceError instead of
-    being scored.
+    responses, swapped for the second order. A two-way softmax over those
+    logits gives p1 and p2. A non-finite option logit raises
+    DivergenceError naming the pair instead of being scored.
+
+    Rows of one length are stacked into forwards of up to GROUP_PAIRS pairs'
+    rows each, lengths in first-seen order. A pair whose options cannot fit
+    max_seq raises SkipRecord, or, given a skipped list, is appended to it
+    and left out.
     """
-    template = model.template
-    cfg = model.config
-    if cfg.head_kind == HEAD_MLM:
-        insts = [build_cloze(pair, template, order, model.tokenizer, cfg.max_seq) for order in ORDERS]
-        positions = [inst.mask_position for inst in insts]
-        logits = forward_mlm_batch(model.weights, cfg, _both_orders(insts, pair), positions).data
-        option_logits = [(float(row[VERB1_ID]), float(row[VERB2_ID])) for row in logits]
-    elif cfg.head_kind == HEAD_POOLED:
-        insts = [build_pooled(pair, template, order, model.tokenizer, cfg.max_seq) for order in ORDERS]
-        logits = forward_pooled_batch(model.weights, cfg, _both_orders(insts, pair)).data
-        option_logits = [(float(row[0]), float(row[1])) for row in logits]
-    elif cfg.head_kind == HEAD_TOKEN:
-        ex = build_token_level(pair, template, model.tokenizer, cfg.max_seq)
-        chosen = _span_mean(forward_token_labels(model.weights, cfg, ex.chosen_ids), ex.chosen_span)
-        rejected = _span_mean(forward_token_labels(model.weights, cfg, ex.rejected_ids), ex.rejected_span)
-        option_logits = [(chosen, rejected), (rejected, chosen)]
-    else:
-        raise ContractError(f"unknown head kind {cfg.head_kind!r}")
-    if not all(math.isfinite(v) for logits in option_logits for v in logits):
-        raise DivergenceError(f"non-finite option logits {option_logits} for pair {pair.id!r}")
+    rendered = []
+    for pair in pairs:
+        try:
+            rendered.append((pair, _render(model, pair)))
+        except SkipRecord:
+            if skipped is None:
+                raise
+            skipped.append(pair)
+    by_length = {}
+    for i, (_, rows) in enumerate(rendered):
+        for j, (ids, _) in enumerate(rows):
+            by_length.setdefault(len(ids), []).append((i, j))
+    values = [[None, None] for _ in rendered]
+    for keys in by_length.values():
+        for lo in range(0, len(keys), 2 * GROUP_PAIRS):
+            chunk = keys[lo : lo + 2 * GROUP_PAIRS]
+            for (i, j), value in zip(chunk, _score_rows(model, [rendered[i][1][j] for i, j in chunk])):
+                values[i][j] = value
     trials = []
-    for order, (l1, l2) in zip(ORDERS, option_logits):
-        p1, p2 = _two_way(l1, l2)
-        gold = "1" if order == ORDER_ORIGINAL else "2"
-        trials.append(TrialRecord(pair.id, pair.domain, order, p1, p2, _predict(p1, p2), gold))
+    for (pair, _), (first, second) in zip(rendered, values):
+        option_logits = [(first, second), (second, first)] if model.config.head_kind == HEAD_TOKEN else [first, second]
+        if not all(math.isfinite(v) for logits in option_logits for v in logits):
+            raise DivergenceError(f"non-finite option logits {option_logits} for pair {pair.id!r}")
+        for order, (l1, l2) in zip(ORDERS, option_logits):
+            p1, p2 = _two_way(l1, l2)
+            gold = "1" if order == ORDER_ORIGINAL else "2"
+            trials.append(TrialRecord(pair.id, pair.domain, order, p1, p2, _predict(p1, p2), gold))
     return trials
+
+
+def score_pair(model: EvalModel, pair) -> list:
+    """The pair's two TrialRecords, as score_pairs gives them."""
+    return score_pairs(model, [pair])
 
 
 def _credit(trial: TrialRecord) -> float:
@@ -222,18 +261,13 @@ def eval_dataset(model: EvalModel, pairs) -> EvalReport:
     pairs = list(pairs)
     if not pairs:
         raise ContractError("evaluation dataset is empty")
-    trials = []
-    n_skipped = 0
-    for pair in pairs:
-        try:
-            trials.extend(score_pair(model, pair))
-        except SkipRecord:
-            n_skipped += 1
+    skipped = []
+    trials = score_pairs(model, pairs, skipped)
     if not trials:
         raise ContractError("every evaluation pair was skipped")
     cfg = model.config
     gflops = flops_per_token(count_params(cfg), cfg.n_layers, cfg.hidden) / 1e9
-    return aggregate_trials(trials, gflops_per_token=gflops, n_skipped=n_skipped)
+    return aggregate_trials(trials, gflops_per_token=gflops, n_skipped=len(skipped))
 
 
 def aggregate_chat(sub_scores) -> float:

@@ -273,11 +273,15 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
         raise ContractError("layer_norm: eps must be positive")
     # add.reduce / h, not np.mean: the same bits (a float64 quotient rounded
     # to float32 is the correctly rounded float32 quotient) without the
-    # wrapper's overhead.
+    # wrapper's overhead. x - mu is computed once and scaled into xhat in
+    # place, and its square is xhat * xhat, the bits of NumPy's xhat**2.
     mu = np.add.reduce(x.data, axis=-1, keepdims=True) / h
-    var = np.add.reduce((x.data - mu) ** 2, axis=-1, keepdims=True) / h
+    xhat = x.data - mu
+    var = np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / h
     inv_std = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
-    xhat = (x.data - mu) * inv_std
+    xhat *= inv_std
+    out = xhat * gain.data
+    out += bias.data
 
     def _bwd(g):
         lead_axes = tuple(range(x.ndim - 1))
@@ -286,12 +290,18 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
         if bias.requires_grad:
             bias._accum(np.add.reduce(g, axis=lead_axes))
         if x.requires_grad:
+            # inv_std * (dxhat - m1 - xhat * m2), step by step in place.
             dxhat = g * gain.data
             m1 = np.add.reduce(dxhat, axis=-1, keepdims=True) / h
-            m2 = np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / h
-            x._accum(inv_std * (dxhat - m1 - xhat * m2))
+            t = dxhat * xhat
+            m2 = np.add.reduce(t, axis=-1, keepdims=True) / h
+            np.multiply(xhat, m2, out=t)
+            dxhat -= m1
+            dxhat -= t
+            dxhat *= inv_std
+            x._accum(dxhat)
 
-    return _op(xhat * gain.data + bias.data, x.dtype, (x, gain, bias), _bwd)
+    return _op(out, x.dtype, (x, gain, bias), _bwd)
 
 
 def _move_heads(t, split, shape, fresh):
@@ -372,13 +382,20 @@ def residual_attention(x, a, wq, wk, wv, wo, seq: int, n_heads: int, query=None)
     q = _split_heads(a_q @ wq.data, batch, n_q, n_heads)
     k, v = (_split_heads(a.data @ w.data, batch, seq, n_heads) for w in (wk, wv))
     kt = k.transpose(0, 2, 1)
-    s = q @ kt
-    scale = np.asarray(1.0 / math.sqrt(h // n_heads), dtype=s.dtype)
-    s = s * scale
-    e = np.exp(s - np.maximum.reduce(s, axis=-1, keepdims=True))
-    p = e / np.add.reduce(e, axis=-1, keepdims=True)
+    # The scores are scaled, shifted, exponentiated and normalised in place.
+    # The row maxima are taken down the columns of a transposed copy of all
+    # score rows: a maximum is exact in any order, and a last-axis reduction
+    # over many short rows is slow.
+    p = q @ kt
+    scale = np.asarray(1.0 / math.sqrt(h // n_heads), dtype=p.dtype)
+    p *= scale
+    row_max = np.maximum.reduce(np.ascontiguousarray(p.reshape(-1, p.shape[-1]).T), axis=0)
+    p -= row_max.reshape(*p.shape[:-1], 1)
+    np.exp(p, out=p)
+    p /= np.add.reduce(p, axis=-1, keepdims=True)
     ctx = _merge_heads(p @ v, batch, n_q, n_heads)
-    data = x_q + ctx @ wo.data
+    data = ctx @ wo.data
+    data += x_q
 
     def _bwd(g):
         if x.requires_grad:
@@ -390,8 +407,11 @@ def residual_attention(x, a, wq, wk, wv, wo, seq: int, n_heads: int, query=None)
             wo._accum(ctx.T @ g)
         d_q = d_k = d_v = None
         if need_q or need_k:
-            d_p = d_ctx @ v.swapaxes(-1, -2)
-            d_s = (d_p - np.add.reduce(d_p * p, axis=-1, keepdims=True)) * p * scale
+            # (d_p - rowsum(d_p * p)) * p * scale, step by step in place.
+            d_s = d_ctx @ v.swapaxes(-1, -2)
+            d_s -= np.add.reduce(d_s * p, axis=-1, keepdims=True)
+            d_s *= p
+            d_s *= scale
             if need_q:
                 d_q = d_s @ kt.swapaxes(-1, -2)
             if need_k:
@@ -432,10 +452,20 @@ def residual_ffn(x, b, w1, w2) -> Tensor:
         )
     z = b.data @ w1.data
     c = np.asarray(_GELU_C, dtype=z.dtype)
-    # z * z * z, not z**3: NumPy's float32 cube is a slow pow() per element.
-    t = np.tanh(c * (z + np.asarray(0.044715, dtype=z.dtype) * (z * z * z)))
-    act = 0.5 * z * (1.0 + t)
-    data = x.data + act @ w2.data
+    # tanh(c * (z + 0.044715 * z*z*z)) and 0.5 * z * (1 + t), each step in
+    # place in the order of the expression (products and sums commute
+    # exactly). z * z * z, not z**3: NumPy's float32 cube is a slow pow()
+    # per element.
+    t = z * z
+    t *= z
+    t *= np.asarray(0.044715, dtype=z.dtype)
+    t += z
+    t *= c
+    np.tanh(t, out=t)
+    act = 0.5 * z
+    act *= 1.0 + t
+    data = act @ w2.data
+    data += x.data
 
     def _bwd(g):
         if x.requires_grad:
@@ -447,8 +477,23 @@ def residual_ffn(x, b, w1, w2) -> Tensor:
             w2._accum(act.T @ g)
         if not need:
             return
-        du = c * (1.0 + np.asarray(3 * 0.044715, dtype=z.dtype) * z**2)
-        d_z = d_act * (0.5 * (1.0 + t) + 0.5 * z * (1.0 - t * t) * du)
+        # d_z = d_act * (0.5 * (1 + t) + 0.5 * z * (1 - t * t) * du) with
+        # du = c * (1 + 3 * 0.044715 * z**2), step by step in place; z * z
+        # gives the bits of NumPy's z**2.
+        du = z * z
+        du *= np.asarray(3 * 0.044715, dtype=z.dtype)
+        du += 1.0
+        du *= c
+        d_gelu = t * t
+        np.subtract(1.0, d_gelu, out=d_gelu)
+        tail = 0.5 * z
+        tail *= d_gelu
+        tail *= du
+        np.add(t, 1.0, out=d_gelu)
+        d_gelu *= 0.5
+        d_gelu += tail
+        d_z = d_act
+        d_z *= d_gelu
         if b.requires_grad:
             b._accum(d_z @ w1.data.T)
         if w1.requires_grad:

@@ -413,6 +413,10 @@ def train(config: TrainConfig, pairs, heldout=None, init_from=None, _template=No
     pairs = list(pairs)
     if not pairs:
         raise ConfigError("training dataset is empty")
+    if heldout is not None:
+        heldout = list(heldout)
+        if not heldout:
+            raise ConfigError("held-out dataset is empty")
     head = _OBJECTIVE_HEADS[config.objective]
     settings = config.model
 

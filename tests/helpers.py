@@ -255,6 +255,8 @@ MALFORMED_CHECKPOINTS = (
     "tensor-missing",
     "tensor-unknown",
     "tensor-misshapen",
+    "tensor-non-finite",
+    "trailing-bytes",
 )
 
 
@@ -286,6 +288,11 @@ def malformed_checkpoint(blob: bytes, case: str) -> bytes:
         rows, cols = dims.split(b"x")
         manifest = manifest.replace(name + b" " + dims, name + b" " + cols + b"x" + rows, 1)
     tail = blob[end:]
+    if case == "tensor-non-finite":  # NaN as the first tensor's first element
+        at = 8 + int(offset)
+        tail = tail[:at] + np.float32(np.nan).astype("<f4").tobytes() + tail[at + 4 :]
+    elif case == "trailing-bytes":
+        tail += b"\x00"
     if case == "config-rejected":
         config_at = 8 + int.from_bytes(tail[:8], "little")
         config = json.loads(tail[config_at + 4 :])

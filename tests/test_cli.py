@@ -152,6 +152,15 @@ def test_validation_error_exits_1(tmp_path, corpus):
                 "--batch-size", "0"]) == 1
 
 
+def test_empty_heldout_exits_1_before_training(tmp_path, corpus, capsys):
+    empty, out, trace = tmp_path / "empty.jsonl", tmp_path / "x.trm1", tmp_path / "x.csv"
+    empty.write_text("")
+    assert run(["train", "--data", str(corpus), "--heldout", str(empty), "--out", str(out),
+                "--trace", str(trace), *TINY]) == 1
+    assert "held-out dataset is empty" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.jsonl"]
+
+
 def test_divergence_exits_3(tmp_path, corpus):
     out = tmp_path / "x.trm1"
     with np.errstate(all="ignore"):
@@ -246,11 +255,13 @@ def test_eval_writes_json_report(tmp_path, trained, corpus, capsys):
 def test_eval_non_finite_logits_exits_3(tmp_path, trained, corpus, capsys):
     full = load_checkpoint(trained)
     tensors = dict(full.tensors)
-    tensors["head.w"] = np.full_like(tensors["head.w"], np.nan)
-    broken = tmp_path / "nan.trm1"
+    # Finite weights (a NaN weight no longer loads) whose logits overflow.
+    tensors["head.w"] = np.full_like(tensors["head.w"], np.finfo(np.float32).max)
+    broken = tmp_path / "overflow.trm1"
     save_checkpoint(Checkpoint(config=full.config, tensors=tensors, extra=full.extra), broken)
     report = tmp_path / "report.json"
-    assert run(["eval", "--ckpt", str(broken), "--data", str(corpus), "--out", str(report)]) == 3
+    with np.errstate(all="ignore"):
+        assert run(["eval", "--ckpt", str(broken), "--data", str(corpus), "--out", str(report)]) == 3
     assert "non-finite" in capsys.readouterr().err
     assert not report.exists()
 

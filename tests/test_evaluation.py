@@ -3,6 +3,7 @@ CSV emission, and the three-objective comparison."""
 
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from clozerm.data import (
 from clozerm.errors import CheckpointError, ConfigError, ContractError, DivergenceError, SkipRecord
 from clozerm.evaluation import (
     EvalModel,
+    GROUP_PAIRS,
     TIE_EPS,
     TradeoffPoint,
     TrialRecord,
@@ -44,8 +46,16 @@ from clozerm.evaluation import (
     report_to_json,
     report_to_table,
     score_pair,
+    score_pairs,
 )
-from clozerm.model import count_params, forward_mlm, init_weights
+from clozerm.model import (
+    count_params,
+    forward_mlm,
+    forward_mlm_batch,
+    forward_pooled_batch,
+    forward_token_labels,
+    init_weights,
+)
 from clozerm.peft import merge_checkpoint
 from clozerm.tokenizer import VERB1_ID, VERB2_ID
 from clozerm.training import (
@@ -59,6 +69,11 @@ from clozerm.training import (
 
 SMALL = ModelSettings(n_layers=1, hidden=16, n_heads=2, ffn_mult=2, max_seq=48)
 PAIRS = synth_generate("arithmetic", 8, seed=2)
+# Nine single-length arithmetic pairs (two full scoring chunks and a
+# remainder) among refusal and verbosity pairs of many lengths, shuffled.
+MIXED = (synth_generate("arithmetic", 9, seed=4) + synth_generate("refusal", 6, seed=5)
+         + synth_generate("verbosity", 6, seed=6))
+random.Random(0).shuffle(MIXED)
 TEMPLATE = ClozeTemplate(prefix=DOMAIN_PREFIXES["reasoning"])
 
 
@@ -141,14 +156,17 @@ def test_non_finite_option_logits_raise_divergence(objective):
 
 @pytest.mark.parametrize("objective,forwards", [("cloze", 1), ("pooled", 1), ("token-level", 2)])
 def test_score_pair_forwards_per_pair(objective, forwards, monkeypatch):
-    model = make_model(objective=objective, seed=3)
+    # One forward per row length: both orders of a pair have one length, and
+    # a verbosity pair's two responses have two.
+    pairs = synth_generate("verbosity", 4, seed=2)
+    model = make_model(objective=objective, pairs=pairs, seed=3)
     calls = []
-    for name in ("forward_mlm_batch", "forward_pooled_batch", "forward_token_labels"):
+    for name in ("forward_mlm_batch", "forward_pooled_batch", "forward_token_batch"):
         original = getattr(clozerm.evaluation, name)
         monkeypatch.setattr(clozerm.evaluation, name, lambda *a, _f=original: calls.append(1) or _f(*a))
-    for pair in PAIRS:
+    for pair in pairs:
         score_pair(model, pair)
-    assert len(calls) == forwards * len(PAIRS)
+    assert len(calls) == forwards * len(pairs)
 
 
 WORDS = st.lists(st.sampled_from(["2", "+", "3", "=", "5", "the", "answer", "is", "no"]), min_size=1, max_size=30)
@@ -176,17 +194,16 @@ def test_both_orders_render_to_equal_length(prompt, a, b, max_seq):
         assert lengths[0] == "skipped" or lengths[0] <= max_seq
 
 
-@pytest.mark.parametrize("objective,builder", [("cloze", "build_cloze"), ("pooled", "build_pooled")])
-def test_score_pair_rejects_orders_of_unequal_length(objective, builder, monkeypatch):
-    original = getattr(clozerm.evaluation, builder)
+@pytest.mark.parametrize("objective", ["cloze", "pooled"])
+def test_score_pair_rejects_orders_of_unequal_length(objective, monkeypatch):
+    original = clozerm.evaluation.build_orders
 
-    def longer_swapped(pair, template, order, tokenizer, max_seq):
-        inst = original(pair, template, order, tokenizer, max_seq)
-        if order == ORDER_SWAPPED:
-            inst.token_ids = inst.token_ids + [inst.token_ids[-1]]
-        return inst
+    def longer_swapped(*args, **kwargs):
+        insts = original(*args, **kwargs)
+        insts[1].token_ids = insts[1].token_ids + [insts[1].token_ids[-1]]
+        return insts
 
-    monkeypatch.setattr(clozerm.evaluation, builder, longer_swapped)
+    monkeypatch.setattr(clozerm.evaluation, "build_orders", longer_swapped)
     with pytest.raises(ContractError, match="render to lengths"):
         score_pair(make_model(objective=objective, seed=3), PAIRS[0])
 
@@ -197,6 +214,114 @@ def test_score_pair_token_head_swapped_trial_mirrors_original():
     assert original.p1 != original.p2
     assert (swapped.p1, swapped.p2) == (original.p2, original.p1)
     assert swapped.prediction == {"1": "2", "2": "1"}[original.prediction]
+
+
+# ---------------------------------------------------------------------------
+# grouped scoring
+
+
+def per_pair_option_logits(model, pair):
+    """Each pair scored alone: both orders in one 2-row forward (mlm,
+    pooled), or one forward per response (token head)."""
+    cfg = model.config
+    if cfg.head_kind == "token-classifier":
+        ex = build_token_level(pair, model.template, model.tokenizer, cfg.max_seq)
+        chosen, rejected = (
+            float(forward_token_labels(model.weights, cfg, ids).data[lo:hi].astype(np.float64).mean())
+            for ids, (lo, hi) in ((ex.chosen_ids, ex.chosen_span), (ex.rejected_ids, ex.rejected_span))
+        )
+        return [(chosen, rejected), (rejected, chosen)]
+    build = build_cloze if cfg.head_kind == "mlm" else build_pooled
+    insts = [build(pair, model.template, order, model.tokenizer, cfg.max_seq) for order in ORDERS]
+    ids = np.asarray([inst.token_ids for inst in insts])
+    if cfg.head_kind == "mlm":
+        logits = forward_mlm_batch(model.weights, cfg, ids, [inst.mask_position for inst in insts]).data
+        return [(float(row[VERB1_ID]), float(row[VERB2_ID])) for row in logits]
+    return [(float(row[0]), float(row[1])) for row in forward_pooled_batch(model.weights, cfg, ids).data]
+
+
+def row_lengths(model, pair):
+    cfg = model.config
+    if cfg.head_kind == "token-classifier":
+        ex = build_token_level(pair, model.template, model.tokenizer, cfg.max_seq)
+        return [len(ex.chosen_ids), len(ex.rejected_ids)]
+    build = build_cloze if cfg.head_kind == "mlm" else build_pooled
+    return [len(build(pair, model.template, order, model.tokenizer, cfg.max_seq).token_ids) for order in ORDERS]
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_grouped_scoring_matches_per_pair_scoring(objective):
+    model = make_model(objective=objective, pairs=MIXED, seed=7)
+    trials = score_pairs(model, MIXED)
+    expected = [(pair, order, logits) for pair in MIXED
+                for order, logits in zip(ORDERS, per_pair_option_logits(model, pair))]
+    assert len(trials) == len(expected)
+    for trial, (pair, order, (l1, l2)) in zip(trials, expected):
+        p1 = 1.0 / (1.0 + math.exp(l2 - l1))
+        assert (trial.source_id, trial.order) == (pair.id, order)
+        assert abs(trial.p1 - p1) <= 1e-6
+        assert trial.prediction == ("tie" if abs(2 * p1 - 1) < TIE_EPS else "1" if p1 > 0.5 else "2")
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_grouped_scoring_forwards_per_length_group(objective, monkeypatch):
+    model = make_model(objective=objective, pairs=MIXED, seed=3)
+    shapes = []
+    for name in ("forward_mlm_batch", "forward_pooled_batch", "forward_token_batch"):
+        original = getattr(clozerm.evaluation, name)
+        monkeypatch.setattr(clozerm.evaluation, name,
+                            lambda w, c, ids, *a, _f=original: shapes.append(ids.shape) or _f(w, c, ids, *a))
+    score_pairs(model, MIXED)
+    # Rows of one length in first-seen order, 2 * GROUP_PAIRS rows a forward.
+    lengths = [n for pair in MIXED for n in row_lengths(model, pair)]
+    cap = 2 * GROUP_PAIRS
+    expected = []
+    for length in dict.fromkeys(lengths):
+        n = lengths.count(length)
+        expected += [(min(cap, n - lo), length) for lo in range(0, n, cap)]
+    assert shapes == expected
+    arithmetic = row_lengths(model, next(p for p in MIXED if p.domain == "reasoning"))[0]
+    assert [rows for rows, length in shapes if length == arithmetic] == [cap, cap, 2]
+
+
+def test_grouped_scoring_keeps_input_order():
+    model = make_model(pairs=MIXED, seed=3)
+    trials = score_pairs(model, MIXED)
+    assert [(t.source_id, t.order, t.gold) for t in trials] == [
+        (pair.id, order, gold) for pair in MIXED for order, gold in zip(ORDERS, ("1", "2"))
+    ]
+    assert len({n for pair in MIXED for n in row_lengths(model, pair)}) > 2
+
+
+def test_grouped_scoring_skips_unfit_pairs():
+    giant = PreferencePair(id="big", prompt="x " * 200, chosen="1", rejected="2", domain="reasoning")
+    model = make_model(pairs=MIXED, seed=3)
+    with_giant = MIXED[:5] + [giant] + MIXED[5:]
+    with pytest.raises(SkipRecord):
+        score_pairs(model, with_giant)
+    skipped = []
+    assert score_pairs(model, with_giant, skipped) == score_pairs(model, MIXED)
+    assert skipped == [giant]
+    assert eval_dataset(model, with_giant).n_skipped == 1
+
+
+def test_grouped_scoring_divergence_names_the_pair(monkeypatch):
+    model = make_model(pairs=MIXED, seed=3)
+    renders = [build_cloze(p, TEMPLATE, ORDER_SWAPPED, model.tokenizer, SMALL.max_seq).token_ids for p in MIXED]
+    # The last pair whose render is unique and shares its length, so its
+    # forward scores other pairs too.
+    at = max(i for i, ids in enumerate(renders)
+             if renders.count(ids) == 1 and sum(len(r) == len(ids) for r in renders) > 2)
+    original = clozerm.evaluation.forward_mlm_batch
+
+    def poisoned(weights, config, ids, positions):
+        logits = original(weights, config, ids, positions)
+        logits.data[[list(row) == renders[at] for row in ids]] = np.nan
+        return logits
+
+    monkeypatch.setattr(clozerm.evaluation, "forward_mlm_batch", poisoned)
+    with pytest.raises(DivergenceError, match=f"pair {MIXED[at].id!r}"):
+        eval_dataset(model, MIXED)
 
 
 # ---------------------------------------------------------------------------

@@ -530,6 +530,21 @@ def test_one_parent_requiring_grad_gets_the_full_gradient(name):
                 assert grad is None
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", sorted(GRAD_CASES))
+def test_ops_leave_their_inputs_unchanged(name, dtype):
+    # The kernels work in place on their own temporaries only.
+    _, arrays = GRAD_CASES[name](0)
+    inputs = [Tensor(np.asarray(a, dtype=dtype), requires_grad=True) for a in arrays]
+    before = [x.data.copy() for x in inputs]
+    with Tape() as tape:
+        out = SINGLE_OPS[name](*inputs)
+        assert all(np.array_equal(x.data, b) for x, b in zip(inputs, before))
+        loss = tsum(mul(out, _proj(out.shape, 0)))
+    tape.backward(loss)
+    assert all(np.array_equal(x.data, b) for x, b in zip(inputs, before))
+
+
 # ------------------------------------------------------------- properties
 
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import clozerm.training
 from clozerm.checkpoint import Checkpoint
 from clozerm.data import (
     CANONICAL_LAYOUT,
@@ -601,6 +602,14 @@ def test_train_heldout_eval_points():
         assert (row.heldout_acc is not None) == expected
         if row.heldout_acc is not None:
             assert 0.0 <= row.heldout_acc <= 1.0
+
+
+def test_empty_heldout_is_rejected_before_the_first_step(monkeypatch):
+    steps = []
+    monkeypatch.setattr(clozerm.training, "adamw_step", lambda *a, **k: steps.append(1))
+    with pytest.raises(ConfigError, match="held-out dataset is empty"):
+        train(small_config(), PAIRS, heldout=iter([]))
+    assert steps == []
 
 
 def test_train_resume_with_frozen_layers_preserves_them_bitwise():
