@@ -40,8 +40,9 @@ from .tokenizer import VERB1_ID, VERB2_ID, Tokenizer
 TIE_EPS = 1e-9
 
 # Pairs scored per forward. At the README width a pair's forward is largely
-# fixed per-call cost; on a 2-core VM four pairs of one length per forward
-# beat eight and sixteen, and larger stacks took more page faults.
+# fixed per-call cost; of 1, 2, 3, 4, 6 and 8 pairs of one length per
+# forward, 4 was the fastest on a 2-core VM (3 within 1%), and larger stacks
+# took more page faults.
 GROUP_PAIRS = 4
 
 
