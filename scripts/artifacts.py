@@ -12,19 +12,27 @@ rank-4 checkpoints with its eval, an eval of the README-shape checkpoint
 under an overriding --prefix, evals of the three objectives' and the
 README-shape checkpoints on a 90-pair held-out set (30 single-length
 arithmetic pairs, so several full scoring chunks and a remainder), a sweep
-and an objective comparison. Every file is deterministic, so `diff -r`
-between the outputs of two checkouts shows whether a refactor kept the
-artifacts byte-identical:
+and an objective comparison. Next to every eval report REPORT.eval.json it
+writes REPORT.trials.jsonl, one line per scored order of a pair from
+evaluation.score_pairs with p1 and p2 written by repr, so a change that
+moves a probability in its last bit shows even when no report changes.
+Every file is deterministic, so `diff -r` between the outputs of two
+checkouts shows whether a refactor kept the artifacts byte-identical:
 
     PYTHONPATH=src python3 scripts/artifacts.py OUTDIR
 
 Runs in well under a minute on one core.
 """
 
+import dataclasses
+import json
 import sys
 from pathlib import Path
 
+from clozerm.checkpoint import load_checkpoint
 from clozerm.cli import run
+from clozerm.data import ClozeTemplate, load_jsonl
+from clozerm.evaluation import EvalModel, score_pairs
 
 SMALL = ["--n-layers", "2", "--hidden", "32", "--n-heads", "4", "--batch-size", "8",
          "--learning-rate", "3e-3", "--seed", "7"]
@@ -44,6 +52,15 @@ def main(argv=None):
         if code != 0:
             sys.exit(f"clozerm {args[0]} exited {code}")
 
+    def evaluate(ckpt, data, report, prefix=None):
+        override = ["--prefix", prefix] if prefix else []
+        clozerm("eval", "--ckpt", ckpt, "--data", data, *override, "--out", out / f"{report}.eval.json")
+        template = ClozeTemplate(prefix) if prefix else None
+        model = EvalModel.from_checkpoint(load_checkpoint(ckpt), template=template)
+        # json writes a float as its repr, which round-trips every bit.
+        lines = [json.dumps(dataclasses.asdict(t)) + "\n" for t in score_pairs(model, load_jsonl(data), [])]
+        (out / f"{report}.trials.jsonl").write_text("".join(lines))
+
     data, heldout = out / "train.jsonl", out / "heldout.jsonl"
     clozerm("synth", "--task", "arithmetic", "--n", 240, "--seed", 1, "--out", data)
     for task, seed in (("arithmetic", 2), ("refusal", 3), ("verbosity", 4)):
@@ -55,12 +72,12 @@ def main(argv=None):
         ckpt = out / f"{objective}.trm1"
         clozerm("train", "--data", data, "--heldout", heldout, "--objective", objective,
                 "--out", ckpt, "--trace", out / f"{objective}.trace.csv", *SMALL)
-        clozerm("eval", "--ckpt", ckpt, "--data", heldout, "--out", out / f"{objective}.eval.json")
+        evaluate(ckpt, heldout, objective)
 
     readme = out / "readme.trm1"
     clozerm("train", "--data", data, "--heldout", heldout, "--out", readme,
             "--trace", out / "readme.trace.csv", *README)
-    clozerm("eval", "--ckpt", readme, "--data", heldout, "--out", out / "readme.eval.json")
+    evaluate(readme, heldout, "readme")
 
     def adapt(name, *args):
         ckpt, merged = out / f"{name}.trm1", out / f"{name}.merged.trm1"
@@ -68,7 +85,7 @@ def main(argv=None):
                 "--trace", out / f"{name}.trace.csv")
         clozerm("merge", "--ckpt", ckpt, "--out", merged)
         for path, report in ((ckpt, name), (merged, f"{name}.merged")):
-            clozerm("eval", "--ckpt", path, "--data", heldout, "--out", out / f"{report}.eval.json")
+            evaluate(path, heldout, report)
 
     adapt("dora", "--init-from", out / "cloze.trm1", "--dora-rank", 4, "--frozen-layers", 1,
           "--eval-every", 10, *SMALL)
@@ -77,9 +94,8 @@ def main(argv=None):
 
     average = out / "average.trm1"
     clozerm("average", out / "cloze.trm1", out / "dora.merged.trm1", "--out", average)
-    clozerm("eval", "--ckpt", average, "--data", heldout, "--out", out / "average.eval.json")
-    clozerm("eval", "--ckpt", readme, "--data", heldout, "--prefix", "Which response is safer?",
-            "--out", out / "readme.safer.eval.json")
+    evaluate(average, heldout, "average")
+    evaluate(readme, heldout, "readme.safer", prefix="Which response is safer?")
 
     wide = out / "wide-heldout.jsonl"
     for task, seed in (("arithmetic", 5), ("refusal", 6), ("verbosity", 7)):
@@ -87,7 +103,7 @@ def main(argv=None):
     wide.write_text("".join((out / f"wide-{t}.jsonl").read_text()
                             for t in ("arithmetic", "refusal", "verbosity")))
     for name in ("cloze", "pooled", "token-level", "readme"):
-        clozerm("eval", "--ckpt", out / f"{name}.trm1", "--data", wide, "--out", out / f"{name}.wide.eval.json")
+        evaluate(out / f"{name}.trm1", wide, f"{name}.wide")
 
     clozerm("sweep", "--data", data, "--trials", 3, "--ranks", "0,4", "--frozen-max", 1,
             "--out", out / "sweep.csv", *SMALL)

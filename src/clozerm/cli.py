@@ -170,14 +170,16 @@ def _train_config_from(args) -> TrainConfig:
         max_seq=args.max_seq,
         pooling=args.pooling,
     )
+    if args.dora_rank < 0:
+        raise ConfigError("dora-rank must be non-negative")
     dora = None
     if args.dora_rank > 0:
         targets = AdapterTargets()
         if args.dora_targets:
             targets = AdapterTargets(tuple(s.strip() for s in args.dora_targets.split(",")))
         dora = DoraSettings(rank=args.dora_rank, targets=targets)
-    elif args.dora_rank < 0:
-        raise ConfigError("dora-rank must be non-negative")
+    elif args.dora_targets is not None:
+        raise ConfigError("--dora-targets needs adapters: set --dora-rank above 0")
     return TrainConfig(
         learning_rate=args.learning_rate,
         weight_decay=args.weight_decay,
@@ -226,7 +228,10 @@ def _cmd_sweep(args) -> int:
     pairs = load_jsonl(args.data)
     ranks = tuple(int(s) for s in args.ranks.split(","))
     prefixes = PREFIX_POOL if args.prefix is None else (args.prefix,)
-    args.prefix = prefixes[0]  # the base config needs one; each trial sets its draw
+    # The base config needs a prefix and, to carry --dora-targets, adapters;
+    # each trial sets its drawn prefix and rank.
+    args.prefix = prefixes[0]
+    args.dora_rank = max(ranks)
     spec = SweepSpec(
         base=_train_config_from(args),
         trials=args.trials,

@@ -11,9 +11,16 @@ features), so magnitudes and norms are per row as stored. Encoder weights
 are stored input-by-output, which is why attachment points at the
 transpose; the two views describe the same per-output-feature quantity.
 
-The formula is one tape op, ``tensor.dora_weight``, on the base as the
-encoder stores it: training records it once per adapted matrix, and
-held-out scoring, ``merge`` and ``dora_merge`` call it without a tape.
+The formula is one tape op, ``tensor.dora_weight``, computed in closed
+form on the base as the encoder stores it: V^T = W0^T + A^T @ B^T is formed
+input-by-output, its column norms n are column dots, and the result
+V^T * (m / n) is a C-ordered array laid out like every full-rank weight, so
+training, held-out scoring, ``merge`` and ``dora_merge`` run the same
+matmuls on it. Its backward is the DoRA paper's closed form (Liu et al.
+2024, arXiv 2402.09353). Adapters are identity-initialized exactly: B = 0
+and m is ``tensor.dora_norm`` of the stored base, the norm the op itself
+computes, so m / n is exactly 1 and a fresh adapter gives back its base bit
+for bit, all-zero columns included.
 """
 
 import dataclasses
@@ -24,7 +31,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint
 from .errors import CheckpointError, ConfigError, ContractError
-from .tensor import Tensor, dora_weight
+from .tensor import Tensor, dora_norm, dora_weight
 
 ADAPTER_ROLES = ("wq", "wk", "wv", "wo", "w1", "w2")
 
@@ -86,8 +93,9 @@ def _base_data(w0) -> np.ndarray:
 
 
 def dora_init(w0, rank: int, rng=None, base_name: str = "") -> DoraAdapter:
-    """Identity-initialized adapter: B = 0, m = per-row L2 norms of W0,
-    A uniform in [-1/sqrt(d_in), 1/sqrt(d_in)]."""
+    """Identity-initialized adapter for a base w0 stored output-by-input:
+    B = 0, m = the norms dora_weight computes on w0's transpose (so the
+    adapted weight is exactly w0), A uniform in [-1/sqrt(d_in), 1/sqrt(d_in)]."""
     w0 = _base_data(w0)
     if w0.ndim != 2:
         raise ConfigError("DoRA adapts 2-D matrices only")
@@ -98,7 +106,7 @@ def dora_init(w0, rank: int, rng=None, base_name: str = "") -> DoraAdapter:
     bound = 1.0 / np.sqrt(d_in)
     a = rng.uniform(-bound, bound, size=(rank, d_in)).astype(np.float32)
     b = np.zeros((d_out, rank), dtype=np.float32)
-    m = np.sqrt((w0 * w0).sum(axis=1))
+    m = dora_norm(np.ascontiguousarray(w0.T))
     return DoraAdapter(
         base_name=base_name,
         A=Tensor(a, requires_grad=True),
@@ -152,7 +160,7 @@ def attach_adapters(weights, rank: int, targets: AdapterTargets, freeze: FreezeS
     non-frozen layers; returns a dict keyed by base weight name.
 
     Base matrices are stored input-by-output, so each adapter is built over
-    the transpose to keep magnitudes per output feature.
+    the transposed view to keep magnitudes per output feature.
     """
     n_layers = infer_n_layers(weights)
     if freeze.n_frozen_layers > n_layers:
@@ -166,8 +174,7 @@ def attach_adapters(weights, rank: int, targets: AdapterTargets, freeze: FreezeS
             if role not in targets.roles:
                 continue
             name = f"layer{i}.{role}"
-            base = np.ascontiguousarray(np.asarray(weights[name]).T)
-            adapters[name] = dora_init(base, rank, rng=rng, base_name=name)
+            adapters[name] = dora_init(np.asarray(weights[name]).T, rank, rng=rng, base_name=name)
     return adapters
 
 
@@ -228,7 +235,7 @@ def merge_adapters(weights, adapters) -> dict:
     entries are the given arrays, uncopied, in the same order."""
     out = {name: w.data if isinstance(w, Tensor) else w for name, w in weights.items()}
     for name, ad in adapters.items():
-        out[name] = np.ascontiguousarray(dora_weight(out[name], ad.A, ad.B, ad.m).data)
+        out[name] = dora_weight(out[name], ad.A, ad.B, ad.m).data
     return out
 
 

@@ -502,16 +502,26 @@ def residual_ffn(x, b, w1, w2) -> Tensor:
     return _op(data, data.dtype, (x, b, w1, w2), _bwd)
 
 
-def dora_weight(w0, a, b, m) -> Tensor:
-    """The DoRA effective weight (m * V / max(rownorm(V), 1e-8))^T as one tape
-    op, V = w0^T + b @ a, for a frozen base w0 [d_in, d_out] (no gradient
-    reaches it), a [rank, d_in], b [d_out, rank] and m [d_out]. The result
-    is the transposed view of a C-ordered array. The norm is
-    sqrt(max(sum of squares, 1e-16)), finite in backward on all-zero rows.
+def dora_norm(vt) -> np.ndarray:
+    """The per-output-feature norms sqrt(max(sum of squares, 1e-16)) of a
+    direction stored input-by-output, [d_in, d_out], computed as dora_weight
+    computes them: a magnitude built with this from a base gives back
+    exactly that base while b = 0."""
+    lo = np.asarray(ROW_NORM_EPS * ROW_NORM_EPS, dtype=vt.dtype)
+    return np.sqrt(np.maximum(np.einsum("ij,ij->j", vt, vt), lo))
 
-    The backward makes the NumPy calls of the unfused chain in reverse tape
-    order (m; V through the direction, the norm path and both V * V terms;
-    b; a), so gradients are bit-identical to that chain's.
+
+def dora_weight(w0, a, b, m) -> Tensor:
+    """The DoRA effective weight V^T * (m / n) as one tape op, laid out like
+    the frozen base w0 [d_in, d_out] (no gradient reaches it): V^T = w0 +
+    a^T @ b^T for a [rank, d_in], b [d_out, rank] and m [d_out], and n holds
+    the norms of V^T's columns, sqrt(max(sum of squares, 1e-16)). The result
+    is a C-ordered array, and the backward is finite on all-zero columns.
+
+    The backward is the closed form of the DoRA paper (Liu et al. 2024,
+    arXiv 2402.09353), with c the column dots of the output gradient g and
+    V^T: dm = c / n, dV^T = g * s - (dm * s / n) * V^T for s = m / n (no
+    second term on a clamped column), dB = (a @ dV^T)^T and dA = (dV^T @ b)^T.
     """
     w0 = _as_tensor(w0).data
     a, b, m = (_as_tensor(t) for t in (a, b, m))
@@ -520,35 +530,30 @@ def dora_weight(w0, a, b, m) -> Tensor:
         raise ShapeError(
             f"dora_weight: incompatible shapes w0 {w0.shape}, a {a.shape}, b {b.shape}, m {m.shape}"
         )
-    lo = ROW_NORM_EPS * ROW_NORM_EPS
-    # The add of the transposed view gives a C-ordered V, so the row sums
-    # below reduce in the same order as on a transposed copy.
-    v = w0.T + b.data @ a.data
-    sum_sq = np.add.reduce(v * v, axis=1, keepdims=True)
-    norm = np.sqrt(np.maximum(sum_sq, np.asarray(lo, dtype=sum_sq.dtype)))
-    direction = v / norm
-    m_col = m.data.reshape(-1, 1)
-    eff = m_col * direction
+    vt = a.data.T @ b.data.T
+    vt += w0
+    norm = dora_norm(vt)
+    scale = m.data / norm
+    eff = vt * scale
 
     def _bwd(g):
-        g = g.T  # C-ordered: Tensor._accum lays g out like the F-ordered output
+        dm = np.einsum("ij,ij->j", g, vt)
+        dm /= norm
         if m.requires_grad:
-            m._accum(np.add.reduce(g * direction, axis=1))
+            m._accum(dm)
         if not (a.requires_grad or b.requires_grad):
             return
-        d_dir = g * m_col
-        d_v = d_dir / norm
-        d_norm = np.add.reduce(-d_dir * direction / norm, axis=1, keepdims=True)
-        d_sum_sq = d_norm * 0.5 / norm * (sum_sq > lo)
-        d_sq = d_sum_sq * v
-        d_v += d_sq  # twice, not 2 * d_sq: the chain's mul(V, V) added two terms
-        d_v += d_sq
+        coef = dm * scale
+        coef /= norm
+        coef *= norm > ROW_NORM_EPS  # a clamped norm is exactly ROW_NORM_EPS
+        d_vt = g * scale
+        d_vt -= coef * vt
         if b.requires_grad:
-            b._accum(d_v @ a.data.T)
+            b._accum((a.data @ d_vt).T)
         if a.requires_grad:
-            a._accum(b.data.T @ d_v)
+            a._accum((d_vt @ b.data).T)
 
-    return _op(eff.T, eff.dtype, (a, b, m), _bwd)
+    return _op(eff, eff.dtype, (a, b, m), _bwd)
 
 
 def cross_entropy_rows(logits, golds) -> Tensor:

@@ -597,7 +597,11 @@ def sample_trial_configs(spec: SweepSpec) -> list:
 
 
 def trial_config(spec: SweepSpec, draw: TrialDraw) -> TrainConfig:
-    dora = DoraSettings(rank=draw.dora_rank) if draw.dora_rank > 0 else None
+    """The base config with the draw's learning rate, prefix, frozen layers
+    and rank; a trial with adapters keeps the base's adapter targets."""
+    dora = None
+    if draw.dora_rank > 0:
+        dora = replace(spec.base.dora or DoraSettings(), rank=draw.dora_rank)
     return replace(
         spec.base,
         learning_rate=draw.learning_rate,

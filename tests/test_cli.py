@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import clozerm
+import clozerm.training
 from clozerm.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from clozerm.cli import run
 from clozerm.data import (
@@ -409,6 +410,40 @@ def test_sweep_prefix_flag_sets_every_trial_prefix(tmp_path, corpus):
         prefixes[name] = {row["prefix"] for row in rows}
     assert prefixes["given"] == {"Solve:"}
     assert prefixes["drawn"] <= set(PREFIX_POOL)
+
+
+def test_sweep_dora_targets_reach_every_adapted_trial(tmp_path, corpus, monkeypatch):
+    seen = []
+    real_train = clozerm.training.train
+
+    def recording_train(config, pairs, **kw):
+        seen.append(config.dora)
+        return real_train(config, pairs, **kw)
+
+    monkeypatch.setattr(clozerm.training, "train", recording_train)
+    argv = ["sweep", "--data", str(corpus), "--trials", "4", "--ranks", "0,2", "--seed", "4",
+            "--dora-targets", "wq,w2", "--out", str(tmp_path / "sweep.csv"), *TINY]
+    assert run(argv) == 0
+    adapted = [dora for dora in seen if dora is not None]
+    assert len(seen) == 4 and adapted
+    assert all(dora.targets.roles == ("wq", "w2") for dora in adapted)
+
+
+# --dora-targets names the matrices that adapters go on, so it is an error
+# wherever no run gets adapters, whether or not the roles are valid.
+@pytest.mark.parametrize("targets", ["bogus", "wq"])
+@pytest.mark.parametrize("command", [
+    ["train", "--out", "m.trm1"],
+    ["train", "--out", "m.trm1", "--dora-rank", "0"],
+    ["compare", "--out", "cmp.json"],
+    ["sweep", "--out", "sweep.csv", "--ranks", "0"],
+], ids=["train", "train-rank-0", "compare", "sweep-rank-0"])
+def test_dora_targets_without_adapters_exits_1(tmp_path, corpus, capsys, command, targets):
+    sub, flag, name, *rest = command
+    out = tmp_path / name
+    assert run([sub, "--data", str(corpus), flag, str(out), *rest, "--dora-targets", targets, *TINY]) == 1
+    assert "--dora-targets" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_compare_reports_three_objectives(tmp_path, corpus, capsys):

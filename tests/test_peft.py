@@ -42,6 +42,17 @@ def test_init_is_identity():
     assert np.abs(eff - w0).max() < 1e-6
 
 
+# The README widths in both FFN orientations, each with an all-zero output
+# feature, which takes the norm clamp.
+@pytest.mark.parametrize("d_out,d_in", [(64, 64), (256, 64), (64, 256)])
+def test_init_merges_back_to_the_base_bit_for_bit(d_out, d_in):
+    rng = np.random.default_rng(d_out + d_in)
+    w0 = rng.normal(size=(d_out, d_in)).astype(np.float32)
+    w0[1] = 0.0
+    merged = dora_merge(w0, dora_init(w0, rank=8, rng=rng))
+    assert merged.flags.c_contiguous and merged.tobytes() == w0.tobytes()
+
+
 def test_init_unit_rows_for_identity_base():
     adapter = dora_init(np.eye(3, dtype=np.float32), rank=1)
     assert np.allclose(adapter.m.data, [1.0, 1.0, 1.0])
@@ -155,6 +166,17 @@ def test_identity_at_init_end_to_end():
         base = forward_mlm(weights, config, ids, 1).data
         adapted = forward_mlm(adapted_forward_weights(weights, adapters), config, ids, 1).data
         assert np.abs(adapted - base).max() < 1e-4
+
+
+def test_adapted_forward_at_init_is_the_base_forward_bit_for_bit():
+    config = mlm_config(hidden=64, n_heads=8, ffn_mult=4, max_seq=16)
+    weights = init_weights(config, seed=3)
+    adapters = attach_adapters(weights, 8, AdapterTargets(), FreezeSpec(), rng=0)
+    ids = [6, MASK_ID, 7, 8, 9]
+    base = forward_mlm(weights, config, ids, 1).data
+    with Tape():
+        adapted = forward_mlm(adapted_forward_weights(weights, adapters), config, ids, 1).data
+    assert adapted.tobytes() == base.tobytes()
 
 
 def test_adapter_path_matches_merged_path():

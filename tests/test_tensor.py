@@ -616,12 +616,18 @@ def test_residual_ffn_is_bitwise_the_unfused_chain(rows, hidden):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
-# A [d_in, d_out] base at the README FFN width and a small one, each with
-# an all-zero row of V (a zero column of w0 and a zero row of b), which
-# takes the clamp path; every subset of a, b and m requires a gradient.
+# Both README FFN orientations of a [d_in, d_out] base and a small one, each
+# with an all-zero column of V^T (a zero column of w0 and a zero row of b),
+# which takes the clamp path; every subset of a, b and m requires a
+# gradient. The closed form rounds differently from the unfused chain, so
+# values agree to a relative tolerance per dtype, while the zero column stays
+# exactly zero and the output is C-ordered like every full-rank weight. The
+# clamped feature (index 1 along the output-feature axis of the output, of
+# b's gradient and of m's) is compared on its own: its scale m / 1e-8 would
+# otherwise hide every other feature's error.
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("requires", list(itertools.product([False, True], repeat=3)))
-@pytest.mark.parametrize("d_in,d_out,rank", [(64, 256, 8), (5, 3, 2)])
+@pytest.mark.parametrize("d_in,d_out,rank", [(64, 256, 8), (256, 64, 8), (5, 3, 2)])
 def test_dora_weight_is_bitwise_the_unfused_chain(d_in, d_out, rank, requires, dtype):
     rng = np.random.default_rng(d_in)
     w0 = rng.normal(size=(d_in, d_out)).astype(dtype)
@@ -639,13 +645,19 @@ def test_dora_weight_is_bitwise_the_unfused_chain(d_in, d_out, rank, requires, d
         return [out.data] + [x.grad for x in inputs]
 
     fused, chain = run(dora_weight), run(unfused_dora)
-    assert not fused[0].flags.c_contiguous and fused[0].T.flags.c_contiguous
+    assert fused[0].flags.c_contiguous
     assert np.array_equal(fused[0][:, 1], np.zeros(d_in))
-    for got, want in zip(fused, chain):
+    tol = 1e-12 if dtype == np.float64 else 1e-5
+    for got, want, axis in zip(fused, chain, (1, None, 0, 0)):
         if want is None:
             assert got is None
-        else:
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+            continue
+        assert got.dtype == want.dtype and got.shape == want.shape
+        parts = [(got, want)]
+        if axis is not None:  # every feature but the clamped one, then that one
+            parts = [(np.delete(got, 1, axis), np.delete(want, 1, axis)), (got.take([1], axis), want.take([1], axis))]
+        for part_got, part_want in parts:
+            assert np.abs(part_got - part_want).max() <= tol * np.abs(part_want).max()
 
 
 @settings(max_examples=50, deadline=None)

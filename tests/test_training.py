@@ -61,6 +61,7 @@ from clozerm.training import (
     trace_to_csv,
     train,
     train_aao,
+    trial_config,
     trials_to_csv,
 )
 
@@ -748,6 +749,14 @@ def test_sample_trial_configs_within_bounds_and_deterministic():
     assert any(d.learning_rate > 1e-3 for d in draws)
     assert draws == sample_trial_configs(spec)
     assert draws != sample_trial_configs(l0_spec(trials=100, seed=4))
+
+
+def test_trial_config_keeps_the_base_adapter_targets():
+    targets = AdapterTargets(("wq", "w2"))
+    spec = l0_spec(base=small_config(dora=DoraSettings(rank=4, targets=targets)), trials=6, ranks=(0, 2))
+    configs = [trial_config(spec, draw) for draw in sample_trial_configs(spec)]
+    assert {c.dora.rank if c.dora else 0 for c in configs} == {0, 2}
+    assert all(c.dora == DoraSettings(rank=2, targets=targets) for c in configs if c.dora)
 
 
 def test_sweep_singleton_row():
