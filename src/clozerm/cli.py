@@ -135,7 +135,11 @@ def _add_model_flags(p):
                    help="pooling for the pooled objective")
 
 
-def _add_train_flags(p, prefix=PREFIX_POOL[0], prefix_help="instruction prefix"):
+def _add_train_flags(p, sweep=False):
+    """The training flags of train, compare and sweep. Sweep draws each
+    trial's prefix (unless --prefix is given), frozen-layer count and
+    adapter rank, so there these flags default to None and _cmd_sweep
+    rejects --frozen-layers and --dora-rank when they are given."""
     p.add_argument("--config", metavar="FILE",
                    help="key=value config file; explicit flags override it")
     p.add_argument("--learning-rate", type=float, default=1e-3,
@@ -145,14 +149,19 @@ def _add_train_flags(p, prefix=PREFIX_POOL[0], prefix_help="instruction prefix")
     p.add_argument("--epochs", type=int, default=1, help="passes over the training pairs")
     p.add_argument("--seed", type=int, default=0, help="run seed")
     p.add_argument("--objective", choices=OBJECTIVES, default="cloze", help="training objective")
-    p.add_argument("--prefix", default=prefix, help=prefix_help)
+    p.add_argument("--prefix", default=None if sweep else PREFIX_POOL[0],
+                   help="instruction prefix of every trial (default: each trial draws one"
+                        " from the prefix pool)" if sweep else "instruction prefix")
     p.add_argument("--order-policy", choices=ORDER_POLICIES, default="shuffled",
                    help="option-order rendering policy")
-    p.add_argument("--frozen-layers", type=int, default=0,
-                   help="freeze this many lower layers")
+    p.add_argument("--frozen-layers", type=int, default=None if sweep else 0,
+                   help="rejected: each trial draws its count from --frozen-min/--frozen-max"
+                   if sweep else "freeze this many lower layers")
     p.add_argument("--freeze-embeddings", action=argparse.BooleanOptionalAction, default=None,
                    help="default: frozen whenever any layer is frozen")
-    p.add_argument("--dora-rank", type=int, default=0, help="adapter rank; 0 disables adapters")
+    p.add_argument("--dora-rank", type=int, default=None if sweep else 0,
+                   help="rejected: each trial draws its rank from --ranks"
+                   if sweep else "adapter rank; 0 disables adapters")
     p.add_argument("--dora-targets", default=None,
                    help="comma-separated matrix roles (default: all six)")
     p.add_argument("--clip-norm", type=float, default=None, help="global gradient-norm clip")
@@ -225,12 +234,21 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.dora_rank is not None:
+        raise ConfigError("sweep draws each trial's adapter rank from --ranks; --dora-rank is not accepted")
+    if args.frozen_layers is not None:
+        raise ConfigError(
+            "sweep draws each trial's frozen layers from --frozen-min/--frozen-max;"
+            " --frozen-layers is not accepted"
+        )
     pairs = load_jsonl(args.data)
     ranks = tuple(int(s) for s in args.ranks.split(","))
     prefixes = PREFIX_POOL if args.prefix is None else (args.prefix,)
-    # The base config needs a prefix and, to carry --dora-targets, adapters;
-    # each trial sets its drawn prefix and rank.
+    # The base config needs a prefix, a frozen-layer count and, to carry
+    # --dora-targets, adapters; each trial sets its drawn prefix, count and
+    # rank.
     args.prefix = prefixes[0]
+    args.frozen_layers = 0
     args.dora_rank = max(ranks)
     spec = SweepSpec(
         base=_train_config_from(args),
@@ -336,9 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frozen-max", type=int, default=0, help="largest frozen-layer count drawn")
     p.add_argument("--heldout-fraction", type=float, default=0.2,
                    help="fraction of pairs held out for trial scoring")
-    _add_train_flags(p, prefix=None,
-                     prefix_help="instruction prefix of every trial (default: each trial draws"
-                                 " one from the prefix pool)")
+    _add_train_flags(p, sweep=True)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a JSONL corpus",

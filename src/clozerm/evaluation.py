@@ -39,11 +39,15 @@ from .tokenizer import VERB1_ID, VERB2_ID, Tokenizer
 
 TIE_EPS = 1e-9
 
-# Pairs scored per forward. At the README width a pair's forward is largely
-# fixed per-call cost; of 1, 2, 3, 4, 6 and 8 pairs of one length per
-# forward, 4 was the fastest on a 2-core VM (3 within 1%), and larger stacks
-# took more page faults.
-GROUP_PAIRS = 4
+# Tokens (rows x length) stacked into one scoring forward, in whole pairs
+# and at least one pair: 8 pairs of length 29, 5 of length 48, 4 of length
+# 64. At the README width a short forward is largely fixed per-call cost,
+# but the block ops' arena (see tensor.py) grows with the stack. On a 2-core
+# VM, 512 with the arena scored 29-token pairs about x1.35 faster than 4
+# pairs a forward without it, for 1.5-2% more peak memory. 448 was as fast
+# on 29 tokens but stacks only 3 pairs of 64, and larger budgets take more
+# memory. Without the arena, larger stacks faulted in more heap.
+TOKEN_BUDGET = 512
 
 
 @dataclass
@@ -171,8 +175,9 @@ def score_pairs(model: EvalModel, pairs, skipped=None) -> list:
     logits gives p1 and p2. A non-finite option logit raises
     DivergenceError naming the pair instead of being scored.
 
-    Rows of one length are stacked into forwards of up to GROUP_PAIRS pairs'
-    rows each, lengths in first-seen order. A pair whose options cannot fit
+    Rows of one length are stacked into forwards of as many whole pairs'
+    rows as fit TOKEN_BUDGET tokens (at least one pair), lengths in
+    first-seen order. A pair whose options cannot fit
     max_seq raises SkipRecord, or, given a skipped list, is appended to it
     and left out.
     """
@@ -189,9 +194,10 @@ def score_pairs(model: EvalModel, pairs, skipped=None) -> list:
         for j, (ids, _) in enumerate(rows):
             by_length.setdefault(len(ids), []).append((i, j))
     values = [[None, None] for _ in rendered]
-    for keys in by_length.values():
-        for lo in range(0, len(keys), 2 * GROUP_PAIRS):
-            chunk = keys[lo : lo + 2 * GROUP_PAIRS]
+    for length, keys in by_length.items():
+        cap = 2 * max(1, TOKEN_BUDGET // (2 * length))
+        for lo in range(0, len(keys), cap):
+            chunk = keys[lo : lo + cap]
             for (i, j), value in zip(chunk, _score_rows(model, [rendered[i][1][j] for i, j in chunk])):
                 values[i][j] = value
     trials = []

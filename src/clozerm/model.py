@@ -197,7 +197,7 @@ def _head(weights, rows: Tensor) -> Tensor:
 def forward_mlm_batch(weights, config: ModelConfig, ids: np.ndarray, mask_positions) -> Tensor:
     """Full-vocabulary logits at each sequence's mask position: [batch, vocab]."""
     if config.head_kind != HEAD_MLM:
-        raise ContractError(f"forward_mlm requires the mlm head, got {config.head_kind}")
+        raise ContractError(f"forward_mlm_batch requires the mlm head, got {config.head_kind}")
     ids = np.asarray(ids, dtype=np.int64)
     pos = np.asarray(mask_positions, dtype=np.int64)
     batch, seq = ids.shape
@@ -220,7 +220,7 @@ def forward_mlm(weights, config: ModelConfig, token_ids, mask_position: int) -> 
 def forward_pooled_batch(weights, config: ModelConfig, ids: np.ndarray) -> Tensor:
     """Two-way logits from pooled final hidden states: [batch, 2]."""
     if config.head_kind != HEAD_POOLED:
-        raise ContractError(f"forward_pooled requires the pooled-classifier head, got {config.head_kind}")
+        raise ContractError(f"forward_pooled_batch requires the pooled-classifier head, got {config.head_kind}")
     ids = np.asarray(ids, dtype=np.int64)
     batch, seq = ids.shape
     if config.pooling == "cls":
@@ -241,7 +241,7 @@ def forward_pooled(weights, config: ModelConfig, token_ids) -> Tensor:
 def forward_token_batch(weights, config: ModelConfig, ids: np.ndarray) -> Tensor:
     """One scalar logit per token: [batch, seq]."""
     if config.head_kind != HEAD_TOKEN:
-        raise ContractError(f"forward_token_labels requires the token-classifier head, got {config.head_kind}")
+        raise ContractError(f"forward_token_batch requires the token-classifier head, got {config.head_kind}")
     ids = np.asarray(ids, dtype=np.int64)
     batch, seq = ids.shape
     hidden = encode_batch(weights, config, ids)

@@ -13,6 +13,20 @@ contributions. A tape can be walked backward exactly once.
 A tape and the tensors it records are confined to one thread; tensors that
 never require gradients are immutable after construction and may be shared
 across threads for read-only inference.
+
+The encoder-block ops ``residual_attention`` and ``residual_ffn`` take their
+large temporaries from a scratch arena when the op will not be recorded (no
+tape open, or no parent requires a gradient): one buffer per thread, kept
+in the thread-local state beside the tape stack, which every call reuses
+from the front, so that a run of inference forwards does not free and fault
+in fresh heap pages on each call. Recorded ops take fresh arrays, which
+their backward reads. The arena's written pages never exceed the largest
+single op's temporaries: 4 * (6 * hidden + 2 * n_heads * seq) bytes per
+stacked token for attention and 12 * ffn width bytes for the FFN, about
+2.9 MB for 512 tokens at the README shape (hidden 64, 8 heads, FFN width
+256) and max_seq 64. The buffer grows by doubling, so it reserves at most
+twice that. No op returns a view of the arena: every output is a fresh
+array.
 """
 
 import math
@@ -25,6 +39,10 @@ from .errors import ContractError, ShapeError
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 
 ROW_NORM_EPS = 1e-8
+
+# Each array carved from an arena starts a multiple of this many bytes (a
+# cache line) into its buffer, which keeps float32 and float64 carves aligned.
+_ARENA_ALIGN = 64
 
 _state = threading.local()
 
@@ -145,18 +163,92 @@ def _as_tensor(x, dtype_hint=np.float32) -> Tensor:
     return Tensor(x)
 
 
+def _recording_tape(parents):
+    """The open tape if one is open and some parent requires a gradient:
+    the tape an op on these parents is recorded on. Otherwise None."""
+    tape = active_tape()
+    if tape is not None:
+        for parent in parents:
+            if parent.requires_grad:
+                return tape
+    return None
+
+
 def _op(data, dtype, parents, backward_fn) -> Tensor:
     """An op's output tensor. ``backward_fn(g)``, which adds the gradient
     ``g`` of the output into the parents that require one, is recorded only
     when a tape is open and some parent requires a gradient."""
     out = Tensor(data, dtype=dtype)
-    tape = active_tape()
+    tape = _recording_tape(parents)
     if tape is not None:
-        for parent in parents:
-            if parent.requires_grad:
-                out.requires_grad = True
-                tape._record(out, backward_fn)
-                break
+        out.requires_grad = True
+        tape._record(out, backward_fn)
+    return out
+
+
+class _Arena:
+    """One byte buffer that only grows. An op carves its temporaries from
+    the front with take() and starts again at the front on its next call, so
+    a run of forwards reuses the same pages instead of freeing and
+    faulting in fresh heap for every call."""
+
+    __slots__ = ("buf", "used")
+
+    def __init__(self):
+        self.buf = np.empty(0, dtype=np.uint8)
+        self.used = 0
+
+    def start(self):
+        """Hand the whole buffer to a new op; returns its allocator."""
+        self.used = 0
+        return self.take
+
+    def take(self, shape, dtype, reuse=None):
+        """An uninitialised array carved after the op's earlier ones. When
+        it does not fit, a buffer at least twice as big replaces the old
+        one, which lives on only as the base of the op's earlier arrays.
+
+        reuse, a C-ordered temporary of the op that it no longer reads,
+        lends its memory instead when it has the dtype and is big enough."""
+        dtype = np.dtype(dtype)
+        n = math.prod(shape)
+        if reuse is not None and reuse.dtype == dtype and reuse.size >= n:
+            return np.ndarray(shape, dtype, reuse)
+        lo = -(-self.used // _ARENA_ALIGN) * _ARENA_ALIGN
+        self.used = hi = lo + n * dtype.itemsize
+        if hi > self.buf.size:
+            self.buf = np.empty(max(hi, 2 * self.buf.size), dtype=np.uint8)
+        return np.ndarray(shape, dtype, self.buf, lo)
+
+
+def _fresh(shape, dtype, reuse=None):
+    """A new array. A recorded op's backward may read any of its forward
+    temporaries, so none lends its memory."""
+    return np.empty(shape, dtype)
+
+
+def _allocator(parents):
+    """How an op on these parents allocates its large temporaries,
+    new(shape, dtype, reuse=None): fresh arrays when the op will be
+    recorded, since its backward reads them, and otherwise the thread's
+    arena, since nothing reads them after the op returns."""
+    if _recording_tape(parents) is not None:
+        return _fresh
+    arena = getattr(_state, "arena", None)
+    if arena is None:
+        arena = _state.arena = _Arena()
+    return arena.start()
+
+
+def _matmul(x, y, new, reuse=None):
+    """x @ y written into new(shape, dtype, reuse)."""
+    return np.matmul(x, y, out=new(x.shape[:-1] + y.shape[-1:], np.result_type(x, y), reuse))
+
+
+def _copy(t, new, reuse=None):
+    """A C-ordered copy of t in new(shape, dtype, reuse)."""
+    out = new(t.shape, t.dtype, reuse)
+    np.copyto(out, t)
     return out
 
 
@@ -304,25 +396,32 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     return _op(out, x.dtype, (x, gain, bias), _bwd)
 
 
-def _move_heads(t, split, shape, fresh):
-    """Reshape t to split, swap its two middle axes and reshape to shape.
-    With fresh set the result is a new C-ordered array, laid out as
-    Tensor._accum lays out a gradient, so that the matmuls it feeds pick the
-    same BLAS kernel; otherwise it is a view wherever reshape allows one."""
+def _move_heads(t, split, shape, new, view, reuse=None):
+    """Reshape the C-ordered t to split, swap its two middle axes and
+    reshape to shape. With view set, which the callers set exactly where
+    reshape returns a view, the result is that view: copying there would
+    change the layout the matmuls it feeds hand to BLAS. Otherwise it is a
+    C-ordered copy into new(..., reuse), laid out as Tensor._accum lays out a
+    gradient, so that those matmuls pick the same BLAS kernel."""
     moved = t.reshape(split).transpose(0, 2, 1, 3)
-    if not fresh:
+    if view:
         return moved.reshape(shape)
-    return moved.copy().reshape(shape)
+    return _copy(moved, new, reuse).reshape(shape)
 
 
-def _split_heads(t, batch, seq, n_heads, fresh=False):
-    """[batch*seq, hidden] -> [batch*n_heads, seq, head_dim]."""
-    return _move_heads(t, (batch, seq, n_heads, -1), (batch * n_heads, seq, -1), fresh)
+def _split_heads(t, batch, seq, n_heads, new, fresh=False):
+    """[batch*seq, hidden] -> [batch*n_heads, seq, head_dim]: a view when
+    batch, seq or n_heads is 1, else (and always with fresh) a copy."""
+    view = not fresh and 1 in (batch, seq, n_heads)
+    return _move_heads(t, (batch, seq, n_heads, -1), (batch * n_heads, seq, -1), new, view)
 
 
-def _merge_heads(t, batch, seq, n_heads, fresh=False):
-    """[batch*n_heads, seq, head_dim] -> [batch*seq, hidden]; inverse of _split_heads."""
-    return _move_heads(t, (batch, n_heads, seq, -1), (batch * seq, -1), fresh)
+def _merge_heads(t, batch, seq, n_heads, new, fresh=False, reuse=None):
+    """[batch*n_heads, seq, head_dim] -> [batch*seq, hidden], the inverse of
+    _split_heads: a view when seq or n_heads is 1, else (and always with
+    fresh) a copy."""
+    view = not fresh and 1 in (seq, n_heads)
+    return _move_heads(t, (batch, n_heads, seq, -1), (batch * seq, -1), new, view, reuse)
 
 
 def residual_attention(x, a, wq, wk, wv, wo, seq: int, n_heads: int, query=None) -> Tensor:
@@ -379,21 +478,27 @@ def residual_attention(x, a, wq, wk, wv, wo, seq: int, n_heads: int, query=None)
         full[rows] = d
         return full
 
-    q = _split_heads(a_q @ wq.data, batch, n_q, n_heads)
-    k, v = (_split_heads(a.data @ w.data, batch, seq, n_heads) for w in (wk, wv))
+    # Every temporary below comes from new; only the result is a fresh array.
+    new = _allocator((x, a, wq, wk, wv, wo))
+    q_proj, k_proj = _matmul(a_q, wq.data, new), _matmul(a.data, wk.data, new)
+    q = _split_heads(q_proj, batch, n_q, n_heads, new)
+    k = _split_heads(k_proj, batch, seq, n_heads, new)
+    v = _split_heads(_matmul(a.data, wv.data, new), batch, seq, n_heads, new)
     kt = k.transpose(0, 2, 1)
     # The scores are scaled, shifted, exponentiated and normalised in place.
     # The row maxima are taken down the columns of a transposed copy of all
     # score rows: a maximum is exact in any order, and a last-axis reduction
     # over many short rows is slow.
-    p = q @ kt
+    p = _matmul(q, kt, new)
     scale = np.asarray(1.0 / math.sqrt(h // n_heads), dtype=p.dtype)
     p *= scale
-    row_max = np.maximum.reduce(np.ascontiguousarray(p.reshape(-1, p.shape[-1]).T), axis=0)
+    row_max = np.maximum.reduce(_copy(p.reshape(-1, seq).T, new), axis=0)
     p -= row_max.reshape(*p.shape[:-1], 1)
     np.exp(p, out=p)
     p /= np.add.reduce(p, axis=-1, keepdims=True)
-    ctx = _merge_heads(p @ v, batch, n_q, n_heads)
+    # Once the scores are formed, only a backward reads q and k, so their
+    # projections can take the context and its head merge.
+    ctx = _merge_heads(_matmul(p, v, new, q_proj), batch, n_q, n_heads, new, reuse=k_proj)
     data = ctx @ wo.data
     data += x_q
 
@@ -402,7 +507,7 @@ def residual_attention(x, a, wq, wk, wv, wo, seq: int, n_heads: int, query=None)
             x._accum(scatter(g))
         need_q, need_k, need_v = (a.requires_grad or w.requires_grad for w in (wq, wk, wv))
         if need_q or need_k or need_v:
-            d_ctx = _split_heads(g @ wo.data.T, batch, n_q, n_heads, fresh=True)
+            d_ctx = _split_heads(g @ wo.data.T, batch, n_q, n_heads, _fresh, fresh=True)
         if wo.requires_grad:
             wo._accum(ctx.T @ g)
         d_q = d_k = d_v = None
@@ -420,7 +525,7 @@ def residual_attention(x, a, wq, wk, wv, wo, seq: int, n_heads: int, query=None)
             d_v = p.swapaxes(-1, -2) @ d_ctx
         for w, d, a_in, q_side in ((wv, d_v, a.data, False), (wk, d_k, a.data, False), (wq, d_q, a_q, True)):
             if d is not None:
-                d = _merge_heads(d, batch, n_q if q_side else seq, n_heads, fresh=True)
+                d = _merge_heads(d, batch, n_q if q_side else seq, n_heads, _fresh, fresh=True)
                 if a.requires_grad:
                     d_a = d @ w.data.T
                     a._accum(scatter(d_a) if q_side else d_a)
@@ -450,20 +555,23 @@ def residual_ffn(x, b, w1, w2) -> Tensor:
             f"residual_ffn: incompatible shapes x {tuple(x.shape)}, b {tuple(b.shape)},"
             f" w1 {tuple(w1.shape)}, w2 {tuple(w2.shape)}"
         )
-    z = b.data @ w1.data
+    # Every temporary below comes from new; only the result is a fresh array.
+    new = _allocator((x, b, w1, w2))
+    z = _matmul(b.data, w1.data, new)
     c = np.asarray(_GELU_C, dtype=z.dtype)
     # tanh(c * (z + 0.044715 * z*z*z)) and 0.5 * z * (1 + t), each step in
     # place in the order of the expression (products and sums commute
     # exactly). z * z * z, not z**3: NumPy's float32 cube is a slow pow()
     # per element.
-    t = z * z
+    t = np.multiply(z, z, out=new(z.shape, z.dtype))
     t *= z
     t *= np.asarray(0.044715, dtype=z.dtype)
     t += z
     t *= c
     np.tanh(t, out=t)
-    act = 0.5 * z
-    act *= 1.0 + t
+    act = np.multiply(0.5, z, out=new(z.shape, z.dtype))
+    # Only a backward reads z from here on, so 1 + t can take its memory.
+    act *= np.add(1.0, t, out=new(z.shape, z.dtype, z))
     data = act @ w2.data
     data += x.data
 

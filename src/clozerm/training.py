@@ -171,12 +171,19 @@ def adamw_step(params, grads, state: OptimizerState, lr_t: float, weight_decay: 
     in `params`. The update is elementwise, so one call on a concatenation
     of parameters gives the same bits as one call per parameter; its
     temporaries go to two scratch arrays per parameter kept on `state`.
+
+    A bias correction or decay factor that rounds to exactly 1.0 at the
+    parameter's dtype is skipped, since dividing or multiplying by it
+    changes no bit: in float32 the bias corrections reach 1.0 after a few
+    hundred steps, and 1 - lr_t * wd is 1.0 whenever lr_t * wd is at most
+    2**-25 (about 3e-8).
     """
     if lr_t < 0:
         raise ContractError("lr_t must be non-negative")
     state.t += 1
     bc1 = 1.0 - state.beta1 ** state.t
     bc2 = 1.0 - state.beta2 ** state.t
+    decay = 1.0 - lr_t * weight_decay
     for name, p in params.items():
         g = grads.get(name)
         if g is None:
@@ -203,15 +210,16 @@ def adamw_step(params, grads, state: OptimizerState, lr_t: float, weight_decay: 
         np.multiply(s, 1.0 - state.beta2, out=s)
         v += s
         # p -= lr_t * ((m / bc1) / (sqrt(v / bc2) + eps)), in that order.
-        np.divide(m, bc1, out=s)
-        np.divide(v, bc2, out=u)
-        np.sqrt(u, out=u)
+        rounded = p.dtype.type
+        m_hat = m if rounded(bc1) == 1.0 else np.divide(m, bc1, out=s)
+        v_hat = v if rounded(bc2) == 1.0 else np.divide(v, bc2, out=u)
+        np.sqrt(v_hat, out=u)
         np.add(u, state.eps, out=u)
-        np.divide(s, u, out=s)
+        np.divide(m_hat, u, out=s)
         np.multiply(s, lr_t, out=s)
         p -= s
-        if weight_decay:
-            p *= 1.0 - lr_t * weight_decay
+        if rounded(decay) != 1.0:
+            p *= decay
     return params, state
 
 
@@ -598,7 +606,8 @@ def sample_trial_configs(spec: SweepSpec) -> list:
 
 def trial_config(spec: SweepSpec, draw: TrialDraw) -> TrainConfig:
     """The base config with the draw's learning rate, prefix, frozen layers
-    and rank; a trial with adapters keeps the base's adapter targets."""
+    and rank; a trial keeps the base's embedding freeze and, with adapters,
+    its adapter targets."""
     dora = None
     if draw.dora_rank > 0:
         dora = replace(spec.base.dora or DoraSettings(), rank=draw.dora_rank)
@@ -606,7 +615,7 @@ def trial_config(spec: SweepSpec, draw: TrialDraw) -> TrainConfig:
         spec.base,
         learning_rate=draw.learning_rate,
         prefix=draw.prefix,
-        freeze=FreezeSpec(n_frozen_layers=draw.frozen_layers),
+        freeze=replace(spec.base.freeze, n_frozen_layers=draw.frozen_layers),
         dora=dora,
     )
 

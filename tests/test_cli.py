@@ -446,6 +446,20 @@ def test_dora_targets_without_adapters_exits_1(tmp_path, corpus, capsys, command
     assert not out.exists()
 
 
+# Sweep draws each trial's adapter rank and frozen-layer count, so a flag
+# that would fix them is an error naming the flags that set the draws.
+@pytest.mark.parametrize("flag,names", [
+    ("--dora-rank", ["--ranks"]),
+    ("--frozen-layers", ["--frozen-min", "--frozen-max"]),
+], ids=["dora-rank", "frozen-layers"])
+def test_sweep_rejects_a_flag_that_each_trial_draws(tmp_path, corpus, capsys, flag, names):
+    out = tmp_path / "sweep.csv"
+    assert run(["sweep", "--data", str(corpus), "--out", str(out), "--ranks", "0", flag, "1", *FLAT]) == 1
+    err = capsys.readouterr().err
+    assert flag in err and all(name in err for name in names)
+    assert not out.exists()
+
+
 def test_compare_reports_three_objectives(tmp_path, corpus, capsys):
     report_path = tmp_path / "cmp.json"
     assert run(["compare", "--data", str(corpus), "--out", str(report_path), *FLAT]) == 0

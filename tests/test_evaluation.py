@@ -4,6 +4,8 @@ CSV emission, and the three-objective comparison."""
 import json
 import math
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -26,9 +28,9 @@ from clozerm.data import (
 )
 from clozerm.errors import CheckpointError, ConfigError, ContractError, DivergenceError, SkipRecord
 from clozerm.evaluation import (
-    EvalModel,
-    GROUP_PAIRS,
     TIE_EPS,
+    TOKEN_BUDGET,
+    EvalModel,
     TradeoffPoint,
     TrialRecord,
     aggregate_chat,
@@ -57,6 +59,7 @@ from clozerm.model import (
     init_weights,
 )
 from clozerm.peft import merge_checkpoint
+from clozerm.tensor import Tape, Tensor
 from clozerm.tokenizer import VERB1_ID, VERB2_ID
 from clozerm.training import (
     DoraSettings,
@@ -271,17 +274,25 @@ def test_grouped_scoring_forwards_per_length_group(objective, monkeypatch):
         original = getattr(clozerm.evaluation, name)
         monkeypatch.setattr(clozerm.evaluation, name,
                             lambda w, c, ids, *a, _f=original: shapes.append(ids.shape) or _f(w, c, ids, *a))
-    score_pairs(model, MIXED)
-    # Rows of one length in first-seen order, 2 * GROUP_PAIRS rows a forward.
     lengths = [n for pair in MIXED for n in row_lengths(model, pair)]
-    cap = 2 * GROUP_PAIRS
-    expected = []
-    for length in dict.fromkeys(lengths):
-        n = lengths.count(length)
-        expected += [(min(cap, n - lo), length) for lo in range(0, n, cap)]
-    assert shapes == expected
     arithmetic = row_lengths(model, next(p for p in MIXED if p.domain == "reasoning"))[0]
-    assert [rows for rows, length in shapes if length == arithmetic] == [cap, cap, 2]
+    # Token budgets: the module's; eight arithmetic rows, which takes the
+    # nine arithmetic pairs in two full chunks and a remainder; and one
+    # token, below a single pair, which still takes one pair a forward.
+    for tokens, arithmetic_chunks in ((TOKEN_BUDGET, None), (8 * arithmetic, [8, 8, 2]), (1, [2] * 9)):
+        monkeypatch.setattr(clozerm.evaluation, "TOKEN_BUDGET", tokens)
+        shapes.clear()
+        score_pairs(model, MIXED)
+        # Rows of one length in first-seen order, as many whole pairs' rows
+        # a forward as fit the budget, and at least one pair's.
+        expected = []
+        for length in dict.fromkeys(lengths):
+            n = lengths.count(length)
+            cap = 2 * max(1, tokens // (2 * length))
+            expected += [(min(cap, n - lo), length) for lo in range(0, n, cap)]
+        assert shapes == expected
+        if arithmetic_chunks is not None:
+            assert [rows for rows, length in shapes if length == arithmetic] == arithmetic_chunks
 
 
 def test_grouped_scoring_keeps_input_order():
@@ -322,6 +333,53 @@ def test_grouped_scoring_divergence_names_the_pair(monkeypatch):
     monkeypatch.setattr(clozerm.evaluation, "forward_mlm_batch", poisoned)
     with pytest.raises(DivergenceError, match=f"pair {MIXED[at].id!r}"):
         eval_dataset(model, MIXED)
+
+
+# Scoring forwards take the block ops' temporaries from the thread's arena;
+# training forwards record them and take fresh arrays. The logits must agree
+# bit for bit, with no layer (no block op at all), one layer (the last
+# layer's one-row query attention) and two, over one pair and over several.
+@pytest.mark.parametrize("n_layers", [0, 1, 2])
+@pytest.mark.parametrize("n_pairs", [1, 3])
+def test_scoring_forward_bits_do_not_depend_on_a_recording_tape(n_layers, n_pairs):
+    settings = ModelSettings(n_layers=n_layers, hidden=64, n_heads=8, ffn_mult=4, max_seq=48)
+    model = make_model(pairs=MIXED, seed=1, settings=settings)
+    arithmetic = [p for p in MIXED if p.domain == "reasoning"][:n_pairs]
+    insts = [build_cloze(p, TEMPLATE, order, model.tokenizer, settings.max_seq) for p in arithmetic for order in ORDERS]
+    ids = np.asarray([inst.token_ids for inst in insts])
+    positions = [inst.mask_position for inst in insts]
+    plain = forward_mlm_batch(model.weights, model.config, ids, positions).data
+    weights = {name: Tensor(w, requires_grad=True) for name, w in model.weights.items()}
+    with Tape() as tape:
+        recorded = forward_mlm_batch(weights, model.config, ids, positions).data
+    assert len(tape) > 0 and np.array_equal(plain, recorded)
+
+
+# Each thread has its own arena, so threads that score at once get the
+# serial trials. Three threads on two cores with a short switch interval
+# score the pairs in three different orders, so that no two threads compute
+# the same rows at the same time.
+def test_concurrent_scoring_threads_get_the_serial_trials():
+    model = make_model(pairs=MIXED, seed=3)
+    orders = [MIXED, MIXED[::-1], MIXED[7:] + MIXED[:7]]
+    serial = [score_pairs(model, pairs) for pairs in orders]
+    results = [None] * len(orders)
+
+    def work(i):
+        results[i] = [score_pairs(model, orders[i]) for _ in range(4)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(orders))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [[trials] * 4 for trials in serial]
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import clozerm.tensor
 from clozerm.errors import ContractError, ShapeError
 from clozerm.tensor import (
     Tape,
     Tensor,
+    _fresh,
+    _merge_heads,
+    _split_heads,
     add,
     bce_with_logits,
     cross_entropy_rows,
@@ -614,6 +618,95 @@ def test_residual_ffn_is_bitwise_the_unfused_chain(rows, hidden):
     chain = _block_run(unfused_ffn, arrays)
     for got, want in zip(fused, chain):
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+# The block ops at README widths (hidden 64, 8 heads, sequence 29):
+# attention over a batch of 3 and of 1, one query row per sequence, and the
+# FFN. Each takes its temporaries from the thread's arena when nothing will
+# record it, and fresh arrays otherwise.
+ARENA_OPS = {
+    "attention-batch-3": (3, lambda *ts: residual_attention(*ts, 29, 8)),
+    "attention-batch-1": (1, lambda *ts: residual_attention(*ts, 29, 8)),
+    "attention-query": (3, lambda *ts: residual_attention(*ts, 29, 8, query=[28, 0, 13])),
+    "ffn": (3, residual_ffn),
+}
+
+
+def _arena_case(name, seed):
+    batch, op = ARENA_OPS[name]
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=(batch * 29, 64)) for _ in range(2)]
+    shapes = [(64, 256), (256, 64)] if name == "ffn" else [(64, 64)] * 4
+    arrays += [rng.normal(0.0, 0.3, size=shape) for shape in shapes]
+    return op, [a.astype(np.float32) for a in arrays]
+
+
+@pytest.mark.parametrize("name", sorted(ARENA_OPS))
+def test_block_ops_give_the_same_bits_with_and_without_a_recording_tape(name):
+    op, arrays = _arena_case(name, 0)
+    plain = op(*(Tensor(a) for a in arrays)).data
+    with Tape() as tape:
+        unrecorded = op(*(Tensor(a) for a in arrays)).data
+        recorded = op(*(Tensor(a, requires_grad=True) for a in arrays)).data
+    assert len(tape) == 1
+    assert np.array_equal(plain, recorded) and np.array_equal(unrecorded, recorded)
+
+
+@pytest.mark.parametrize("name", sorted(ARENA_OPS))
+def test_block_ops_return_arrays_apart_from_the_arena(name):
+    op, first = _arena_case(name, 0)
+    _, second = _arena_case(name, 1)
+    out = op(*(Tensor(a) for a in first)).data
+    kept = out.copy()
+    again = op(*(Tensor(a) for a in second)).data
+    arena = clozerm.tensor._state.arena
+    buf = arena.buf
+    third = op(*(Tensor(a) for a in first)).data
+    # Once grown, the buffer holds every temporary of a call of the same
+    # shape and is reused. No call returns a view of it, and a later call
+    # leaves an earlier call's output as it was.
+    assert arena.buf is buf and 0 < arena.used <= buf.size
+    assert not any(np.shares_memory(o, buf) for o in (out, again, third))
+    assert np.array_equal(out, kept) and np.array_equal(third, kept) and not np.array_equal(again, kept)
+
+
+# A recorded op's backward reads its forward temporaries after later ops
+# have run, so they must not come from the arena: through attention, FFN
+# and attention again, after an unrecorded run has sized the arena, every
+# gradient is the unfused chain's.
+def test_stacked_blocks_backward_is_bitwise_the_unfused_chain():
+    def stack(attention, ffn):
+        def build(x, a, wq, wk, wv, wo, b, w1, w2, a2):
+            h = ffn(attention(x, a, wq, wk, wv, wo, 29, 8), b, w1, w2)
+            return attention(h, a2, wq, wk, wv, wo, 29, 8)
+        return build
+
+    rng = np.random.default_rng(3)
+    arrays = [rng.normal(size=(58, 64)) for _ in range(2)]
+    arrays += [rng.normal(0.0, 0.3, size=(64, 64)) for _ in range(4)]
+    arrays += [rng.normal(size=(58, 64)), rng.normal(0.0, 0.3, size=(64, 256))]
+    arrays += [rng.normal(0.0, 0.3, size=(256, 64)), rng.normal(size=(58, 64))]
+    stack(residual_attention, residual_ffn)(*(Tensor(a.astype(np.float32)) for a in arrays))
+    fused = _block_run(stack(residual_attention, residual_ffn), arrays)
+    chain = _block_run(stack(unfused_attention, unfused_ffn), arrays)
+    for got, want in zip(fused, chain):
+        assert np.array_equal(got, want)
+
+
+# The head moves must copy exactly where reshape does: a copy where reshape
+# gives a view would change the layout that the matmuls hand to BLAS.
+@pytest.mark.parametrize("batch,seq,n_heads", list(itertools.product([1, 2, 3], repeat=3)))
+def test_head_moves_copy_exactly_where_reshape_copies(batch, seq, n_heads):
+    t = np.arange(batch * seq * n_heads * 2, dtype=np.float32).reshape(batch * seq, n_heads * 2)
+    split = _split_heads(t, batch, seq, n_heads, _fresh)
+    moved = t.reshape(batch, seq, n_heads, 2).transpose(0, 2, 1, 3)
+    assert np.shares_memory(split, t) == np.shares_memory(moved.reshape(batch * n_heads, seq, 2), t)
+    assert np.array_equal(split, moved.reshape(batch * n_heads, seq, 2))
+    heads = np.ascontiguousarray(split)
+    merged = _merge_heads(heads, batch, seq, n_heads, _fresh)
+    back = heads.reshape(batch, n_heads, seq, 2).transpose(0, 2, 1, 3)
+    assert np.shares_memory(merged, heads) == np.shares_memory(back.reshape(batch * seq, -1), heads)
+    assert np.array_equal(merged, t)
 
 
 # Both README FFN orientations of a [d_in, d_out] base and a small one, each

@@ -145,6 +145,27 @@ def test_adamw_multi_step_matches_python_reference():
     assert abs(p[0] - ref) < 1e-12
 
 
+def test_adamw_skipped_identity_passes_keep_the_bits():
+    # Past the step where float32 bias corrections round to 1.0, and at a
+    # decay factor that rounds to 1.0, the skipped passes must change no
+    # bit against always dividing and always decaying.
+    rng = np.random.default_rng(5)
+    beta1, beta2, eps = 0.9, 0.98, 1e-6
+    p = rng.normal(size=(64,)).astype(np.float32)
+    ref, m, v = p.copy(), np.zeros_like(p), np.zeros_like(p)
+    state = OptimizerState(beta1=beta1, beta2=beta2, eps=eps)
+    for t in range(1, 1001):
+        g = rng.normal(size=p.shape).astype(np.float32)
+        lr, wd = 1.75e-3 * (1.0 - t / 1000), (1e-5 if t % 2 else 0.5)
+        m = m * beta1 + g * (1.0 - beta1)
+        v = v * beta2 + (g * g) * (1.0 - beta2)
+        ref -= (m / (1.0 - beta1 ** t)) / (np.sqrt(v / (1.0 - beta2 ** t)) + eps) * lr
+        ref *= 1.0 - lr * wd
+        adamw_step({"w": p}, {"w": g}, state, lr_t=lr, weight_decay=wd)
+        assert np.array_equal(p, ref), t
+    assert np.float32(1.0 - beta2 ** 1000) == 1.0 and np.float32(1.0 - 1.75e-3 * 1e-5) == 1.0
+
+
 def test_adamw_moments_persist_across_calls():
     p = np.array([1.0], dtype=np.float64)
     state = OptimizerState()
@@ -757,6 +778,12 @@ def test_trial_config_keeps_the_base_adapter_targets():
     configs = [trial_config(spec, draw) for draw in sample_trial_configs(spec)]
     assert {c.dora.rank if c.dora else 0 for c in configs} == {0, 2}
     assert all(c.dora == DoraSettings(rank=2, targets=targets) for c in configs if c.dora)
+
+
+def test_trial_config_keeps_the_base_embedding_freeze():
+    spec = l0_spec(base=small_config(freeze=FreezeSpec(0, freeze_embeddings=True)), trials=4)
+    configs = [trial_config(spec, draw) for draw in sample_trial_configs(spec)]
+    assert all(c.freeze == FreezeSpec(n_frozen_layers=0, freeze_embeddings=True) for c in configs)
 
 
 def test_sweep_singleton_row():
