@@ -56,15 +56,14 @@ from .evaluation import (
     format_score,
     overall,
     parse_tradeoff,
-    score_pair,
     score_pairs,
 )
 from .model import (
     ModelConfig,
     count_params,
-    forward_mlm,
-    forward_pooled,
-    forward_token_labels,
+    forward_mlm_batch,
+    forward_pooled_batch,
+    forward_token_batch,
     init_weights,
     manifest,
 )
@@ -75,7 +74,6 @@ from .peft import (
     apply_freeze,
     attach_adapters,
     dora_init,
-    dora_merge,
     merge_adapters,
     merge_checkpoint,
     weight_average,

@@ -277,7 +277,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    template = ClozeTemplate(args.prefix) if args.prefix else None
+    template = None if args.prefix is None else ClozeTemplate(args.prefix)
     model = EvalModel.from_checkpoint(load_checkpoint(args.ckpt), template=template)
     report = eval_dataset(model, load_jsonl(args.data))
     if args.out:

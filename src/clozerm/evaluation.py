@@ -212,11 +212,6 @@ def score_pairs(model: EvalModel, pairs, skipped=None) -> list:
     return trials
 
 
-def score_pair(model: EvalModel, pair) -> list:
-    """The pair's two TrialRecords, as score_pairs gives them."""
-    return score_pairs(model, [pair])
-
-
 def _credit(trial: TrialRecord) -> float:
     if trial.prediction == "tie":
         return 0.5
@@ -224,8 +219,8 @@ def _credit(trial: TrialRecord) -> float:
 
 
 def aggregate_trials(trials, gflops_per_token: float = 0.0, n_skipped: int = 0) -> EvalReport:
-    """Fold trial records into the report; overall is the unweighted mean
-    of whichever of the three categories are present."""
+    """Fold trial records into the report; overall is overall() of the
+    three categories, an absent one left out."""
     trials = list(trials)
     if not trials:
         raise ContractError("no trials to aggregate")
@@ -242,7 +237,6 @@ def aggregate_trials(trials, gflops_per_token: float = 0.0, n_skipped: int = 0) 
     acc = {
         d: (sum(v) / len(v) if v else None) for d, v in by_domain.items()
     }
-    present = [a for a in acc.values() if a is not None]
     order_acc = {o: sum(v) / len(v) for o, v in by_order.items()}
     if len(order_acc) == 2:
         a, b = sorted(order_acc)
@@ -253,7 +247,7 @@ def aggregate_trials(trials, gflops_per_token: float = 0.0, n_skipped: int = 0) 
         chat=acc["chat"],
         reasoning=acc["reasoning"],
         safety=acc["safety"],
-        overall=sum(present) / len(present),
+        overall=overall(acc["chat"], acc["reasoning"], acc["safety"]),
         position_bias=bias,
         n={d: len(v) for d, v in by_domain.items()},
         gflops_per_token=gflops_per_token,
@@ -292,13 +286,17 @@ def aggregate_chat(sub_scores) -> float:
     return total / total_n
 
 
-def overall(chat: float, reasoning: float, safety: float) -> float:
-    """Unweighted mean of the three category accuracies; accepts either
-    fractions in [0, 1] or percentage points in [0, 100]."""
-    for v in (chat, reasoning, safety):
+def overall(chat, reasoning, safety) -> float:
+    """Unweighted mean of the category accuracies that are not None, of
+    which there must be at least one; accepts either fractions in [0, 1] or
+    percentage points in [0, 100]."""
+    present = [v for v in (chat, reasoning, safety) if v is not None]
+    if not present:
+        raise ContractError("overall needs at least one category accuracy")
+    for v in present:
         if not 0.0 <= v <= 100.0:
             raise ContractError(f"accuracy {v} outside [0, 100]")
-    return (chat + reasoning + safety) / 3.0
+    return sum(present) / len(present)
 
 
 def format_score(value: float) -> str:
@@ -334,6 +332,15 @@ def format_gflops(flops: float) -> str:
 _TRADEOFF_HEADER = "label,gflops_per_token,accuracy"
 
 
+def _check_point(p: TradeoffPoint) -> None:
+    if not p.label or "," in p.label or "\n" in p.label:
+        raise ContractError(f"bad tradeoff label {p.label!r}")
+    if not (math.isfinite(p.gflops_per_token) and p.gflops_per_token > 0):
+        raise ContractError(f"gflops_per_token must be finite and positive for {p.label!r}")
+    if not math.isfinite(p.accuracy):
+        raise ContractError(f"accuracy must be finite for {p.label!r}")
+
+
 def emit_tradeoff(points, path) -> None:
     """CSV of (label, gflops/token, accuracy) sorted by cost ascending."""
     from .fileio import atomic_write_text
@@ -342,10 +349,7 @@ def emit_tradeoff(points, path) -> None:
     if not points:
         raise ContractError("emit_tradeoff needs at least one point")
     for p in points:
-        if not p.label or "," in p.label or "\n" in p.label:
-            raise ContractError(f"bad tradeoff label {p.label!r}")
-        if p.gflops_per_token <= 0:
-            raise ContractError(f"gflops_per_token must be positive for {p.label!r}")
+        _check_point(p)
     rows = sorted(points, key=lambda p: p.gflops_per_token)
     lines = [_TRADEOFF_HEADER]
     for p in rows:
@@ -354,14 +358,21 @@ def emit_tradeoff(points, path) -> None:
 
 
 def parse_tradeoff(path):
+    """The points of a tradeoff CSV; a row that emit_tradeoff would not
+    write raises ContractError naming its line."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    if not lines or lines[0] != _TRADEOFF_HEADER:
+        lines = [(n, line.rstrip("\n")) for n, line in enumerate(fh, 1) if line.strip()]
+    if not lines or lines[0][1] != _TRADEOFF_HEADER:
         raise ContractError(f"not a tradeoff CSV: {path}")
     points = []
-    for line in lines[1:]:
-        label, gflops, acc = line.split(",")
-        points.append(TradeoffPoint(label=label, gflops_per_token=float(gflops), accuracy=float(acc)))
+    for n, line in lines[1:]:
+        try:
+            label, gflops, acc = line.split(",")
+            point = TradeoffPoint(label=label, gflops_per_token=float(gflops), accuracy=float(acc))
+            _check_point(point)
+        except (ValueError, ContractError) as exc:
+            raise ContractError(f"{path} line {n} ({line!r}): {exc}") from None
+        points.append(point)
     return points
 
 

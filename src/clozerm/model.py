@@ -139,18 +139,29 @@ def _get(weights, name) -> Tensor:
     return w if isinstance(w, Tensor) else Tensor(w)
 
 
-def _check_ids(config, ids: np.ndarray) -> None:
+def _batch_shape(config, ids: np.ndarray):
+    """(batch, seq) of a non-empty [batch, seq] id array that fits max_seq."""
     if ids.ndim != 2:
         raise ShapeError("token ids must be a [batch, seq] array")
-    if ids.shape[1] > config.max_seq:
+    batch, seq = ids.shape
+    if batch < 1:
+        raise ShapeError("empty batch")
+    if seq > config.max_seq:
         raise ShapeError(
-            f"sequence length {ids.shape[1]} exceeds max_seq {config.max_seq};"
+            f"sequence length {seq} exceeds max_seq {config.max_seq};"
             " callers must truncate first"
         )
-    if ids.shape[1] < 1:
+    if seq < 1:
         raise ShapeError("empty sequence")
+    return batch, seq
+
+
+def _check_ids(config, ids: np.ndarray):
+    """_batch_shape, with every id checked against the vocabulary."""
+    shape = _batch_shape(config, ids)
     if ids.min() < 0 or ids.max() >= config.vocab_size:
         raise IndexError(f"token id out of range for vocabulary of {config.vocab_size}")
+    return shape
 
 
 def encode_batch(weights, config: ModelConfig, ids: np.ndarray, query=None) -> Tensor:
@@ -162,8 +173,7 @@ def encode_batch(weights, config: ModelConfig, ids: np.ndarray, query=None) -> T
     layer computes attention queries, FFN and final layer norm at those rows
     alone, since nothing else reads the other rows."""
     ids = np.asarray(ids, dtype=np.int64)
-    _check_ids(config, ids)
-    batch, seq = ids.shape
+    batch, seq = _check_ids(config, ids)
     if query is not None:
         query = np.asarray(query, dtype=np.int64)
         if query.shape != (batch,) or (query < 0).any() or (query >= seq).any():
@@ -200,7 +210,7 @@ def forward_mlm_batch(weights, config: ModelConfig, ids: np.ndarray, mask_positi
         raise ContractError(f"forward_mlm_batch requires the mlm head, got {config.head_kind}")
     ids = np.asarray(ids, dtype=np.int64)
     pos = np.asarray(mask_positions, dtype=np.int64)
-    batch, seq = ids.shape
+    batch, seq = _batch_shape(config, ids)
     if pos.shape != (batch,):
         raise ShapeError("mask_positions must have one entry per sequence")
     if (pos < 0).any() or (pos >= seq).any():
@@ -210,19 +220,12 @@ def forward_mlm_batch(weights, config: ModelConfig, ids: np.ndarray, mask_positi
     return _head(weights, encode_batch(weights, config, ids, query=pos))
 
 
-def forward_mlm(weights, config: ModelConfig, token_ids, mask_position: int) -> Tensor:
-    """Single-sequence convenience wrapper; returns 1-D [vocab] logits."""
-    ids = np.asarray([list(token_ids)], dtype=np.int64)
-    logits = forward_mlm_batch(weights, config, ids, [mask_position])
-    return reshape(logits, (config.vocab_size,))
-
-
 def forward_pooled_batch(weights, config: ModelConfig, ids: np.ndarray) -> Tensor:
     """Two-way logits from pooled final hidden states: [batch, 2]."""
     if config.head_kind != HEAD_POOLED:
         raise ContractError(f"forward_pooled_batch requires the pooled-classifier head, got {config.head_kind}")
     ids = np.asarray(ids, dtype=np.int64)
-    batch, seq = ids.shape
+    batch, seq = _batch_shape(config, ids)
     if config.pooling == "cls":
         if (ids[:, 0] != CLS_ID).any():
             raise ContractError("cls pooling requires sequences to start with the CLS token")
@@ -233,21 +236,12 @@ def forward_pooled_batch(weights, config: ModelConfig, ids: np.ndarray) -> Tenso
     return _head(weights, pooled)
 
 
-def forward_pooled(weights, config: ModelConfig, token_ids) -> Tensor:
-    ids = np.asarray([list(token_ids)], dtype=np.int64)
-    return reshape(forward_pooled_batch(weights, config, ids), (2,))
-
-
 def forward_token_batch(weights, config: ModelConfig, ids: np.ndarray) -> Tensor:
     """One scalar logit per token: [batch, seq]."""
     if config.head_kind != HEAD_TOKEN:
         raise ContractError(f"forward_token_batch requires the token-classifier head, got {config.head_kind}")
     ids = np.asarray(ids, dtype=np.int64)
-    batch, seq = ids.shape
+    batch, seq = _batch_shape(config, ids)
     hidden = encode_batch(weights, config, ids)
     return reshape(_head(weights, hidden), (batch, seq))
 
-
-def forward_token_labels(weights, config: ModelConfig, token_ids) -> Tensor:
-    ids = np.asarray([list(token_ids)], dtype=np.int64)
-    return reshape(forward_token_batch(weights, config, ids), (ids.shape[1],))

@@ -15,8 +15,7 @@ The formula is one tape op, ``tensor.dora_weight``, computed in closed
 form on the base as the encoder stores it: V^T = W0^T + A^T @ B^T is formed
 input-by-output, its column norms n are column dots, and the result
 V^T * (m / n) is a C-ordered array laid out like every full-rank weight, so
-training, held-out scoring, ``merge`` and ``dora_merge`` run the same
-matmuls on it. Its backward is the DoRA paper's closed form (Liu et al.
+training, held-out scoring and ``merge`` run the same matmuls on it. Its backward is the DoRA paper's closed form (Liu et al.
 2024, arXiv 2402.09353). Adapters are identity-initialized exactly: B = 0
 and m is ``tensor.dora_norm`` of the stored base, the norm the op itself
 computes, so m / n is exactly 1 and a fresh adapter gives back its base bit
@@ -88,15 +87,11 @@ class FreezeSpec:
         return self.freeze_embeddings
 
 
-def _base_data(w0) -> np.ndarray:
-    return w0.data if isinstance(w0, Tensor) else np.asarray(w0, dtype=np.float32)
-
-
 def dora_init(w0, rank: int, rng=None, base_name: str = "") -> DoraAdapter:
     """Identity-initialized adapter for a base w0 stored output-by-input:
     B = 0, m = the norms dora_weight computes on w0's transpose (so the
     adapted weight is exactly w0), A uniform in [-1/sqrt(d_in), 1/sqrt(d_in)]."""
-    w0 = _base_data(w0)
+    w0 = w0.data if isinstance(w0, Tensor) else np.asarray(w0, dtype=np.float32)
     if w0.ndim != 2:
         raise ConfigError("DoRA adapts 2-D matrices only")
     d_out, d_in = w0.shape
@@ -114,13 +109,6 @@ def dora_init(w0, rank: int, rng=None, base_name: str = "") -> DoraAdapter:
         m=Tensor(m, requires_grad=True),
         rank=rank,
     )
-
-
-def dora_merge(w0, adapter: DoraAdapter) -> np.ndarray:
-    """The adapter folded into a plain [d_out, d_in] weight, for a base w0
-    stored output-by-input like the adapter; the value of tensor.dora_weight,
-    computed without a tape."""
-    return dora_weight(_base_data(w0).T, adapter.A, adapter.B, adapter.m).data.T.copy()
 
 
 def infer_n_layers(weights) -> int:

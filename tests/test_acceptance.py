@@ -33,17 +33,17 @@ from clozerm.evaluation import (
     format_score,
     overall,
 )
-from clozerm.model import count_params, forward_mlm, init_weights
+from clozerm.model import count_params, forward_mlm_batch, init_weights
 from clozerm.peft import (
     AdapterTargets,
     FreezeSpec,
     adapted_forward_weights,
     adapter_tensors,
     dora_init,
-    dora_merge,
     merge_checkpoint,
     weight_average,
 )
+from clozerm.tensor import dora_weight
 from clozerm.tokenizer import MASK_ID, VERB1_ID
 from clozerm.training import (
     DoraSettings,
@@ -134,7 +134,7 @@ def test_criterion_04_dora_identity_and_merge():
         d_out, d_in = int(rng.integers(2, 12)), int(rng.integers(2, 12))
         w0 = rng.normal(size=(d_out, d_in)).astype(np.float32)
         adapter = dora_init(w0, rank=min(2, d_out, d_in), rng=rng)
-        assert np.abs(dora_merge(w0, adapter) - w0).max() < 1e-6
+        assert np.abs(dora_weight(w0.T, adapter.A, adapter.B, adapter.m).data.T - w0).max() < 1e-6
 
     # end-to-end adapter-vs-merged equivalence
     from test_peft import perturb, random_adapted_model
@@ -154,10 +154,10 @@ def test_criterion_04_dora_identity_and_merge():
             ids = case_rng.integers(6, config.vocab_size, size=seq)
             pos = int(case_rng.integers(0, seq))
             ids[pos] = MASK_ID
-            via_adapter = forward_mlm(
-                adapted_forward_weights(weights, adapters), config, list(ids), pos
-            ).data
-            via_merged = forward_mlm(merged.tensors, merged.config, list(ids), pos).data
+            via_adapter = forward_mlm_batch(
+                adapted_forward_weights(weights, adapters), config, [ids], [pos]
+            ).data[0]
+            via_merged = forward_mlm_batch(merged.tensors, merged.config, [ids], [pos]).data[0]
             assert np.abs(via_adapter - via_merged).max() < 1e-4
 
 

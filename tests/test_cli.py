@@ -267,9 +267,15 @@ def test_eval_non_finite_logits_exits_3(tmp_path, trained, corpus, capsys):
     assert not report.exists()
 
 
-def test_eval_prefix_override(trained, corpus):
+def test_eval_prefix_override(tmp_path, trained, corpus, capsys):
     assert run(["eval", "--ckpt", str(trained), "--data", str(corpus),
                 "--prefix", "Which response is more correct?"]) == 0
+    # An empty prefix is rejected, not read as "no override".
+    report = tmp_path / "report.json"
+    assert run(["eval", "--ckpt", str(trained), "--data", str(corpus), "--prefix", "",
+                "--out", str(report)]) == 1
+    assert "prefix" in capsys.readouterr().err
+    assert not report.exists()
 
 
 def rewrite_extra(src, dst, **changes):

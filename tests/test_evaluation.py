@@ -47,15 +47,13 @@ from clozerm.evaluation import (
     parse_tradeoff,
     report_to_json,
     report_to_table,
-    score_pair,
     score_pairs,
 )
 from clozerm.model import (
     count_params,
-    forward_mlm,
     forward_mlm_batch,
     forward_pooled_batch,
-    forward_token_labels,
+    forward_token_batch,
     init_weights,
 )
 from clozerm.peft import merge_checkpoint
@@ -98,12 +96,12 @@ def option1_model():
 
 
 # ---------------------------------------------------------------------------
-# score_pair
+# scoring one pair
 
 
 def test_score_pair_equal_logits_is_a_tie():
     model = make_model(zero=True)
-    s = score_pair(model, PAIRS[0])[0]
+    s = score_pairs(model, [PAIRS[0]])[0]
     assert s.p1 == 0.5 and s.p2 == 0.5
     assert s.prediction == "tie"
     assert s.source_id == PAIRS[0].id
@@ -112,18 +110,18 @@ def test_score_pair_equal_logits_is_a_tie():
 
 def test_score_pair_ten_logit_margin_logistic_closed_form():
     model = option1_model()
-    s = score_pair(model, PAIRS[0])[0]
+    s = score_pairs(model, [PAIRS[0]])[0]
     assert s.p1 == pytest.approx(1.0 / (1.0 + math.exp(-10.0)), abs=1e-12)
     assert s.prediction == "1"
 
 
 def test_score_pair_restricted_softmax_equals_full_softmax_ratio():
     model = make_model(seed=11)
-    trials = score_pair(model, PAIRS[1])
+    trials = score_pairs(model, [PAIRS[1]])
     for s, order in zip(trials, ("original", "swapped")):
         inst = build_cloze(PAIRS[1], TEMPLATE, order, model.tokenizer, SMALL.max_seq)
-        logits = forward_mlm(model.weights, model.config, inst.token_ids, inst.mask_position)
-        full = np.asarray(logits.data, dtype=np.float64)
+        logits = forward_mlm_batch(model.weights, model.config, [inst.token_ids], [inst.mask_position])
+        full = np.asarray(logits.data[0], dtype=np.float64)
         full = np.exp(full - full.max())
         full /= full.sum()
         ratio = full[VERB1_ID] / (full[VERB1_ID] + full[VERB2_ID])
@@ -135,13 +133,13 @@ def test_score_pair_rejects_wrong_head():
     model = make_model()
     model.config.head_kind = "regression"
     with pytest.raises(ContractError, match="regression"):
-        score_pair(model, PAIRS[0])
+        score_pairs(model, [PAIRS[0]])
 
 
 @pytest.mark.parametrize("objective", OBJECTIVES)
 def test_score_pair_returns_both_orders_with_gold(objective):
     model = make_model(objective=objective, seed=3)
-    trials = score_pair(model, PAIRS[2])
+    trials = score_pairs(model, [PAIRS[2]])
     assert [t.order for t in trials] == list(ORDERS)
     assert [t.gold for t in trials] == ["1", "2"]
     assert all(t.source_id == PAIRS[2].id and t.domain == PAIRS[2].domain for t in trials)
@@ -152,7 +150,7 @@ def test_non_finite_option_logits_raise_divergence(objective):
     model = make_model(objective=objective, seed=3)
     model.weights["head.w"][...] = np.nan
     with pytest.raises(DivergenceError, match="non-finite"):
-        score_pair(model, PAIRS[0])
+        score_pairs(model, [PAIRS[0]])
     with pytest.raises(DivergenceError, match="non-finite"):
         eval_dataset(model, PAIRS)
 
@@ -168,7 +166,7 @@ def test_score_pair_forwards_per_pair(objective, forwards, monkeypatch):
         original = getattr(clozerm.evaluation, name)
         monkeypatch.setattr(clozerm.evaluation, name, lambda *a, _f=original: calls.append(1) or _f(*a))
     for pair in pairs:
-        score_pair(model, pair)
+        score_pairs(model, [pair])
     assert len(calls) == forwards * len(pairs)
 
 
@@ -208,12 +206,12 @@ def test_score_pair_rejects_orders_of_unequal_length(objective, monkeypatch):
 
     monkeypatch.setattr(clozerm.evaluation, "build_orders", longer_swapped)
     with pytest.raises(ContractError, match="render to lengths"):
-        score_pair(make_model(objective=objective, seed=3), PAIRS[0])
+        score_pairs(make_model(objective=objective, seed=3), [PAIRS[0]])
 
 
 def test_score_pair_token_head_swapped_trial_mirrors_original():
     model = make_model(objective="token-level", seed=5)
-    original, swapped = score_pair(model, PAIRS[3])
+    original, swapped = score_pairs(model, [PAIRS[3]])
     assert original.p1 != original.p2
     assert (swapped.p1, swapped.p2) == (original.p2, original.p1)
     assert swapped.prediction == {"1": "2", "2": "1"}[original.prediction]
@@ -230,7 +228,7 @@ def per_pair_option_logits(model, pair):
     if cfg.head_kind == "token-classifier":
         ex = build_token_level(pair, model.template, model.tokenizer, cfg.max_seq)
         chosen, rejected = (
-            float(forward_token_labels(model.weights, cfg, ids).data[lo:hi].astype(np.float64).mean())
+            float(forward_token_batch(model.weights, cfg, [ids]).data[0, lo:hi].astype(np.float64).mean())
             for ids, (lo, hi) in ((ex.chosen_ids, ex.chosen_span), (ex.rejected_ids, ex.rejected_span))
         )
         return [(chosen, rejected), (rejected, chosen)]
@@ -412,7 +410,7 @@ def test_eval_matches_brute_force_enumeration():
     for pair in four:
         for order in ("original", "swapped"):
             inst = build_cloze(pair, TEMPLATE, order, model.tokenizer, SMALL.max_seq)
-            logits = forward_mlm(model.weights, model.config, inst.token_ids, inst.mask_position).data
+            logits = forward_mlm_batch(model.weights, model.config, [inst.token_ids], [inst.mask_position]).data[0]
             p1 = 1.0 / (1.0 + math.exp(float(logits[VERB2_ID]) - float(logits[VERB1_ID])))
             gold = "1" if order == "original" else "2"
             credit = 0.5 if abs(2 * p1 - 1) < TIE_EPS else float(("1" if p1 > 0.5 else "2") == gold)
@@ -689,6 +687,10 @@ def test_emit_tradeoff_validation(tmp_path):
         emit_tradeoff([TradeoffPoint("a,b", 0.1, 0.5)], tmp_path / "x.csv")
     with pytest.raises(ContractError):
         emit_tradeoff([TradeoffPoint("a", 0.0, 0.5)], tmp_path / "x.csv")
+    for gflops, accuracy in ((math.nan, 0.5), (math.inf, 0.5), (0.1, math.inf), (0.1, math.nan)):
+        with pytest.raises(ContractError, match="finite"):
+            emit_tradeoff([TradeoffPoint("a", gflops, accuracy)], tmp_path / "x.csv")
+    assert not (tmp_path / "x.csv").exists()
     with pytest.raises(OSError):
         emit_tradeoff(POINTS, tmp_path)
 
@@ -698,6 +700,11 @@ def test_parse_tradeoff_rejects_foreign_files(tmp_path):
     path.write_text("step,lr\n0,0.1\n")
     with pytest.raises(ContractError):
         parse_tradeoff(path)
+    header = "label,gflops_per_token,accuracy\n"
+    for row in ("tiny,0.1", "tiny,0.1,0.5,1", "tiny,fast,0.5", "tiny,0.1,", "tiny,nan,0.5", "tiny,0.1,inf", ",0.1,0.5"):
+        path.write_text(header + "ok,0.2,0.7\n\n" + row + "\n")
+        with pytest.raises(ContractError, match=f"line 4 \\({row!r}\\)"):
+            parse_tradeoff(path)
 
 
 # ---------------------------------------------------------------------------

@@ -6,17 +6,16 @@ import pytest
 from clozerm.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from clozerm.errors import ConfigError, ContractError, ShapeError
 from clozerm.model import (
+    HEAD_KINDS,
     HEAD_MLM,
     HEAD_POOLED,
     HEAD_TOKEN,
     ModelConfig,
     count_params,
     encode_batch,
-    forward_mlm,
     forward_mlm_batch,
-    forward_pooled,
     forward_pooled_batch,
-    forward_token_labels,
+    forward_token_batch,
     init_weights,
     manifest,
 )
@@ -44,7 +43,7 @@ def test_forward_mlm_single_head_loop_oracle():
     config = mlm_config()
     weights = init_weights(config, seed=3)
     ids = ids_with_mask(config, seed=3)
-    got = forward_mlm(weights, config, ids, 1).data
+    got = forward_mlm_batch(weights, config, [ids], [1]).data[0]
     hidden = encoder_loops(weights, config, ids)
     want = head_loops(weights, hidden[1])[0]
     assert np.abs(got - want).max() < 1e-5
@@ -54,7 +53,7 @@ def test_forward_mlm_multi_head_loop_oracle():
     config = mlm_config(n_layers=2, hidden=8, n_heads=2, ffn_mult=2)
     weights = init_weights(config, seed=5)
     ids = ids_with_mask(config, seed=5, seq=5, mask_pos=2)
-    got = forward_mlm(weights, config, ids, 2).data
+    got = forward_mlm_batch(weights, config, [ids], [2]).data[0]
     hidden = encoder_loops(weights, config, ids)
     want = head_loops(weights, hidden[2])[0]
     assert np.abs(got - want).max() < 1e-5
@@ -67,7 +66,7 @@ def test_forward_mlm_zero_weights_returns_head_bias():
     weights["head.b"] = bias
     for seed in (0, 1):
         ids = ids_with_mask(config, seed=seed)
-        got = forward_mlm(weights, config, ids, 1).data
+        got = forward_mlm_batch(weights, config, [ids], [1]).data[0]
         assert np.allclose(got, bias)
 
 
@@ -77,10 +76,10 @@ def test_bidirectionality_probe():
     for seed in range(10):
         weights = init_weights(config, seed=seed)
         ids = ids_with_mask(config, seed=seed, seq=5, mask_pos=1)
-        base = forward_mlm(weights, config, ids, 1).data
+        base = forward_mlm_batch(weights, config, [ids], [1]).data[0]
         changed = list(ids)
         changed[3] = (changed[3] + 1) % config.vocab_size or 6
-        after = forward_mlm(weights, config, changed, 1).data
+        after = forward_mlm_batch(weights, config, [changed], [1]).data[0]
         if np.abs(base - after).max() > 1e-6:
             hits += 1
     assert hits >= 9
@@ -90,7 +89,7 @@ def test_forward_pooled_loop_oracle():
     config = mlm_config(head_kind=HEAD_POOLED, pooling="mean", hidden=8, n_heads=2)
     weights = init_weights(config, seed=7)
     ids = [4, 6, 7, 8]
-    got = forward_pooled(weights, config, ids).data
+    got = forward_pooled_batch(weights, config, [ids]).data[0]
     hidden = encoder_loops(weights, config, ids)
     want = head_loops(weights, hidden.mean(axis=0))[0]
     assert np.abs(got - want).max() < 1e-5
@@ -100,8 +99,8 @@ def test_forward_pooled_single_token_mean_equals_cls():
     mean_cfg = mlm_config(head_kind=HEAD_POOLED, pooling="mean")
     cls_cfg = mlm_config(head_kind=HEAD_POOLED, pooling="cls")
     weights = init_weights(mean_cfg, seed=2)
-    got_mean = forward_pooled(weights, mean_cfg, [CLS_ID]).data
-    got_cls = forward_pooled(weights, cls_cfg, [CLS_ID]).data
+    got_mean = forward_pooled_batch(weights, mean_cfg, [[CLS_ID]]).data[0]
+    got_cls = forward_pooled_batch(weights, cls_cfg, [[CLS_ID]]).data[0]
     assert np.allclose(got_mean, got_cls)
 
 
@@ -110,35 +109,35 @@ def test_forward_pooled_mean_permutation_invariant_without_positions():
     weights = init_weights(config, seed=9)
     weights["pos_emb"] = np.zeros_like(weights["pos_emb"])
     ids = [4, 6, 7, 8, 9]
-    base = forward_pooled(weights, config, ids).data
-    perm = forward_pooled(weights, config, [7, 9, 4, 8, 6]).data
+    base = forward_pooled_batch(weights, config, [ids]).data[0]
+    perm = forward_pooled_batch(weights, config, [[7, 9, 4, 8, 6]]).data[0]
     assert np.abs(base - perm).max() < 1e-5
 
 
-def test_forward_token_labels_loop_oracle():
+def test_forward_token_batch_loop_oracle():
     config = mlm_config(head_kind=HEAD_TOKEN)
     weights = init_weights(config, seed=11)
     ids = [4, 6, 7]
-    got = forward_token_labels(weights, config, ids).data
+    got = forward_token_batch(weights, config, [ids]).data[0]
     hidden = encoder_loops(weights, config, ids)
     want = head_loops(weights, hidden)[:, 0]
     assert np.abs(got - want).max() < 1e-5
 
 
-def test_forward_token_labels_output_length_matches_input():
+def test_forward_token_batch_output_length_matches_input():
     config = mlm_config(head_kind=HEAD_TOKEN)
     weights = init_weights(config, seed=0)
     for seq in (1, 7, config.max_seq):
         ids = [6] * seq
-        assert forward_token_labels(weights, config, ids).data.shape == (seq,)
+        assert forward_token_batch(weights, config, [ids]).data.shape == (1, seq)
 
 
-def test_forward_token_labels_zero_head_gives_zero_scores():
+def test_forward_token_batch_zero_head_gives_zero_scores():
     config = mlm_config(head_kind=HEAD_TOKEN)
     weights = init_weights(config, seed=0)
     weights["head.w"] = np.zeros_like(weights["head.w"])
     weights["head.b"] = np.zeros_like(weights["head.b"])
-    out = forward_token_labels(weights, config, [4, 6, 7]).data
+    out = forward_token_batch(weights, config, [[4, 6, 7]]).data[0]
     assert np.array_equal(out, np.zeros(3, dtype=np.float32))
 
 
@@ -149,14 +148,14 @@ def test_forward_mlm_rejects_wrong_head():
     config = mlm_config(head_kind=HEAD_POOLED, pooling="cls")
     weights = init_weights(config, seed=0)
     with pytest.raises(ContractError):
-        forward_mlm(weights, config, [CLS_ID, MASK_ID], 1)
+        forward_mlm_batch(weights, config, [[CLS_ID, MASK_ID]], [1])
 
 
 def test_forward_mlm_rejects_missing_mask_token():
     config = mlm_config()
     weights = init_weights(config, seed=0)
     with pytest.raises(ContractError):
-        forward_mlm(weights, config, [6, 7, 8], 1)
+        forward_mlm_batch(weights, config, [[6, 7, 8]], [1])
 
 
 def test_forward_mlm_rejects_overlong_sequence():
@@ -164,7 +163,28 @@ def test_forward_mlm_rejects_overlong_sequence():
     weights = init_weights(config, seed=0)
     ids = [MASK_ID] + [6] * config.max_seq
     with pytest.raises(ShapeError):
-        forward_mlm(weights, config, ids, 0)
+        forward_mlm_batch(weights, config, [ids], [0])
+
+
+FORWARDS = {
+    HEAD_MLM: lambda weights, config, ids: forward_mlm_batch(weights, config, ids, [0] * len(ids)),
+    HEAD_POOLED: forward_pooled_batch,
+    HEAD_TOKEN: forward_token_batch,
+}
+
+
+@pytest.mark.parametrize("head_kind", HEAD_KINDS)
+def test_batch_forwards_reject_ids_that_are_not_a_non_empty_batch(head_kind):
+    config = mlm_config(head_kind=head_kind, pooling="cls" if head_kind == HEAD_POOLED else None)
+    weights = init_weights(config, seed=0)
+    for ids, message in (
+        ([CLS_ID, MASK_ID, 6], r"\[batch, seq\]"),
+        ([[[CLS_ID, MASK_ID]]], r"\[batch, seq\]"),
+        (np.zeros((0, 3), dtype=np.int64), "empty batch"),
+        (np.zeros((2, 0), dtype=np.int64), "empty sequence"),
+    ):
+        with pytest.raises(ShapeError, match=message):
+            FORWARDS[head_kind](weights, config, ids)
 
 
 def test_config_rejects_indivisible_heads():
@@ -213,7 +233,7 @@ def test_batch_forward_matches_per_example():
     ids[:, 2] = MASK_ID
     batch = forward_mlm_batch(weights, config, ids, [2, 2, 2]).data
     for row in range(3):
-        single = forward_mlm(weights, config, list(ids[row]), 2).data
+        single = forward_mlm_batch(weights, config, ids[row : row + 1], [2]).data[0]
         assert np.abs(batch[row] - single).max() < 1e-6
 
 
@@ -257,10 +277,10 @@ def test_serialization_round_trip_forward_bitwise():
     config = mlm_config(n_layers=2, hidden=8, n_heads=2)
     weights = init_weights(config, seed=8)
     ids = ids_with_mask(config, seed=8, seq=4, mask_pos=1)
-    before = forward_mlm(weights, config, ids, 1).data
+    before = forward_mlm_batch(weights, config, [ids], [1]).data[0]
     save_checkpoint(Checkpoint(config=config, tensors=weights, extra={}), "/tmp/rt.trm1")
     loaded = load_checkpoint("/tmp/rt.trm1")
-    after = forward_mlm(loaded.tensors, loaded.config, ids, 1).data
+    after = forward_mlm_batch(loaded.tensors, loaded.config, [ids], [1]).data[0]
     assert np.array_equal(before, after)
 
 

@@ -6,7 +6,7 @@ import pytest
 from clozerm.checkpoint import Checkpoint
 from clozerm.data import DOMAIN_PREFIXES, ClozeTemplate
 from clozerm.errors import ConfigError, ContractError
-from clozerm.model import ModelConfig, count_params, forward_mlm, init_weights, manifest
+from clozerm.model import ModelConfig, count_params, forward_mlm_batch, init_weights, manifest
 from clozerm.peft import (
     AdapterTargets,
     DoraAdapter,
@@ -16,7 +16,6 @@ from clozerm.peft import (
     apply_freeze,
     attach_adapters,
     dora_init,
-    dora_merge,
     merge_adapters,
     merge_checkpoint,
     weight_average,
@@ -38,7 +37,7 @@ def test_init_is_identity():
     rng = np.random.default_rng(0)
     w0 = rng.normal(size=(4, 6)).astype(np.float32)
     adapter = dora_init(w0, rank=2)
-    eff = dora_merge(w0, adapter)
+    eff = dora_weight(w0.T, adapter.A, adapter.B, adapter.m).data.T
     assert np.abs(eff - w0).max() < 1e-6
 
 
@@ -49,8 +48,9 @@ def test_init_merges_back_to_the_base_bit_for_bit(d_out, d_in):
     rng = np.random.default_rng(d_out + d_in)
     w0 = rng.normal(size=(d_out, d_in)).astype(np.float32)
     w0[1] = 0.0
-    merged = dora_merge(w0, dora_init(w0, rank=8, rng=rng))
-    assert merged.flags.c_contiguous and merged.tobytes() == w0.tobytes()
+    adapter = dora_init(w0, rank=8, rng=rng)
+    merged = dora_weight(w0.T, adapter.A, adapter.B, adapter.m).data
+    assert merged.flags.c_contiguous and merged.tobytes() == w0.T.tobytes()
 
 
 def test_init_unit_rows_for_identity_base():
@@ -63,7 +63,7 @@ def test_init_hand_norms_and_zero_row_guard():
     w0 = np.array([[3.0, 4.0], [0.0, 0.0]], dtype=np.float32)
     adapter = dora_init(w0, rank=1)
     assert np.allclose(adapter.m.data, [5.0, 0.0])
-    eff = dora_merge(w0, adapter)
+    eff = dora_weight(w0.T, adapter.A, adapter.B, adapter.m).data.T
     assert np.isfinite(eff).all()
     assert np.abs(eff - w0).max() < 1e-6  # zero row stays zero, no NaN
 
@@ -90,7 +90,7 @@ def test_effective_rescales_rows_to_magnitude():
     w0 = np.array([[3.0, 4.0]], dtype=np.float32)
     adapter = dora_init(w0, rank=1)
     adapter.m.data[...] = [10.0]
-    eff = dora_merge(w0, adapter)
+    eff = dora_weight(w0.T, adapter.A, adapter.B, adapter.m).data.T
     assert np.abs(eff - [[6.0, 8.0]]).max() < 1e-5
 
 
@@ -100,7 +100,7 @@ def test_effective_against_loop_oracle():
     adapter = dora_init(w0, rank=2, rng=np.random.default_rng(4))
     adapter.B.data[...] = rng.normal(size=(4, 2)).astype(np.float32)
     adapter.m.data[...] = rng.normal(size=4).astype(np.float32)
-    got = dora_merge(w0, adapter)
+    got = dora_weight(w0.T, adapter.A, adapter.B, adapter.m).data.T
 
     directed = w0.astype(np.float64) + adapter.B.data.astype(np.float64) @ adapter.A.data.astype(np.float64)
     want = np.empty_like(directed)
@@ -132,7 +132,7 @@ def test_merge_equals_effective():
     with Tape() as tape:
         eff = dora_weight(w0.T, adapter.A, adapter.B, adapter.m)
     assert len(tape) == 1
-    assert np.array_equal(dora_merge(w0, adapter), eff.data.T)
+    assert np.array_equal(merge_adapters({"w": w0.T}, {"w": adapter})["w"], eff.data)
 
 
 # -------------------------------------------------- end-to-end adapters
@@ -163,8 +163,8 @@ def test_identity_at_init_end_to_end():
     for seed in range(3):
         config, weights, adapters = random_adapted_model(seed)
         ids = [6, MASK_ID, 7, 8]
-        base = forward_mlm(weights, config, ids, 1).data
-        adapted = forward_mlm(adapted_forward_weights(weights, adapters), config, ids, 1).data
+        base = forward_mlm_batch(weights, config, [ids], [1]).data[0]
+        adapted = forward_mlm_batch(adapted_forward_weights(weights, adapters), config, [ids], [1]).data[0]
         assert np.abs(adapted - base).max() < 1e-4
 
 
@@ -173,9 +173,9 @@ def test_adapted_forward_at_init_is_the_base_forward_bit_for_bit():
     weights = init_weights(config, seed=3)
     adapters = attach_adapters(weights, 8, AdapterTargets(), FreezeSpec(), rng=0)
     ids = [6, MASK_ID, 7, 8, 9]
-    base = forward_mlm(weights, config, ids, 1).data
+    base = forward_mlm_batch(weights, config, [ids], [1]).data[0]
     with Tape():
-        adapted = forward_mlm(adapted_forward_weights(weights, adapters), config, ids, 1).data
+        adapted = forward_mlm_batch(adapted_forward_weights(weights, adapters), config, [ids], [1]).data[0]
     assert adapted.tobytes() == base.tobytes()
 
 
@@ -195,10 +195,10 @@ def test_adapter_path_matches_merged_path():
             ids = rng.integers(6, config.vocab_size, size=seq)
             pos = int(rng.integers(0, seq))
             ids[pos] = MASK_ID
-            via_adapter = forward_mlm(
-                adapted_forward_weights(weights, adapters), config, list(ids), pos
-            ).data
-            via_merged = forward_mlm(merged.tensors, merged.config, list(ids), pos).data
+            via_adapter = forward_mlm_batch(
+                adapted_forward_weights(weights, adapters), config, [ids], [pos]
+            ).data[0]
+            via_merged = forward_mlm_batch(merged.tensors, merged.config, [ids], [pos]).data[0]
             assert np.abs(via_adapter - via_merged).max() < 1e-4
 
 
@@ -252,7 +252,7 @@ def test_gradient_routing_through_attached_adapters():
         wt = {n: Tensor(np.asarray(w), requires_grad=True) for n, w in weights.items()}
         ids = [6, MASK_ID, 7]
         with Tape() as tape:
-            logits = forward_mlm(adapted_forward_weights(wt, adapters), config, ids, 1)
+            logits = forward_mlm_batch(adapted_forward_weights(wt, adapters), config, [ids], [1])
             loss = tsum(logits)
         tape.backward(loss)
         adapted_names = set(adapters)

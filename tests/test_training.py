@@ -27,14 +27,14 @@ from clozerm.errors import (
     DivergenceError,
     ShapeError,
 )
-from clozerm.evaluation import EvalModel, eval_dataset, score_pair
+from clozerm.evaluation import EvalModel, eval_dataset, score_pairs
 from clozerm.model import (
     HEAD_MLM,
     HEAD_POOLED,
     HEAD_TOKEN,
-    forward_mlm,
-    forward_pooled,
-    forward_token_labels,
+    forward_mlm_batch,
+    forward_pooled_batch,
+    forward_token_batch,
     init_weights,
 )
 from clozerm.peft import AdapterTargets, adapted_forward_weights, apply_freeze, attach_adapters
@@ -316,7 +316,7 @@ def test_loss_cloze_matches_f64_cross_entropy_of_logits():
     wt, config, tok = build_model("cloze", PAIRS, seed=5)
     for order in ("original", "swapped"):
         inst = build_cloze(PAIRS[1], TEMPLATE, order, tok, SMALL.max_seq)
-        logits = forward_mlm(wt, config, inst.token_ids, inst.mask_position).data
+        logits = forward_mlm_batch(wt, config, [inst.token_ids], [inst.mask_position]).data[0]
         oracle = ce_oracle(logits.astype(np.float64), inst.gold)
         assert float(loss_cloze(wt, config, [inst]).data) == pytest.approx(oracle, abs=1e-6)
 
@@ -383,7 +383,7 @@ def test_loss_pooled_matches_f64_oracle_both_orders():
     wt, config, tok = build_model("pooled", PAIRS, seed=4)
     for order in ("original", "swapped"):
         inst = build_pooled(PAIRS[3], TEMPLATE, order, tok, SMALL.max_seq)
-        logits = forward_pooled(wt, config, inst.token_ids).data
+        logits = forward_pooled_batch(wt, config, [inst.token_ids]).data[0]
         oracle = ce_oracle(logits.astype(np.float64), inst.label)
         assert float(loss_pooled(wt, config, [inst]).data) == pytest.approx(oracle, abs=1e-6)
 
@@ -441,7 +441,7 @@ def test_loss_token_level_matches_per_token_oracle():
         (ex.chosen_ids, ex.chosen_span, 1),
         (ex.rejected_ids, ex.rejected_span, 0),
     ):
-        scores = forward_token_labels(wt, config, ids).data.astype(np.float64)
+        scores = forward_token_batch(wt, config, [ids]).data[0].astype(np.float64)
         terms.extend(bce_oracle(float(scores[p]), label) for p in range(start, end))
     assert float(loss.data) == pytest.approx(sum(terms) / len(terms), abs=1e-6)
 
@@ -891,7 +891,7 @@ def test_train_aao_checkpoint_and_trace_score_with_domain_prompts():
     assert run.trace[-1].heldout_acc == eval_dataset(model, AAO_HELDOUT).total_accuracy
     for pair in AAO_HELDOUT:
         own = dataclasses.replace(model, template=ClozeTemplate(DOMAIN_PREFIXES[pair.domain]))
-        assert score_pair(model, pair) == score_pair(own, pair)
+        assert score_pairs(model, [pair]) == score_pairs(own, [pair])
 
 
 def test_train_aao_mixed_domains_change_the_run():
