@@ -11,11 +11,13 @@ evaluated before and after the merge, the average of the cloze and merged
 rank-4 checkpoints with its eval, an eval of the README-shape checkpoint
 under an overriding --prefix, evals of the three objectives' and the
 README-shape checkpoints on a 90-pair held-out set (30 single-length
-arithmetic pairs, so several full scoring chunks and a remainder), a sweep
-and an objective comparison. Next to every eval report REPORT.eval.json it
-writes REPORT.trials.jsonl, one line per scored order of a pair from
-evaluation.score_pairs with p1 and p2 written by repr, so a change that
-moves a probability in its last bit shows even when no report changes.
+arithmetic pairs, so several full scoring chunks and a remainder), a
+two-epoch batch-1 cloze run on that set whose max_seq skips a few pairs
+with its eval, a sweep and an objective comparison. Next to every eval
+report REPORT.eval.json it writes REPORT.trials.jsonl, one line per
+scored order of a pair from evaluation.score_pairs with p1 and p2 written
+by repr, so a change that moves a probability in its last bit shows even
+when no report changes.
 Every file is deterministic, so `diff -r` between the outputs of two
 checkouts shows whether a refactor kept the artifacts byte-identical:
 
@@ -104,6 +106,14 @@ def main(argv=None):
                             for t in ("arithmetic", "refusal", "verbosity")))
     for name in ("cloze", "pooled", "token-level", "readme"):
         evaluate(out / f"{name}.trm1", wide, f"{name}.wide")
+
+    # Two epochs at batch 1 and a max_seq that skips 3 of the 90 pairs: each
+    # epoch draws every pair's order, skipped pairs included, and each step's
+    # loss shows the order it trained on.
+    epochs2 = out / "epochs2.trm1"
+    clozerm("train", "--data", wide, "--heldout", heldout, "--epochs", 2, "--max-seq", 36,
+            "--out", epochs2, "--trace", out / "epochs2.trace.csv", *SMALL, "--batch-size", 1)
+    evaluate(epochs2, heldout, "epochs2")
 
     clozerm("sweep", "--data", data, "--trials", 3, "--ranks", "0,4", "--frozen-max", 1,
             "--out", out / "sweep.csv", *SMALL)

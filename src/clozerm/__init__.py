@@ -22,9 +22,7 @@ from .data import (
     PooledInstance,
     PreferencePair,
     TokenLevelExample,
-    build_cloze,
     build_orders,
-    build_pooled,
     build_token_level,
     build_tokenizer,
     load_jsonl,

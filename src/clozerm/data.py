@@ -205,24 +205,22 @@ _SWAP_SLOTS = {"a": "b", "b": "a"}
 
 
 def build_orders(pair, template: ClozeTemplate, tokenizer: Tokenizer, max_seq: int,
-                 orders=ORDERS, pooled: bool = False) -> list:
-    """Render one pair in each of the given orders, from one encoding of its
-    segments: a ClozeInstance per order, or a PooledInstance with pooled set.
+                 pooled: bool = False) -> list:
+    """Render one pair in both orders, in ORDERS order, from one encoding of
+    its segments: a ClozeInstance per order, or a PooledInstance with pooled
+    set.
 
     order 'original' puts the chosen response at Option 1 (cloze gold
     verbalizer "1", pooled class 0); 'swapped' holds the same segments with
     the option slots swapped (gold "2", class 1). The pooled rendering is
     the cloze scaffold minus the preference statement.
     """
-    for order in orders:
-        if order not in ORDERS:
-            raise ConfigError(f"unknown order {order!r}")
     values = {"prefix": template.prefix_for(pair.domain), "x": pair.prompt, "a": pair.chosen, "b": pair.rejected}
     segments = _encode_segments(_POOLED_PARTS if pooled else _CLOZE_PARTS, values, tokenizer)
     slots = dict(segments)
     swapped = [(kind, slots[_SWAP_SLOTS[kind]] if kind in _SWAP_SLOTS else ids) for kind, ids in segments]
     out = []
-    for order in orders:
+    for order in ORDERS:
         original = order == ORDER_ORIGINAL
         ids, spans = _assemble(segments if original else swapped, max_seq, pair.id, body_kinds=("a", "b"))
         if pooled:
@@ -232,14 +230,13 @@ def build_orders(pair, template: ClozeTemplate, tokenizer: Tokenizer, max_seq: i
     return out
 
 
-def build_cloze(pair, template: ClozeTemplate, order: str, tokenizer: Tokenizer, max_seq: int) -> ClozeInstance:
-    """Render one pair into a masked cloze instance in one order."""
-    return build_orders(pair, template, tokenizer, max_seq, orders=(order,))[0]
-
-
-def build_pooled(pair, template: ClozeTemplate, order: str, tokenizer: Tokenizer, max_seq: int) -> PooledInstance:
-    """Render one pair into a pooled-classifier instance in one order."""
-    return build_orders(pair, template, tokenizer, max_seq, orders=(order,), pooled=True)[0]
+def group_by_length(rows) -> dict:
+    """Indices of the token-id rows grouped by row length; lengths and the
+    indices within each length in first-seen order."""
+    groups = {}
+    for i, row in enumerate(rows):
+        groups.setdefault(len(row), []).append(i)
+    return groups
 
 
 def build_token_level(pair, template: ClozeTemplate, tokenizer: Tokenizer, max_seq: int) -> TokenLevelExample:

@@ -23,6 +23,7 @@ from .data import (
     ClozeTemplate,
     build_orders,
     build_token_level,
+    group_by_length,
 )
 from .errors import ConfigError, ContractError, DivergenceError, SkipRecord
 from .model import (
@@ -189,19 +190,16 @@ def score_pairs(model: EvalModel, pairs, skipped=None) -> list:
             if skipped is None:
                 raise
             skipped.append(pair)
-    by_length = {}
-    for i, (_, rows) in enumerate(rendered):
-        for j, (ids, _) in enumerate(rows):
-            by_length.setdefault(len(ids), []).append((i, j))
-    values = [[None, None] for _ in rendered]
-    for length, keys in by_length.items():
+    rows = [row for _, pair_rows in rendered for row in pair_rows]
+    values = [None] * len(rows)
+    for length, idxs in group_by_length([ids for ids, _ in rows]).items():
         cap = 2 * max(1, TOKEN_BUDGET // (2 * length))
-        for lo in range(0, len(keys), cap):
-            chunk = keys[lo : lo + cap]
-            for (i, j), value in zip(chunk, _score_rows(model, [rendered[i][1][j] for i, j in chunk])):
-                values[i][j] = value
+        for lo in range(0, len(idxs), cap):
+            chunk = idxs[lo : lo + cap]
+            for k, value in zip(chunk, _score_rows(model, [rows[k] for k in chunk])):
+                values[k] = value
     trials = []
-    for (pair, _), (first, second) in zip(rendered, values):
+    for (pair, _), first, second in zip(rendered, values[::2], values[1::2]):
         option_logits = [(first, second), (second, first)] if model.config.head_kind == HEAD_TOKEN else [first, second]
         if not all(math.isfinite(v) for logits in option_logits for v in logits):
             raise DivergenceError(f"non-finite option logits {option_logits} for pair {pair.id!r}")

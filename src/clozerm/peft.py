@@ -80,6 +80,14 @@ class FreezeSpec:
         if self.n_frozen_layers < 0:
             raise ConfigError("n_frozen_layers must be non-negative")
 
+    def check(self, n_layers: int, adapters: bool = False) -> None:
+        """ConfigError unless the frozen layers fit an n_layers model and,
+        with adapters, leave at least one layer for them to attach to."""
+        if self.n_frozen_layers > n_layers:
+            raise ConfigError(f"cannot freeze {self.n_frozen_layers} layers of a {n_layers}-layer model")
+        if adapters and self.n_frozen_layers == n_layers:
+            raise ConfigError(f"DoRA has no layer to adapt: all {n_layers} layers are frozen")
+
     @property
     def embeddings_frozen(self) -> bool:
         if self.freeze_embeddings is None:
@@ -127,11 +135,7 @@ def apply_freeze(weights, spec: FreezeSpec):
     Frozen layers 0..k-1 (and embeddings when flagged) are excluded
     entirely; everything else, including adapter tensors, passes through.
     """
-    n_layers = infer_n_layers(weights)
-    if spec.n_frozen_layers > n_layers:
-        raise ConfigError(
-            f"cannot freeze {spec.n_frozen_layers} layers of a {n_layers}-layer model"
-        )
+    spec.check(infer_n_layers(weights))
     frozen_prefixes = tuple(f"layer{i}." for i in range(spec.n_frozen_layers))
     trainable = []
     for name in weights:
@@ -145,16 +149,14 @@ def apply_freeze(weights, spec: FreezeSpec):
 
 def attach_adapters(weights, rank: int, targets: AdapterTargets, freeze: FreezeSpec, rng=None):
     """Create identity-initialized adapters on every targeted matrix of the
-    non-frozen layers; returns a dict keyed by base weight name.
+    non-frozen layers; returns a dict keyed by base weight name. With every
+    layer frozen there is nothing to adapt, which raises ConfigError.
 
     Base matrices are stored input-by-output, so each adapter is built over
     the transposed view to keep magnitudes per output feature.
     """
     n_layers = infer_n_layers(weights)
-    if freeze.n_frozen_layers > n_layers:
-        raise ConfigError(
-            f"cannot freeze {freeze.n_frozen_layers} layers of a {n_layers}-layer model"
-        )
+    freeze.check(n_layers, adapters=True)
     rng = np.random.default_rng(rng if rng is not None else 0)
     adapters = {}
     for i in range(freeze.n_frozen_layers, n_layers):

@@ -18,14 +18,12 @@ import numpy as np
 from .checkpoint import Checkpoint, stored_tokenizer
 from .data import (
     DOMAIN_PREFIXES,
-    ORDER_ORIGINAL,
-    ORDER_SWAPPED,
     PREFIX_POOL,
     ClozeTemplate,
-    build_cloze,
-    build_pooled,
+    build_orders,
     build_token_level,
     build_tokenizer,
+    group_by_length,
 )
 from .errors import (
     ConfigError,
@@ -232,13 +230,6 @@ def lr_linear(step: int, total_steps: int, lr_max: float) -> float:
     return lr_max * (1.0 - step / total_steps)
 
 
-def _group_by_length(lengths):
-    groups = {}
-    for i, n in enumerate(lengths):
-        groups.setdefault(n, []).append(i)
-    return groups
-
-
 def _check_batch(config: ModelConfig, head: str, objective: str, batch) -> None:
     if config.head_kind != head:
         raise ContractError(f"{objective} loss needs head {head!r}, got {config.head_kind!r}")
@@ -251,7 +242,7 @@ def loss_cloze(weights, config: ModelConfig, instances) -> Tensor:
     verbalizer, one forward per group of equal-length instances."""
     _check_batch(config, HEAD_MLM, "cloze", instances)
     total = None
-    for idxs in _group_by_length([len(x.token_ids) for x in instances]).values():
+    for idxs in group_by_length([x.token_ids for x in instances]).values():
         ids = np.array([instances[i].token_ids for i in idxs], dtype=np.int64)
         pos = np.array([instances[i].mask_position for i in idxs], dtype=np.int64)
         golds = np.array([instances[i].gold for i in idxs], dtype=np.int64)
@@ -265,7 +256,7 @@ def loss_pooled(weights, config: ModelConfig, instances) -> Tensor:
     means Option 1 is the better response."""
     _check_batch(config, HEAD_POOLED, "pooled", instances)
     total = None
-    for idxs in _group_by_length([len(x.token_ids) for x in instances]).values():
+    for idxs in group_by_length([x.token_ids for x in instances]).values():
         ids = np.array([instances[i].token_ids for i in idxs], dtype=np.int64)
         labels = np.array([instances[i].label for i in idxs], dtype=np.int64)
         group = tsum(cross_entropy_rows(forward_pooled_batch(weights, config, ids), labels))
@@ -294,7 +285,7 @@ def loss_token_level(weights, config: ModelConfig, examples) -> Tensor:
         seqs.append((ex.rejected_ids, ex.rejected_span, 0.0, eidx))
     n = len(examples)
     total = None
-    for length, idxs in _group_by_length([len(s[0]) for s in seqs]).items():
+    for length, idxs in group_by_length([s[0] for s in seqs]).items():
         ids = np.array([seqs[i][0] for i in idxs], dtype=np.int64)
         flat = reshape(forward_token_batch(weights, config, ids), (len(idxs) * length, 1))
         gidx = []
@@ -319,23 +310,21 @@ _LOSSES = {
 }
 
 
-def _build_instances(pairs, objective, tokenizer, max_seq, template, order_rng, order_policy, skipped=None):
-    out = []
+def _render_pairs(pairs, objective, tokenizer, max_seq, template, skipped) -> list:
+    """Each pair's training renderings: its two orders in ORDERS order
+    (cloze, pooled) or its one token-level example, or None for a pair that
+    cannot fit max_seq, which is recorded in skipped."""
+    rendered = []
     for pair in pairs:
         try:
             if objective == "token-level":
-                out.append(build_token_level(pair, template, tokenizer, max_seq))
-                continue
-            if order_policy == "shuffled":
-                order = ORDER_ORIGINAL if order_rng.random() < 0.5 else ORDER_SWAPPED
+                rendered.append((build_token_level(pair, template, tokenizer, max_seq),))
             else:
-                order = ORDER_ORIGINAL
-            builder = build_cloze if objective == "cloze" else build_pooled
-            out.append(builder(pair, template, order, tokenizer, max_seq))
+                rendered.append(build_orders(pair, template, tokenizer, max_seq, pooled=objective == "pooled"))
         except SkipRecord as exc:
-            if skipped is not None:
-                skipped.append(f"{exc.record_id}: {exc.reason}")
-    return out
+            skipped.append(f"{exc.record_id}: {exc.reason}")
+            rendered.append(None)
+    return rendered
 
 
 def plan_epoch(n_instances: int, batch_size: int, rng) -> list:
@@ -476,21 +465,22 @@ def train(config: TrainConfig, pairs, heldout=None, init_from=None, _template=No
     shuffle_rng = np.random.default_rng(shuffle_ss)
     batch_loss = _LOSSES[config.objective]
 
-    trace = []
     skipped = []
+    rendered = _render_pairs(pairs, config.objective, tokenizer, model_config.max_seq, template, skipped)
+    n_instances = len(pairs) - len(skipped)
+    if not n_instances:
+        raise DataError("every training record was skipped", skipped)
+    total_steps = math.ceil(n_instances / config.batch_size) * config.epochs
+    draw = config.order_policy == "shuffled" and config.objective != "token-level"
+
+    trace = []
     step = 0
-    total_steps = None
-    for epoch in range(config.epochs):
-        instances = _build_instances(
-            pairs, config.objective, tokenizer, model_config.max_seq,
-            template, order_rng, config.order_policy,
-            skipped if epoch == 0 else None,
-        )
-        if not instances:
-            raise DataError("every training record was skipped", skipped)
-        if total_steps is None:
-            total_steps = math.ceil(len(instances) / config.batch_size) * config.epochs
-        for batch_idx in plan_epoch(len(instances), config.batch_size, shuffle_rng):
+    for _ in range(config.epochs):
+        # One order_rng draw per pair under 'shuffled' (below 0.5: original),
+        # skipped pairs included, so which pairs fit moves no other draw.
+        picks = [1 if draw and order_rng.random() >= 0.5 else 0 for _ in rendered]
+        instances = [renders[pick] for renders, pick in zip(rendered, picks) if renders is not None]
+        for batch_idx in plan_epoch(n_instances, config.batch_size, shuffle_rng):
             batch = [instances[i] for i in batch_idx]
             lr_t = lr_linear(step, total_steps, config.learning_rate)
             with Tape() as tape:
@@ -632,6 +622,8 @@ def heldout_split(pairs, seed: int, stream: int, fraction: float):
 def sweep(spec: SweepSpec, pairs) -> list:
     """Train and evaluate each sampled trial on a seeded held-out split;
     rows sorted by accuracy desc, then GFLOPs/token asc, then trial index.
+    Every draw is checked against the base's layer count before the first
+    trial trains.
 
     The split stream is separate from the draw stream so adding trials
     never changes the split.
@@ -642,11 +634,13 @@ def sweep(spec: SweepSpec, pairs) -> list:
     if len(pairs) < 2:
         raise ConfigError("sweep needs at least 2 pairs to split")
     draws = sample_trial_configs(spec)
+    configs = [trial_config(spec, draw) for draw in draws]
+    for cfg in configs:
+        cfg.freeze.check(spec.base.model.n_layers, adapters=cfg.dora is not None)
     train_pairs, eval_pairs = heldout_split(pairs, spec.seed, 1, spec.heldout_fraction)
 
     results = []
-    for index, draw in enumerate(draws):
-        cfg = trial_config(spec, draw)
+    for index, (draw, cfg) in enumerate(zip(draws, configs)):
         run = train(cfg, train_pairs)
         report = eval_dataset(EvalModel.from_checkpoint(run.checkpoint), eval_pairs)
         results.append(

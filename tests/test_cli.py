@@ -452,6 +452,20 @@ def test_dora_targets_without_adapters_exits_1(tmp_path, corpus, capsys, command
     assert not out.exists()
 
 
+# With every layer frozen no adapter can attach, and the run would train
+# only the final norm and the head, so DoRA there exits 1 before writing.
+@pytest.mark.parametrize("command", [
+    ["train", "--out", "m.trm1", "--dora-rank", "2", "--frozen-layers", "1"],
+    ["sweep", "--out", "sweep.csv", "--ranks", "2", "--frozen-min", "1", "--frozen-max", "1"],
+], ids=["train", "sweep"])
+def test_dora_with_every_layer_frozen_exits_1(tmp_path, corpus, capsys, command):
+    sub, flag, name, *rest = command
+    out = tmp_path / name
+    assert run([sub, "--data", str(corpus), flag, str(out), *rest, *TINY]) == 1
+    assert "no layer to adapt" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # Sweep draws each trial's adapter rank and frozen-layer count, so a flag
 # that would fix them is an error naming the flags that set the draws.
 @pytest.mark.parametrize("flag,names", [

@@ -8,15 +8,13 @@ from clozerm.data import (
     CANONICAL_LAYOUT,
     DOMAIN_PREFIXES,
     DOMAINS,
-    ORDER_ORIGINAL,
-    ORDER_SWAPPED,
+    ORDERS,
     PREFIX_POOL,
     REFUSAL_MARKER,
     SYNTH_TASKS,
     ClozeTemplate,
     PreferencePair,
-    build_cloze,
-    build_pooled,
+    build_orders,
     build_token_level,
     build_tokenizer,
     load_jsonl,
@@ -56,9 +54,9 @@ def tok_for(pairs):
 def test_pooled_layout_drops_preference_statement():
     p = pair()
     tok = tok_for([p])
-    for order in (ORDER_ORIGINAL, ORDER_SWAPPED):
-        cloze = build_cloze(p, template(), order, tok, MAX_SEQ).token_ids
-        pooled = build_pooled(p, template(), order, tok, MAX_SEQ).token_ids
+    for cloze, pooled in zip(build_orders(p, template(), tok, MAX_SEQ),
+                             build_orders(p, template(), tok, MAX_SEQ, pooled=True)):
+        cloze, pooled = cloze.token_ids, pooled.token_ids
         assert cloze[: len(pooled)] == pooled
         assert tok.decode(cloze[len(pooled) :]) == "\nThe better response is Option<mask>."
 
@@ -75,11 +73,11 @@ def test_builders_render_each_domain_with_its_prefix():
     tok = tok_for([chat])
     mapped = ClozeTemplate("Solve:", {"chat": PREFIX_POOL[3]})
     plain = ClozeTemplate(PREFIX_POOL[3])
-    for build in (build_cloze, build_pooled):
-        assert build(chat, mapped, ORDER_ORIGINAL, tok, MAX_SEQ) == build(chat, plain, ORDER_ORIGINAL, tok, MAX_SEQ)
+    for pooled in (False, True):
+        assert build_orders(chat, mapped, tok, MAX_SEQ, pooled) == build_orders(chat, plain, tok, MAX_SEQ, pooled)
     assert build_token_level(chat, mapped, tok, MAX_SEQ) == build_token_level(chat, plain, tok, MAX_SEQ)
-    other = build_cloze(pair(), mapped, ORDER_ORIGINAL, tok, MAX_SEQ)
-    assert other == build_cloze(pair(), ClozeTemplate("Solve:"), ORDER_ORIGINAL, tok, MAX_SEQ)
+    other = build_orders(pair(), mapped, tok, MAX_SEQ)[0]
+    assert other == build_orders(pair(), ClozeTemplate("Solve:"), tok, MAX_SEQ)[0]
 
 
 def test_template_block_round_trip_keeps_single_prefix_bytes():
@@ -120,14 +118,14 @@ def test_template_rejects_unknown_domain_and_empty_prefix():
         ClozeTemplate("Solve:", {"sports": "Hi."})
 
 
-# -------------------------------------------------------------- build_cloze
+# ------------------------------------------------------------- build_orders
 
 
 def test_order_swap_exchanges_options_and_flips_gold():
     p = pair()
     tok = tok_for([p])
-    orig = build_cloze(p, template(), ORDER_ORIGINAL, tok, MAX_SEQ)
-    swap = build_cloze(p, template(), ORDER_SWAPPED, tok, MAX_SEQ)
+    orig, swap = build_orders(p, template(), tok, MAX_SEQ)
+    assert (orig.order, swap.order) == ORDERS
     assert orig.gold == VERB1_ID
     assert swap.gold == VERB2_ID
     text_orig = tok.decode(orig.token_ids[1:])
@@ -140,7 +138,7 @@ def test_prefix_appears_verbatim_first():
     p = pair(domain="safety")
     prefix = "Which response is safer?"
     tok = tok_for([p])
-    inst = build_cloze(p, template(prefix), ORDER_ORIGINAL, tok, MAX_SEQ)
+    inst = build_orders(p, template(prefix), tok, MAX_SEQ)[0]
     rendered = tok.decode(inst.token_ids[1:])
     assert rendered.startswith(prefix)
 
@@ -148,8 +146,7 @@ def test_prefix_appears_verbatim_first():
 def test_instance_invariants():
     p = pair()
     tok = tok_for([p])
-    for order in (ORDER_ORIGINAL, ORDER_SWAPPED):
-        inst = build_cloze(p, template(), order, tok, MAX_SEQ)
+    for inst in build_orders(p, template(), tok, MAX_SEQ):
         assert inst.token_ids[0] == CLS_ID
         assert inst.token_ids[inst.mask_position] == MASK_ID
         assert inst.token_ids.count(MASK_ID) == 1
@@ -165,7 +162,7 @@ def test_truncation_shrinks_only_option_bodies():
     long_b = " ".join(f"v{i}" for i in range(60))
     p = pair(chosen=long_a, rejected=long_b)
     tok = tok_for([p])
-    inst = build_cloze(p, template(), ORDER_ORIGINAL, tok, max_seq=40)
+    inst = build_orders(p, template(), tok, max_seq=40)[0]
     assert len(inst.token_ids) <= 40
     rendered = tok.decode(inst.token_ids[1:])
     assert rendered.startswith("Select the best response.")
@@ -183,7 +180,7 @@ def test_truncation_budgets_are_equal():
     long_b = " ".join(f"v{i}" for i in range(60))
     p = pair(chosen=long_a, rejected=long_b)
     tok = tok_for([p])
-    inst = build_cloze(p, template(), ORDER_ORIGINAL, tok, max_seq=40)
+    inst = build_orders(p, template(), tok, max_seq=40)[0]
     rendered = tok.decode(inst.token_ids[1:])
     opt1 = rendered.split("Option 1: ")[1].split("\nOption 2:")[0]
     opt2 = rendered.split("Option 2: ")[1].split("\nThe better")[0]
@@ -194,7 +191,7 @@ def test_overflow_raises_skip_record_with_id():
     p = pair(id="toolong", chosen="a b c", rejected="d e f")
     tok = tok_for([p])
     with pytest.raises(SkipRecord) as exc:
-        build_cloze(p, template(), ORDER_ORIGINAL, tok, max_seq=10)
+        build_orders(p, template(), tok, max_seq=10)[0]
     assert exc.value.record_id == "toolong"
 
 
@@ -203,8 +200,7 @@ def test_injective_on_synth_corpus():
     tok = tok_for(pairs)
     seen = {}
     for p in pairs:
-        for order in (ORDER_ORIGINAL, ORDER_SWAPPED):
-            inst = build_cloze(p, template(), order, tok, MAX_SEQ)
+        for order, inst in zip(ORDERS, build_orders(p, template(), tok, MAX_SEQ)):
             key = (tuple(inst.token_ids), inst.gold)
             prev = seen.get(key)
             if prev is not None:
@@ -222,11 +218,11 @@ def test_injective_on_synth_corpus():
 # ----------------------------------------------- pooled and token level
 
 
-def test_build_pooled_has_no_mask_and_flips_label():
+def test_build_orders_pooled_has_no_mask_and_flips_label():
     p = pair()
     tok = tok_for([p])
-    orig = build_pooled(p, template(), ORDER_ORIGINAL, tok, MAX_SEQ)
-    swap = build_pooled(p, template(), ORDER_SWAPPED, tok, MAX_SEQ)
+    orig, swap = build_orders(p, template(), tok, MAX_SEQ, pooled=True)
+    assert (orig.order, swap.order) == ORDERS
     assert MASK_ID not in orig.token_ids
     assert orig.label == 0 and swap.label == 1
     assert orig.token_ids[0] == CLS_ID

@@ -20,8 +20,7 @@ from clozerm.data import (
     ORDERS,
     ClozeTemplate,
     PreferencePair,
-    build_cloze,
-    build_pooled,
+    build_orders,
     build_token_level,
     build_tokenizer,
     synth_generate,
@@ -118,8 +117,7 @@ def test_score_pair_ten_logit_margin_logistic_closed_form():
 def test_score_pair_restricted_softmax_equals_full_softmax_ratio():
     model = make_model(seed=11)
     trials = score_pairs(model, [PAIRS[1]])
-    for s, order in zip(trials, ("original", "swapped")):
-        inst = build_cloze(PAIRS[1], TEMPLATE, order, model.tokenizer, SMALL.max_seq)
+    for s, inst in zip(trials, build_orders(PAIRS[1], TEMPLATE, model.tokenizer, SMALL.max_seq)):
         logits = forward_mlm_batch(model.weights, model.config, [inst.token_ids], [inst.mask_position])
         full = np.asarray(logits.data[0], dtype=np.float64)
         full = np.exp(full - full.max())
@@ -184,15 +182,12 @@ def test_both_orders_render_to_equal_length(prompt, a, b, max_seq):
     assume(a != b)
     pair = PreferencePair("p", " ".join(prompt), " ".join(a), " ".join(b), "reasoning")
     tokenizer = build_tokenizer(PAIRS)
-    for build in (build_cloze, build_pooled):
-        lengths = []
-        for order in ORDERS:
-            try:
-                lengths.append(len(build(pair, TEMPLATE, order, tokenizer, max_seq).token_ids))
-            except SkipRecord:
-                lengths.append("skipped")
-        assert lengths[0] == lengths[1]
-        assert lengths[0] == "skipped" or lengths[0] <= max_seq
+    for pooled in (False, True):
+        try:
+            lengths = [len(inst.token_ids) for inst in build_orders(pair, TEMPLATE, tokenizer, max_seq, pooled)]
+        except SkipRecord:
+            continue
+        assert lengths[0] == lengths[1] <= max_seq
 
 
 @pytest.mark.parametrize("objective", ["cloze", "pooled"])
@@ -232,8 +227,7 @@ def per_pair_option_logits(model, pair):
             for ids, (lo, hi) in ((ex.chosen_ids, ex.chosen_span), (ex.rejected_ids, ex.rejected_span))
         )
         return [(chosen, rejected), (rejected, chosen)]
-    build = build_cloze if cfg.head_kind == "mlm" else build_pooled
-    insts = [build(pair, model.template, order, model.tokenizer, cfg.max_seq) for order in ORDERS]
+    insts = build_orders(pair, model.template, model.tokenizer, cfg.max_seq, pooled=cfg.head_kind != "mlm")
     ids = np.asarray([inst.token_ids for inst in insts])
     if cfg.head_kind == "mlm":
         logits = forward_mlm_batch(model.weights, cfg, ids, [inst.mask_position for inst in insts]).data
@@ -246,8 +240,8 @@ def row_lengths(model, pair):
     if cfg.head_kind == "token-classifier":
         ex = build_token_level(pair, model.template, model.tokenizer, cfg.max_seq)
         return [len(ex.chosen_ids), len(ex.rejected_ids)]
-    build = build_cloze if cfg.head_kind == "mlm" else build_pooled
-    return [len(build(pair, model.template, order, model.tokenizer, cfg.max_seq).token_ids) for order in ORDERS]
+    insts = build_orders(pair, model.template, model.tokenizer, cfg.max_seq, pooled=cfg.head_kind != "mlm")
+    return [len(inst.token_ids) for inst in insts]
 
 
 @pytest.mark.parametrize("objective", OBJECTIVES)
@@ -316,7 +310,8 @@ def test_grouped_scoring_skips_unfit_pairs():
 
 def test_grouped_scoring_divergence_names_the_pair(monkeypatch):
     model = make_model(pairs=MIXED, seed=3)
-    renders = [build_cloze(p, TEMPLATE, ORDER_SWAPPED, model.tokenizer, SMALL.max_seq).token_ids for p in MIXED]
+    swapped = ORDERS.index(ORDER_SWAPPED)
+    renders = [build_orders(p, TEMPLATE, model.tokenizer, SMALL.max_seq)[swapped].token_ids for p in MIXED]
     # The last pair whose render is unique and shares its length, so its
     # forward scores other pairs too.
     at = max(i for i, ids in enumerate(renders)
@@ -343,7 +338,7 @@ def test_scoring_forward_bits_do_not_depend_on_a_recording_tape(n_layers, n_pair
     settings = ModelSettings(n_layers=n_layers, hidden=64, n_heads=8, ffn_mult=4, max_seq=48)
     model = make_model(pairs=MIXED, seed=1, settings=settings)
     arithmetic = [p for p in MIXED if p.domain == "reasoning"][:n_pairs]
-    insts = [build_cloze(p, TEMPLATE, order, model.tokenizer, settings.max_seq) for p in arithmetic for order in ORDERS]
+    insts = [inst for p in arithmetic for inst in build_orders(p, TEMPLATE, model.tokenizer, settings.max_seq)]
     ids = np.asarray([inst.token_ids for inst in insts])
     positions = [inst.mask_position for inst in insts]
     plain = forward_mlm_batch(model.weights, model.config, ids, positions).data
@@ -409,7 +404,7 @@ def test_eval_matches_brute_force_enumeration():
     per_order = {"original": [], "swapped": []}
     for pair in four:
         for order in ("original", "swapped"):
-            inst = build_cloze(pair, TEMPLATE, order, model.tokenizer, SMALL.max_seq)
+            inst = build_orders(pair, TEMPLATE, model.tokenizer, SMALL.max_seq)[ORDERS.index(order)]
             logits = forward_mlm_batch(model.weights, model.config, [inst.token_ids], [inst.mask_position]).data[0]
             p1 = 1.0 / (1.0 + math.exp(float(logits[VERB2_ID]) - float(logits[VERB1_ID])))
             gold = "1" if order == "original" else "2"

@@ -13,8 +13,7 @@ from clozerm.data import (
     DOMAIN_PREFIXES,
     ClozeTemplate,
     PreferencePair,
-    build_cloze,
-    build_pooled,
+    build_orders,
     build_token_level,
     build_tokenizer,
     synth_generate,
@@ -26,6 +25,7 @@ from clozerm.errors import (
     DataError,
     DivergenceError,
     ShapeError,
+    SkipRecord,
 )
 from clozerm.evaluation import EvalModel, eval_dataset, score_pairs
 from clozerm.model import (
@@ -300,22 +300,21 @@ TEMPLATE = ClozeTemplate(prefix="Which response is more correct?")
 
 def test_loss_cloze_uniform_logits_equals_log_vocab():
     wt, config, tok = build_model("cloze", PAIRS, zero=True)
-    inst = build_cloze(PAIRS[0], TEMPLATE, "original", tok, SMALL.max_seq)
+    inst = build_orders(PAIRS[0], TEMPLATE, tok, SMALL.max_seq)[0]
     loss = float(loss_cloze(wt, config, [inst]).data)
     assert loss == pytest.approx(math.log(config.vocab_size), abs=1e-4)
 
 
 def test_loss_cloze_gold_logit_saturated():
     wt, config, tok = build_model("cloze", PAIRS, zero=True)
-    inst = build_cloze(PAIRS[0], TEMPLATE, "original", tok, SMALL.max_seq)
+    inst = build_orders(PAIRS[0], TEMPLATE, tok, SMALL.max_seq)[0]
     wt["head.b"].data[inst.gold] = 100.0
     assert float(loss_cloze(wt, config, [inst]).data) < 1e-5
 
 
 def test_loss_cloze_matches_f64_cross_entropy_of_logits():
     wt, config, tok = build_model("cloze", PAIRS, seed=5)
-    for order in ("original", "swapped"):
-        inst = build_cloze(PAIRS[1], TEMPLATE, order, tok, SMALL.max_seq)
+    for inst in build_orders(PAIRS[1], TEMPLATE, tok, SMALL.max_seq):
         logits = forward_mlm_batch(wt, config, [inst.token_ids], [inst.mask_position]).data[0]
         oracle = ce_oracle(logits.astype(np.float64), inst.gold)
         assert float(loss_cloze(wt, config, [inst]).data) == pytest.approx(oracle, abs=1e-6)
@@ -323,7 +322,7 @@ def test_loss_cloze_matches_f64_cross_entropy_of_logits():
 
 def test_loss_cloze_deterministic_bitwise():
     wt, config, tok = build_model("cloze", PAIRS, seed=9)
-    inst = build_cloze(PAIRS[2], TEMPLATE, "original", tok, SMALL.max_seq)
+    inst = build_orders(PAIRS[2], TEMPLATE, tok, SMALL.max_seq)[0]
     a = float(loss_cloze(wt, config, [inst]).data)
     b = float(loss_cloze(wt, config, [inst]).data)
     assert a == b
@@ -338,7 +337,7 @@ def test_batch1_cloze_step_at_readme_shape_records_17_tape_ops():
     wt, config, tok = build_model("cloze", PAIRS, settings=settings)
     for tensor in wt.values():
         tensor.requires_grad = True
-    inst = build_cloze(PAIRS[0], TEMPLATE, "original", tok, settings.max_seq)
+    inst = build_orders(PAIRS[0], TEMPLATE, tok, settings.max_seq)[0]
     with Tape() as tape:
         loss = loss_cloze(wt, config, [inst])
     assert len(tape) == 17
@@ -358,7 +357,7 @@ def test_dora_step_at_readme_shape_records_16_tape_ops():
     adapters = attach_adapters(weights, 8, AdapterTargets(), freeze, rng=0)
     for name in apply_freeze(weights, freeze):
         wt[name].requires_grad = name not in adapters
-    inst = build_cloze(PAIRS[0], TEMPLATE, "original", tok, settings.max_seq)
+    inst = build_orders(PAIRS[0], TEMPLATE, tok, settings.max_seq)[0]
     with Tape() as tape:
         loss = loss_cloze(adapted_forward_weights(wt, adapters), config, [inst])
     assert len(adapters) == 6 and len(tape) == 16
@@ -368,21 +367,20 @@ def test_dora_step_at_readme_shape_records_16_tape_ops():
 
 def test_loss_cloze_rejects_wrong_head():
     wt, config, tok = build_model("pooled", PAIRS)
-    inst = build_pooled(PAIRS[0], TEMPLATE, "original", tok, SMALL.max_seq)
+    inst = build_orders(PAIRS[0], TEMPLATE, tok, SMALL.max_seq, pooled=True)[0]
     with pytest.raises(ContractError):
         loss_cloze(wt, config, [inst])
 
 
 def test_loss_pooled_equal_logits_equals_log2():
     wt, config, tok = build_model("pooled", PAIRS, zero=True)
-    inst = build_pooled(PAIRS[0], TEMPLATE, "original", tok, SMALL.max_seq)
+    inst = build_orders(PAIRS[0], TEMPLATE, tok, SMALL.max_seq, pooled=True)[0]
     assert float(loss_pooled(wt, config, [inst]).data) == pytest.approx(math.log(2.0), abs=1e-6)
 
 
 def test_loss_pooled_matches_f64_oracle_both_orders():
     wt, config, tok = build_model("pooled", PAIRS, seed=4)
-    for order in ("original", "swapped"):
-        inst = build_pooled(PAIRS[3], TEMPLATE, order, tok, SMALL.max_seq)
+    for inst in build_orders(PAIRS[3], TEMPLATE, tok, SMALL.max_seq, pooled=True):
         logits = forward_pooled_batch(wt, config, [inst.token_ids]).data[0]
         oracle = ce_oracle(logits.astype(np.float64), inst.label)
         assert float(loss_pooled(wt, config, [inst]).data) == pytest.approx(oracle, abs=1e-6)
@@ -390,7 +388,7 @@ def test_loss_pooled_matches_f64_oracle_both_orders():
 
 def test_loss_pooled_rejects_wrong_head():
     wt, config, tok = build_model("cloze", PAIRS)
-    inst = build_cloze(PAIRS[0], TEMPLATE, "original", tok, SMALL.max_seq)
+    inst = build_orders(PAIRS[0], TEMPLATE, tok, SMALL.max_seq)[0]
     with pytest.raises(ContractError):
         loss_pooled(wt, config, [inst])
 
@@ -472,9 +470,8 @@ def mixed_batch(objective, tok):
         batch = [build_token_level(p, TEMPLATE, tok, SMALL.max_seq) for p in MIXED]
         lengths = [len(ids) for ex in batch for ids in (ex.chosen_ids, ex.rejected_ids)]
     else:
-        builder = build_cloze if objective == "cloze" else build_pooled
-        batch = [builder(p, TEMPLATE, order, tok, SMALL.max_seq)
-                 for p in MIXED for order in ("original", "swapped")]
+        pooled = objective == "pooled"
+        batch = [inst for p in MIXED for inst in build_orders(p, TEMPLATE, tok, SMALL.max_seq, pooled)]
         lengths = [len(x.token_ids) for x in batch]
     # several length groups, at least one of them holding more than one row
     assert 2 < len(set(lengths)) < len(lengths)
@@ -694,6 +691,77 @@ def test_train_adapters_skip_frozen_layers():
     assert names and all(n.startswith("adapter.layer1.") for n in names)
 
 
+def test_dora_with_every_layer_frozen_is_rejected_before_the_first_step(monkeypatch):
+    # No adapter could attach, so the run would train only the final norm
+    # and the head and write no dora block.
+    settings = dataclasses.replace(SMALL, n_layers=2)
+    base = train(small_config(model=settings), PAIRS).checkpoint
+    steps = []
+    monkeypatch.setattr(clozerm.training, "adamw_step", lambda *a, **k: steps.append(1))
+    config = small_config(model=settings, freeze=FreezeSpec(n_frozen_layers=2), dora=DoraSettings(rank=8))
+    for init_from in (base, None):
+        with pytest.raises(ConfigError, match="no layer to adapt"):
+            train(config, PAIRS, init_from=init_from)
+    assert steps == []
+
+
+ORDER_PAIRS = (
+    synth_generate("arithmetic", 4, seed=3)
+    + synth_generate("refusal", 4, seed=3)
+    + synth_generate("verbosity", 4, seed=3)
+)
+
+
+@pytest.mark.parametrize(
+    "objective,order_policy,max_seq",
+    [("cloze", "shuffled", 32), ("cloze", "fixed", 32), ("token-level", "shuffled", 18)],
+)
+def test_each_step_trains_the_seeded_order_draw(objective, order_policy, max_seq, monkeypatch):
+    # Each epoch makes one order_rng.random() per pair under 'shuffled'
+    # (below 0.5: original), skipped pairs included, and none under 'fixed'
+    # or for token-level examples; plan_epoch on shuffle_rng then orders
+    # the pairs that fit. max_seq skips 3 of the 12 pairs.
+    loss_fn = clozerm.training._LOSSES[objective]
+    trained = []
+
+    def recording_loss(weights, config, batch):
+        trained.extend((x.source_id, getattr(x, "order", None)) for x in batch)
+        return loss_fn(weights, config, batch)
+
+    monkeypatch.setitem(clozerm.training._LOSSES, objective, recording_loss)
+    config = small_config(objective=objective, order_policy=order_policy, batch_size=1, epochs=2,
+                          model=dataclasses.replace(SMALL, max_seq=max_seq))
+    result = train(config, ORDER_PAIRS)
+
+    template, tok = ClozeTemplate(config.prefix), build_tokenizer(ORDER_PAIRS)
+    render = build_token_level if objective == "token-level" else build_orders
+    fits = []
+    for pair in ORDER_PAIRS:
+        try:
+            render(pair, template, tok, max_seq)
+            fits.append(True)
+        except SkipRecord:
+            fits.append(False)
+    skipped = [pair.id for pair, fit in zip(ORDER_PAIRS, fits) if not fit]
+    assert len(skipped) == 3 and [s.split(":")[0] for s in result.skipped] == skipped
+
+    _, _, order_ss, shuffle_ss = np.random.SeedSequence(config.seed).spawn(4)
+    order_rng, shuffle_rng = np.random.default_rng(order_ss), np.random.default_rng(shuffle_ss)
+    expected = []
+    for _ in range(config.epochs):
+        epoch = []
+        for pair, fit in zip(ORDER_PAIRS, fits):
+            order = None if objective == "token-level" else "original"
+            if order is not None and order_policy == "shuffled":
+                order = "original" if order_rng.random() < 0.5 else "swapped"
+            if fit:
+                epoch.append((pair.id, order))
+        expected.extend(epoch[i] for batch in plan_epoch(len(epoch), 1, shuffle_rng) for i in batch)
+    assert trained == expected and len(trained) == len(result.trace)
+    if (objective, order_policy) == ("cloze", "shuffled"):
+        assert {order for _, order in trained} == {"original", "swapped"}
+
+
 # ---------------------------------------------------------------------------
 # trace CSV
 
@@ -806,6 +874,25 @@ def test_sweep_rows_sorted_by_accuracy_then_cost():
 
 def test_sweep_deterministic():
     assert sweep(l0_spec(trials=2), PAIRS) == sweep(l0_spec(trials=2), PAIRS)
+
+
+@pytest.mark.parametrize("ranks,frozen_max,error", [
+    ((0, 4), 2, "DoRA has no layer to adapt: all 2 layers are frozen"),
+    ((0,), 3, "cannot freeze 3 layers of a 2-layer model"),
+], ids=["dora-all-frozen", "too-many-frozen"])
+def test_sweep_checks_every_draw_before_the_first_trial(ranks, frozen_max, error, monkeypatch):
+    # On a 2-layer base, seed 0 draws such a trial after trials that would
+    # train.
+    spec = SweepSpec(base=small_config(model=dataclasses.replace(SMALL, n_layers=2)),
+                     trials=6, seed=0, ranks=ranks, frozen_max=frozen_max)
+    draws = sample_trial_configs(spec)
+    bad = [i for i, d in enumerate(draws) if d.frozen_layers > 2 or (d.dora_rank and d.frozen_layers == 2)]
+    assert bad and bad[0] > 0
+    trained = []
+    monkeypatch.setattr(clozerm.training, "train", lambda *a, **k: trained.append(a))
+    with pytest.raises(ConfigError, match=error):
+        sweep(spec, PAIRS)
+    assert trained == []
 
 
 def test_sweep_needs_two_pairs():
