@@ -13,7 +13,9 @@ under an overriding --prefix, evals of the three objectives' and the
 README-shape checkpoints on a 90-pair held-out set (30 single-length
 arithmetic pairs, so several full scoring chunks and a remainder), a
 two-epoch batch-1 cloze run on that set whose max_seq skips a few pairs
-with its eval, a sweep and an objective comparison. Next to every eval
+with its eval, a pooled and a token-level run on that set whose max_seq
+skips a few pairs, each with its eval, a sweep and an objective
+comparison. Next to every eval
 report REPORT.eval.json it writes REPORT.trials.jsonl, one line per
 scored order of a pair from evaluation.score_pairs with p1 and p2 written
 by repr, so a change that moves a probability in its last bit shows even
@@ -114,6 +116,15 @@ def main(argv=None):
     clozerm("train", "--data", wide, "--heldout", heldout, "--epochs", 2, "--max-seq", 36,
             "--out", epochs2, "--trace", out / "epochs2.trace.csv", *SMALL, "--batch-size", 1)
     evaluate(epochs2, heldout, "epochs2")
+
+    # The pooled and token-level renderers on that set at a max_seq that
+    # skips 3 of the 90 pairs; at 22 tokens the token head also truncates
+    # 57 pairs' responses.
+    for objective, max_seq in (("pooled", 28), ("token-level", 22)):
+        ckpt = out / f"{objective}.skips.trm1"
+        clozerm("train", "--data", wide, "--heldout", heldout, "--objective", objective, "--max-seq", max_seq,
+                "--out", ckpt, "--trace", out / f"{objective}.skips.trace.csv", *SMALL)
+        evaluate(ckpt, heldout, f"{objective}.skips")
 
     clozerm("sweep", "--data", data, "--trials", 3, "--ranks", "0,4", "--frozen-max", 1,
             "--out", out / "sweep.csv", *SMALL)

@@ -17,15 +17,12 @@ from .data import (
     DOMAINS,
     PREFIX_POOL,
     REFUSAL_MARKER,
-    ClozeInstance,
     ClozeTemplate,
-    PooledInstance,
     PreferencePair,
-    TokenLevelExample,
-    build_orders,
-    build_token_level,
+    Row,
     build_tokenizer,
     load_jsonl,
+    render_pair,
     save_jsonl,
     scan_jsonl,
     synth_generate,

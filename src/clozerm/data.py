@@ -23,8 +23,9 @@ import random
 import re
 from dataclasses import dataclass, field
 
-from .errors import CheckpointError, ConfigError, DataError, SkipRecord
+from .errors import CheckpointError, ConfigError, ContractError, DataError, SkipRecord
 from .fileio import atomic_write_text
+from .model import HEAD_MLM, HEAD_POOLED, HEAD_TOKEN
 from .tokenizer import CLS_ID, MASK_ID, VERB1_ID, VERB2_ID, Tokenizer, build_vocab
 
 DOMAINS = ("chat", "reasoning", "safety")
@@ -114,31 +115,17 @@ class ClozeTemplate:
 
 
 @dataclass
-class ClozeInstance:
+class Row:
+    """One rendered row of a pair. read is what the head reads: the mask
+    position (mlm), None (pooled) or the response span (token head); target
+    is the training target there: the gold verbalizer id, the class (0 when
+    Option 1 is the better response) or the span label 1.0/0.0. order is an
+    ORDERS entry, or None for a token row."""
+
     token_ids: list
-    mask_position: int
-    gold: int  # verbalizer token id
-    order: str
-    source_id: str
-
-
-@dataclass
-class PooledInstance:
-    token_ids: list
-    label: int  # 0 when Option 1 is the better response
-    order: str
-    source_id: str
-
-
-@dataclass
-class TokenLevelExample:
-    """Two renderings of the same prompt, one per candidate response; the
-    span marks which token positions belong to the response body."""
-
-    chosen_ids: list
-    chosen_span: tuple
-    rejected_ids: list
-    rejected_span: tuple
+    read: object
+    target: object
+    order: "str | None"
     source_id: str
 
 
@@ -204,30 +191,40 @@ def _assemble(segments, max_seq: int, record_id: str, body_kinds):
 _SWAP_SLOTS = {"a": "b", "b": "a"}
 
 
-def build_orders(pair, template: ClozeTemplate, tokenizer: Tokenizer, max_seq: int,
-                 pooled: bool = False) -> list:
-    """Render one pair in both orders, in ORDERS order, from one encoding of
-    its segments: a ClozeInstance per order, or a PooledInstance with pooled
-    set.
+def render_pair(pair, template: ClozeTemplate, tokenizer: Tokenizer, max_seq: int, head: str) -> list:
+    """The pair's two Rows for a head kind.
 
-    order 'original' puts the chosen response at Option 1 (cloze gold
-    verbalizer "1", pooled class 0); 'swapped' holds the same segments with
-    the option slots swapped (gold "2", class 1). The pooled rendering is
-    the cloze scaffold minus the preference statement.
+    mlm and pooled: both orders, in ORDERS order, from one encoding of the
+    segments. 'original' puts the chosen response at Option 1 (gold
+    verbalizer "1", class 0); 'swapped' holds the same segments with the
+    option slots swapped (gold "2", class 1). The pooled rendering is the
+    cloze scaffold minus the preference statement. Token head: the chosen
+    row then the rejected row, each response rendered on its own.
     """
-    values = {"prefix": template.prefix_for(pair.domain), "x": pair.prompt, "a": pair.chosen, "b": pair.rejected}
+    prefix = template.prefix_for(pair.domain)
+    if head == HEAD_TOKEN:
+        rows = []
+        for text, label in ((pair.chosen, 1.0), (pair.rejected, 0.0)):
+            segments = _encode_segments(_RESPONSE_PARTS, {"prefix": prefix, "x": pair.prompt, "y": text}, tokenizer)
+            ids, spans = _assemble(segments, max_seq, pair.id, body_kinds=("y",))
+            rows.append(Row(ids, spans["y"], label, None, pair.id))
+        return rows
+    if head not in (HEAD_MLM, HEAD_POOLED):
+        raise ContractError(f"unknown head kind {head!r}")
+    pooled = head == HEAD_POOLED
+    values = {"prefix": prefix, "x": pair.prompt, "a": pair.chosen, "b": pair.rejected}
     segments = _encode_segments(_POOLED_PARTS if pooled else _CLOZE_PARTS, values, tokenizer)
     slots = dict(segments)
     swapped = [(kind, slots[_SWAP_SLOTS[kind]] if kind in _SWAP_SLOTS else ids) for kind, ids in segments]
-    out = []
+    rows = []
     for order in ORDERS:
         original = order == ORDER_ORIGINAL
         ids, spans = _assemble(segments if original else swapped, max_seq, pair.id, body_kinds=("a", "b"))
         if pooled:
-            out.append(PooledInstance(ids, 0 if original else 1, order, pair.id))
+            rows.append(Row(ids, None, 0 if original else 1, order, pair.id))
         else:
-            out.append(ClozeInstance(ids, spans["mask"][0], VERB1_ID if original else VERB2_ID, order, pair.id))
-    return out
+            rows.append(Row(ids, spans["mask"][0], VERB1_ID if original else VERB2_ID, order, pair.id))
+    return rows
 
 
 def group_by_length(rows) -> dict:
@@ -237,24 +234,6 @@ def group_by_length(rows) -> dict:
     for i, row in enumerate(rows):
         groups.setdefault(len(row), []).append(i)
     return groups
-
-
-def build_token_level(pair, template: ClozeTemplate, tokenizer: Tokenizer, max_seq: int) -> TokenLevelExample:
-    """Render each candidate separately for per-token binary labeling."""
-    rendered = {}
-    prefix = template.prefix_for(pair.domain)
-    for key, text in (("chosen", pair.chosen), ("rejected", pair.rejected)):
-        values = {"prefix": prefix, "x": pair.prompt, "y": text}
-        segments = _encode_segments(_RESPONSE_PARTS, values, tokenizer)
-        ids, spans = _assemble(segments, max_seq, pair.id, body_kinds=("y",))
-        rendered[key] = (ids, spans["y"])
-    return TokenLevelExample(
-        chosen_ids=rendered["chosen"][0],
-        chosen_span=rendered["chosen"][1],
-        rejected_ids=rendered["rejected"][0],
-        rejected_span=rendered["rejected"][1],
-        source_id=pair.id,
-    )
 
 
 def vocab_texts(pairs):

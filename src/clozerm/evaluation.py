@@ -21,9 +21,8 @@ from .data import (
     ORDERS,
     ORDER_ORIGINAL,
     ClozeTemplate,
-    build_orders,
-    build_token_level,
     group_by_length,
+    render_pair,
 )
 from .errors import ConfigError, ContractError, DivergenceError, SkipRecord
 from .model import (
@@ -128,40 +127,20 @@ def _span_mean(scores: np.ndarray, span) -> float:
     return float(np.asarray(scores, dtype=np.float64)[start:end].mean())
 
 
-def _render(model: EvalModel, pair) -> list:
-    """The pair's two rows as (token ids, what the head reads there): the
-    two orders with their mask positions (mlm) or None (pooled), or the
-    chosen and the rejected response with their spans (token head). The
-    orders hold the same segments with the option slots swapped, so they
-    render to equal length."""
-    cfg = model.config
-    if cfg.head_kind == HEAD_TOKEN:
-        ex = build_token_level(pair, model.template, model.tokenizer, cfg.max_seq)
-        return [(ex.chosen_ids, ex.chosen_span), (ex.rejected_ids, ex.rejected_span)]
-    if cfg.head_kind not in (HEAD_MLM, HEAD_POOLED):
-        raise ContractError(f"unknown head kind {cfg.head_kind!r}")
-    pooled = cfg.head_kind == HEAD_POOLED
-    insts = build_orders(pair, model.template, model.tokenizer, cfg.max_seq, pooled=pooled)
-    lengths = [len(inst.token_ids) for inst in insts]
-    if lengths[0] != lengths[1]:
-        raise ContractError(f"the two orders of pair {pair.id!r} render to lengths {lengths}")
-    return [(inst.token_ids, None if pooled else inst.mask_position) for inst in insts]
-
-
 def _score_rows(model: EvalModel, rows) -> list:
     """One forward over equal-length rows: per row the two verbalizer
     logits at the mask (mlm), the two class logits (pooled), or the mean
     score over the response span (token head)."""
     cfg = model.config
-    ids = np.asarray([row_ids for row_ids, _ in rows], dtype=np.int64)
+    ids = np.asarray([row.token_ids for row in rows], dtype=np.int64)
     if cfg.head_kind == HEAD_MLM:
-        logits = forward_mlm_batch(model.weights, cfg, ids, [read for _, read in rows]).data
+        logits = forward_mlm_batch(model.weights, cfg, ids, [row.read for row in rows]).data
         return [(float(row[VERB1_ID]), float(row[VERB2_ID])) for row in logits]
     if cfg.head_kind == HEAD_POOLED:
         logits = forward_pooled_batch(model.weights, cfg, ids).data
         return [(float(row[0]), float(row[1])) for row in logits]
     scores = forward_token_batch(model.weights, cfg, ids).data
-    return [_span_mean(row, span) for row, (_, span) in zip(scores, rows)]
+    return [_span_mean(scores_row, row.read) for scores_row, row in zip(scores, rows)]
 
 
 def score_pairs(model: EvalModel, pairs, skipped=None) -> list:
@@ -182,17 +161,23 @@ def score_pairs(model: EvalModel, pairs, skipped=None) -> list:
     max_seq raises SkipRecord, or, given a skipped list, is appended to it
     and left out.
     """
+    cfg = model.config
     rendered = []
     for pair in pairs:
         try:
-            rendered.append((pair, _render(model, pair)))
+            pair_rows = render_pair(pair, model.template, model.tokenizer, cfg.max_seq, cfg.head_kind)
         except SkipRecord:
             if skipped is None:
                 raise
             skipped.append(pair)
+            continue
+        lengths = [len(row.token_ids) for row in pair_rows]
+        if cfg.head_kind != HEAD_TOKEN and lengths[0] != lengths[1]:
+            raise ContractError(f"the two orders of pair {pair.id!r} render to lengths {lengths}")
+        rendered.append((pair, pair_rows))
     rows = [row for _, pair_rows in rendered for row in pair_rows]
     values = [None] * len(rows)
-    for length, idxs in group_by_length([ids for ids, _ in rows]).items():
+    for length, idxs in group_by_length([row.token_ids for row in rows]).items():
         cap = 2 * max(1, TOKEN_BUDGET // (2 * length))
         for lo in range(0, len(idxs), cap):
             chunk = idxs[lo : lo + cap]
@@ -200,7 +185,7 @@ def score_pairs(model: EvalModel, pairs, skipped=None) -> list:
                 values[k] = value
     trials = []
     for (pair, _), first, second in zip(rendered, values[::2], values[1::2]):
-        option_logits = [(first, second), (second, first)] if model.config.head_kind == HEAD_TOKEN else [first, second]
+        option_logits = [(first, second), (second, first)] if cfg.head_kind == HEAD_TOKEN else [first, second]
         if not all(math.isfinite(v) for logits in option_logits for v in logits):
             raise DivergenceError(f"non-finite option logits {option_logits} for pair {pair.id!r}")
         for order, (l1, l2) in zip(ORDERS, option_logits):

@@ -20,10 +20,9 @@ from .data import (
     DOMAIN_PREFIXES,
     PREFIX_POOL,
     ClozeTemplate,
-    build_orders,
-    build_token_level,
     build_tokenizer,
     group_by_length,
+    render_pair,
 )
 from .errors import (
     ConfigError,
@@ -237,65 +236,59 @@ def _check_batch(config: ModelConfig, head: str, objective: str, batch) -> None:
         raise ContractError(f"{objective} loss needs a non-empty batch")
 
 
-def loss_cloze(weights, config: ModelConfig, instances) -> Tensor:
-    """Mean full-vocabulary cross-entropy at the mask against the gold
-    verbalizer, one forward per group of equal-length instances."""
-    _check_batch(config, HEAD_MLM, "cloze", instances)
+def loss_cloze(weights, config: ModelConfig, rows) -> Tensor:
+    """Mean full-vocabulary cross-entropy at each row's mask against its
+    gold verbalizer, one forward per group of equal-length rows."""
+    _check_batch(config, HEAD_MLM, "cloze", rows)
     total = None
-    for idxs in group_by_length([x.token_ids for x in instances]).values():
-        ids = np.array([instances[i].token_ids for i in idxs], dtype=np.int64)
-        pos = np.array([instances[i].mask_position for i in idxs], dtype=np.int64)
-        golds = np.array([instances[i].gold for i in idxs], dtype=np.int64)
+    for idxs in group_by_length([r.token_ids for r in rows]).values():
+        ids = np.array([rows[i].token_ids for i in idxs], dtype=np.int64)
+        pos = np.array([rows[i].read for i in idxs], dtype=np.int64)
+        golds = np.array([rows[i].target for i in idxs], dtype=np.int64)
         group = tsum(cross_entropy_rows(forward_mlm_batch(weights, config, ids, pos), golds))
         total = group if total is None else add(total, group)
-    return mul(total, 1.0 / len(instances))
+    return mul(total, 1.0 / len(rows))
 
 
-def loss_pooled(weights, config: ModelConfig, instances) -> Tensor:
+def loss_pooled(weights, config: ModelConfig, rows) -> Tensor:
     """Mean two-way cross-entropy on the pooled representation; class 0
     means Option 1 is the better response."""
-    _check_batch(config, HEAD_POOLED, "pooled", instances)
+    _check_batch(config, HEAD_POOLED, "pooled", rows)
     total = None
-    for idxs in group_by_length([x.token_ids for x in instances]).values():
-        ids = np.array([instances[i].token_ids for i in idxs], dtype=np.int64)
-        labels = np.array([instances[i].label for i in idxs], dtype=np.int64)
+    for idxs in group_by_length([r.token_ids for r in rows]).values():
+        ids = np.array([rows[i].token_ids for i in idxs], dtype=np.int64)
+        labels = np.array([rows[i].target for i in idxs], dtype=np.int64)
         group = tsum(cross_entropy_rows(forward_pooled_batch(weights, config, ids), labels))
         total = group if total is None else add(total, group)
-    return mul(total, 1.0 / len(instances))
+    return mul(total, 1.0 / len(rows))
 
 
-def loss_token_level(weights, config: ModelConfig, examples) -> Tensor:
-    """Mean over examples of the binary cross-entropy averaged over both
-    response spans: label 1 on every chosen-response token, 0 on every
-    rejected-response token. Scaffold tokens outside the spans carry no
-    loss, and the weighting keeps each example's share independent of its
-    span lengths."""
-    _check_batch(config, HEAD_TOKEN, "token-level", examples)
-    seqs = []
-    tokens_of = []
-    for ex in examples:
-        for span in (ex.chosen_span, ex.rejected_span):
-            if span[1] <= span[0]:
-                raise ContractError("empty response span")
-        tokens_of.append(
-            (ex.chosen_span[1] - ex.chosen_span[0]) + (ex.rejected_span[1] - ex.rejected_span[0])
-        )
-        eidx = len(tokens_of) - 1
-        seqs.append((ex.chosen_ids, ex.chosen_span, 1.0, eidx))
-        seqs.append((ex.rejected_ids, ex.rejected_span, 0.0, eidx))
-    n = len(examples)
+def loss_token_level(weights, config: ModelConfig, rows) -> Tensor:
+    """Mean over pairs of the binary cross-entropy averaged over both
+    response spans, the rows being each pair's chosen row then its rejected
+    row: each row's label on every token of its span. Scaffold tokens
+    outside the spans carry no loss, and the weighting keeps each pair's
+    share independent of its span lengths."""
+    _check_batch(config, HEAD_TOKEN, "token-level", rows)
+    if len(rows) % 2:
+        raise ContractError("token-level loss needs each pair's two rows")
+    widths = [end - start for start, end in (row.read for row in rows)]
+    if min(widths) < 1:
+        raise ContractError("empty response span")
+    n = len(rows) // 2
+    pair_weights = [1.0 / ((chosen + rejected) * n) for chosen, rejected in zip(widths[::2], widths[1::2])]
     total = None
-    for length, idxs in group_by_length([s[0] for s in seqs]).items():
-        ids = np.array([seqs[i][0] for i in idxs], dtype=np.int64)
+    for length, idxs in group_by_length([r.token_ids for r in rows]).items():
+        ids = np.array([rows[i].token_ids for i in idxs], dtype=np.int64)
         flat = reshape(forward_token_batch(weights, config, ids), (len(idxs) * length, 1))
         gidx = []
         labels = []
         wvec = []
-        for row, i in enumerate(idxs):
-            _, (start, end), label, eidx = seqs[i]
-            gidx.extend(range(row * length + start, row * length + end))
-            labels.extend([label] * (end - start))
-            wvec.extend([1.0 / (tokens_of[eidx] * n)] * (end - start))
+        for k, i in enumerate(idxs):
+            start, end = rows[i].read
+            gidx.extend(range(k * length + start, k * length + end))
+            labels.extend([rows[i].target] * (end - start))
+            wvec.extend([pair_weights[i // 2]] * (end - start))
         sel = gather_rows(flat, np.asarray(gidx, dtype=np.int64))
         bce = bce_with_logits(sel, np.asarray(labels, dtype=np.float32).reshape(-1, 1))
         group = tsum(mul(bce, np.asarray(wvec, dtype=np.float32).reshape(-1, 1)))
@@ -310,17 +303,13 @@ _LOSSES = {
 }
 
 
-def _render_pairs(pairs, objective, tokenizer, max_seq, template, skipped) -> list:
-    """Each pair's training renderings: its two orders in ORDERS order
-    (cloze, pooled) or its one token-level example, or None for a pair that
+def _render_pairs(pairs, head, tokenizer, max_seq, template, skipped) -> list:
+    """Each pair's two rows from render_pair, or None for a pair that
     cannot fit max_seq, which is recorded in skipped."""
     rendered = []
     for pair in pairs:
         try:
-            if objective == "token-level":
-                rendered.append((build_token_level(pair, template, tokenizer, max_seq),))
-            else:
-                rendered.append(build_orders(pair, template, tokenizer, max_seq, pooled=objective == "pooled"))
+            rendered.append(render_pair(pair, template, tokenizer, max_seq, head))
         except SkipRecord as exc:
             skipped.append(f"{exc.record_id}: {exc.reason}")
             rendered.append(None)
@@ -401,11 +390,12 @@ def _clip_global_norm(grads, max_norm: float) -> float:
 def train(config: TrainConfig, pairs, heldout=None, init_from=None, _template=None) -> TrainResult:
     """Train one model over the pair list; deterministic given config.seed.
 
-    heldout: optional pair list scored at eval_every steps and at the final
-    step (accuracy lands in the trace). init_from: checkpoint to continue
-    from (any adapters in it are merged first); its stored vocabulary is
-    reused, so new text falls back to UNK. _template, train_aao's domain
-    map, replaces ClozeTemplate(config.prefix) everywhere.
+    heldout: optional pair list scored at eval_every steps, which need it,
+    and at the final step (accuracy lands in the trace). init_from:
+    checkpoint to continue from (any adapters in it are merged first); its
+    stored vocabulary is reused, so new text falls back to UNK. _template,
+    train_aao's domain map, replaces ClozeTemplate(config.prefix)
+    everywhere.
     """
     pairs = list(pairs)
     if not pairs:
@@ -414,6 +404,8 @@ def train(config: TrainConfig, pairs, heldout=None, init_from=None, _template=No
         heldout = list(heldout)
         if not heldout:
             raise ConfigError("held-out dataset is empty")
+    elif config.eval_every > 0:
+        raise ConfigError("eval_every needs a held-out set to score")
     head = _OBJECTIVE_HEADS[config.objective]
     settings = config.model
 
@@ -433,6 +425,10 @@ def train(config: TrainConfig, pairs, heldout=None, init_from=None, _template=No
         if model_config.head_kind != head:
             raise ConfigError(
                 f"init checkpoint head {model_config.head_kind!r} does not match objective {config.objective!r}"
+            )
+        if head == HEAD_POOLED and model_config.pooling != settings.pooling:
+            raise ConfigError(
+                f"init checkpoint pooling {model_config.pooling!r} does not match configured {settings.pooling!r}"
             )
         weights_np = {name: arr.copy() for name, arr in base_ckpt.tensors.items()}
     else:
@@ -466,7 +462,7 @@ def train(config: TrainConfig, pairs, heldout=None, init_from=None, _template=No
     batch_loss = _LOSSES[config.objective]
 
     skipped = []
-    rendered = _render_pairs(pairs, config.objective, tokenizer, model_config.max_seq, template, skipped)
+    rendered = _render_pairs(pairs, head, tokenizer, model_config.max_seq, template, skipped)
     n_instances = len(pairs) - len(skipped)
     if not n_instances:
         raise DataError("every training record was skipped", skipped)
@@ -478,10 +474,12 @@ def train(config: TrainConfig, pairs, heldout=None, init_from=None, _template=No
     for _ in range(config.epochs):
         # One order_rng draw per pair under 'shuffled' (below 0.5: original),
         # skipped pairs included, so which pairs fit moves no other draw.
+        # Cloze and pooled train on the drawn order, token-level on both rows.
         picks = [1 if draw and order_rng.random() >= 0.5 else 0 for _ in rendered]
-        instances = [renders[pick] for renders, pick in zip(rendered, picks) if renders is not None]
+        instances = [rows if head == HEAD_TOKEN else rows[pick : pick + 1]
+                     for rows, pick in zip(rendered, picks) if rows is not None]
         for batch_idx in plan_epoch(n_instances, config.batch_size, shuffle_rng):
-            batch = [instances[i] for i in batch_idx]
+            batch = [row for i in batch_idx for row in instances[i]]
             lr_t = lr_linear(step, total_steps, config.learning_rate)
             with Tape() as tape:
                 eff = adapted_forward_weights(wt, adapters) if adapters else wt

@@ -466,6 +466,31 @@ def test_dora_with_every_layer_frozen_exits_1(tmp_path, corpus, capsys, command)
     assert not out.exists()
 
 
+# --eval-every scores a held-out set: train without --heldout exits 1, and
+# so do sweep and compare, whose trials score none, all before writing.
+@pytest.mark.parametrize("command", [
+    ["train", "--out", "m.trm1"],
+    ["sweep", "--out", "sweep.csv", "--ranks", "0", "--trials", "1"],
+    ["compare", "--out", "cmp.json"],
+], ids=["train", "sweep", "compare"])
+def test_eval_every_without_a_heldout_set_exits_1(tmp_path, corpus, capsys, command):
+    sub, flag, name, *rest = command
+    out = tmp_path / name
+    assert run([sub, "--data", str(corpus), flag, str(out), *rest, "--eval-every", "1", *FLAT]) == 1
+    assert "held-out" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_init_from_with_another_pooling_exits_1(tmp_path, corpus, capsys):
+    base, out = tmp_path / "base.trm1", tmp_path / "x.trm1"
+    pooled = ["--data", str(corpus), "--objective", "pooled", *FLAT]
+    assert run(["train", *pooled, "--pooling", "cls", "--out", str(base)]) == 0
+    assert run(["train", *pooled, "--pooling", "mean", "--init-from", str(base), "--out", str(out)]) == 1
+    assert "pooling" in capsys.readouterr().err
+    assert not out.exists()
+    assert run(["train", *pooled, "--pooling", "cls", "--init-from", str(base), "--out", str(out)]) == 0
+
+
 # Sweep draws each trial's adapter rank and frozen-layer count, so a flag
 # that would fix them is an error naming the flags that set the draws.
 @pytest.mark.parametrize("flag,names", [

@@ -14,15 +14,15 @@ from clozerm.data import (
     SYNTH_TASKS,
     ClozeTemplate,
     PreferencePair,
-    build_orders,
-    build_token_level,
     build_tokenizer,
     load_jsonl,
+    render_pair,
     save_jsonl,
     scan_jsonl,
     synth_generate,
 )
 from clozerm.errors import CheckpointError, ConfigError, DataError, SkipRecord
+from clozerm.model import HEAD_KINDS, HEAD_MLM, HEAD_POOLED, HEAD_TOKEN
 from clozerm.tokenizer import CLS_ID, MASK_ID, VERB1_ID, VERB2_ID
 
 MAX_SEQ = 64
@@ -54,8 +54,8 @@ def tok_for(pairs):
 def test_pooled_layout_drops_preference_statement():
     p = pair()
     tok = tok_for([p])
-    for cloze, pooled in zip(build_orders(p, template(), tok, MAX_SEQ),
-                             build_orders(p, template(), tok, MAX_SEQ, pooled=True)):
+    for cloze, pooled in zip(render_pair(p, template(), tok, MAX_SEQ, HEAD_MLM),
+                             render_pair(p, template(), tok, MAX_SEQ, HEAD_POOLED)):
         cloze, pooled = cloze.token_ids, pooled.token_ids
         assert cloze[: len(pooled)] == pooled
         assert tok.decode(cloze[len(pooled) :]) == "\nThe better response is Option<mask>."
@@ -73,11 +73,10 @@ def test_builders_render_each_domain_with_its_prefix():
     tok = tok_for([chat])
     mapped = ClozeTemplate("Solve:", {"chat": PREFIX_POOL[3]})
     plain = ClozeTemplate(PREFIX_POOL[3])
-    for pooled in (False, True):
-        assert build_orders(chat, mapped, tok, MAX_SEQ, pooled) == build_orders(chat, plain, tok, MAX_SEQ, pooled)
-    assert build_token_level(chat, mapped, tok, MAX_SEQ) == build_token_level(chat, plain, tok, MAX_SEQ)
-    other = build_orders(pair(), mapped, tok, MAX_SEQ)[0]
-    assert other == build_orders(pair(), ClozeTemplate("Solve:"), tok, MAX_SEQ)[0]
+    for head in HEAD_KINDS:
+        assert render_pair(chat, mapped, tok, MAX_SEQ, head) == render_pair(chat, plain, tok, MAX_SEQ, head)
+    other = render_pair(pair(), mapped, tok, MAX_SEQ, HEAD_MLM)[0]
+    assert other == render_pair(pair(), ClozeTemplate("Solve:"), tok, MAX_SEQ, HEAD_MLM)[0]
 
 
 def test_template_block_round_trip_keeps_single_prefix_bytes():
@@ -118,16 +117,16 @@ def test_template_rejects_unknown_domain_and_empty_prefix():
         ClozeTemplate("Solve:", {"sports": "Hi."})
 
 
-# ------------------------------------------------------------- build_orders
+# -------------------------------------------------------------- render_pair
 
 
 def test_order_swap_exchanges_options_and_flips_gold():
     p = pair()
     tok = tok_for([p])
-    orig, swap = build_orders(p, template(), tok, MAX_SEQ)
+    orig, swap = render_pair(p, template(), tok, MAX_SEQ, HEAD_MLM)
     assert (orig.order, swap.order) == ORDERS
-    assert orig.gold == VERB1_ID
-    assert swap.gold == VERB2_ID
+    assert orig.target == VERB1_ID
+    assert swap.target == VERB2_ID
     text_orig = tok.decode(orig.token_ids[1:])
     text_swap = tok.decode(swap.token_ids[1:])
     assert "Option 1: 4" in text_orig and "Option 2: 5" in text_orig
@@ -138,22 +137,22 @@ def test_prefix_appears_verbatim_first():
     p = pair(domain="safety")
     prefix = "Which response is safer?"
     tok = tok_for([p])
-    inst = build_orders(p, template(prefix), tok, MAX_SEQ)[0]
-    rendered = tok.decode(inst.token_ids[1:])
+    row = render_pair(p, template(prefix), tok, MAX_SEQ, HEAD_MLM)[0]
+    rendered = tok.decode(row.token_ids[1:])
     assert rendered.startswith(prefix)
 
 
 def test_instance_invariants():
     p = pair()
     tok = tok_for([p])
-    for inst in build_orders(p, template(), tok, MAX_SEQ):
-        assert inst.token_ids[0] == CLS_ID
-        assert inst.token_ids[inst.mask_position] == MASK_ID
-        assert inst.token_ids.count(MASK_ID) == 1
-        assert inst.gold in (VERB1_ID, VERB2_ID)
-        assert inst.source_id == "p1"
+    for row in render_pair(p, template(), tok, MAX_SEQ, HEAD_MLM):
+        assert row.token_ids[0] == CLS_ID
+        assert row.token_ids[row.read] == MASK_ID
+        assert row.token_ids.count(MASK_ID) == 1
+        assert row.target in (VERB1_ID, VERB2_ID)
+        assert row.source_id == "p1"
         # mask strictly after both rendered options
-        text_before_mask = tok.decode(inst.token_ids[1 : inst.mask_position])
+        text_before_mask = tok.decode(row.token_ids[1 : row.read])
         assert "Option 1:" in text_before_mask and "Option 2:" in text_before_mask
 
 
@@ -162,14 +161,14 @@ def test_truncation_shrinks_only_option_bodies():
     long_b = " ".join(f"v{i}" for i in range(60))
     p = pair(chosen=long_a, rejected=long_b)
     tok = tok_for([p])
-    inst = build_orders(p, template(), tok, max_seq=40)[0]
-    assert len(inst.token_ids) <= 40
-    rendered = tok.decode(inst.token_ids[1:])
+    row = render_pair(p, template(), tok, 40, HEAD_MLM)[0]
+    assert len(row.token_ids) <= 40
+    rendered = tok.decode(row.token_ids[1:])
     assert rendered.startswith("Select the best response.")
     assert "Problem: What is 2 + 2 ?" in rendered
     assert "Option 1:" in rendered and "Option 2:" in rendered
     assert "The better response is Option" in rendered
-    assert inst.token_ids[inst.mask_position] == MASK_ID
+    assert row.token_ids[row.read] == MASK_ID
     # both options keep a tail-truncated, equal-budget body
     assert "w0" in rendered and "v0" in rendered
     assert "w59" not in rendered and "v59" not in rendered
@@ -180,8 +179,8 @@ def test_truncation_budgets_are_equal():
     long_b = " ".join(f"v{i}" for i in range(60))
     p = pair(chosen=long_a, rejected=long_b)
     tok = tok_for([p])
-    inst = build_orders(p, template(), tok, max_seq=40)[0]
-    rendered = tok.decode(inst.token_ids[1:])
+    row = render_pair(p, template(), tok, 40, HEAD_MLM)[0]
+    rendered = tok.decode(row.token_ids[1:])
     opt1 = rendered.split("Option 1: ")[1].split("\nOption 2:")[0]
     opt2 = rendered.split("Option 2: ")[1].split("\nThe better")[0]
     assert len(tok.encode(opt1)) == len(tok.encode(opt2))
@@ -191,7 +190,7 @@ def test_overflow_raises_skip_record_with_id():
     p = pair(id="toolong", chosen="a b c", rejected="d e f")
     tok = tok_for([p])
     with pytest.raises(SkipRecord) as exc:
-        build_orders(p, template(), tok, max_seq=10)[0]
+        render_pair(p, template(), tok, 10, HEAD_MLM)
     assert exc.value.record_id == "toolong"
 
 
@@ -200,8 +199,8 @@ def test_injective_on_synth_corpus():
     tok = tok_for(pairs)
     seen = {}
     for p in pairs:
-        for order, inst in zip(ORDERS, build_orders(p, template(), tok, MAX_SEQ)):
-            key = (tuple(inst.token_ids), inst.gold)
+        for order, row in zip(ORDERS, render_pair(p, template(), tok, MAX_SEQ, HEAD_MLM)):
+            key = (tuple(row.token_ids), row.target)
             prev = seen.get(key)
             if prev is not None:
                 # same rendered instance must come from an identical pair
@@ -218,25 +217,28 @@ def test_injective_on_synth_corpus():
 # ----------------------------------------------- pooled and token level
 
 
-def test_build_orders_pooled_has_no_mask_and_flips_label():
+def test_render_pair_pooled_has_no_mask_and_flips_label():
     p = pair()
     tok = tok_for([p])
-    orig, swap = build_orders(p, template(), tok, MAX_SEQ, pooled=True)
+    orig, swap = render_pair(p, template(), tok, MAX_SEQ, HEAD_POOLED)
     assert (orig.order, swap.order) == ORDERS
     assert MASK_ID not in orig.token_ids
-    assert orig.label == 0 and swap.label == 1
+    assert orig.read is None and swap.read is None
+    assert orig.target == 0 and swap.target == 1
     assert orig.token_ids[0] == CLS_ID
 
 
-def test_build_token_level_spans_cover_response_only():
+def test_render_pair_token_spans_cover_response_only():
     p = pair(chosen="four exactly", rejected="five")
     tok = tok_for([p])
-    ex = build_token_level(p, template(), tok, MAX_SEQ)
-    lo, hi = ex.chosen_span
-    assert tok.decode(ex.chosen_ids[lo:hi]).strip() == "four exactly"
-    lo, hi = ex.rejected_span
-    assert tok.decode(ex.rejected_ids[lo:hi]).strip() == "five"
-    assert ex.chosen_ids[0] == CLS_ID
+    chosen, rejected = render_pair(p, template(), tok, MAX_SEQ, HEAD_TOKEN)
+    lo, hi = chosen.read
+    assert tok.decode(chosen.token_ids[lo:hi]).strip() == "four exactly"
+    lo, hi = rejected.read
+    assert tok.decode(rejected.token_ids[lo:hi]).strip() == "five"
+    assert chosen.token_ids[0] == CLS_ID
+    assert (chosen.target, rejected.target) == (1.0, 0.0)
+    assert chosen.order is None and rejected.source_id == "p1"
 
 
 # ------------------------------------------------------------------ jsonl

@@ -20,9 +20,8 @@ from clozerm.data import (
     ORDERS,
     ClozeTemplate,
     PreferencePair,
-    build_orders,
-    build_token_level,
     build_tokenizer,
+    render_pair,
     synth_generate,
 )
 from clozerm.errors import CheckpointError, ConfigError, ContractError, DivergenceError, SkipRecord
@@ -49,6 +48,9 @@ from clozerm.evaluation import (
     score_pairs,
 )
 from clozerm.model import (
+    HEAD_MLM,
+    HEAD_POOLED,
+    HEAD_TOKEN,
     count_params,
     forward_mlm_batch,
     forward_pooled_batch,
@@ -117,8 +119,8 @@ def test_score_pair_ten_logit_margin_logistic_closed_form():
 def test_score_pair_restricted_softmax_equals_full_softmax_ratio():
     model = make_model(seed=11)
     trials = score_pairs(model, [PAIRS[1]])
-    for s, inst in zip(trials, build_orders(PAIRS[1], TEMPLATE, model.tokenizer, SMALL.max_seq)):
-        logits = forward_mlm_batch(model.weights, model.config, [inst.token_ids], [inst.mask_position])
+    for s, row in zip(trials, render_pair(PAIRS[1], TEMPLATE, model.tokenizer, SMALL.max_seq, HEAD_MLM)):
+        logits = forward_mlm_batch(model.weights, model.config, [row.token_ids], [row.read])
         full = np.asarray(logits.data[0], dtype=np.float64)
         full = np.exp(full - full.max())
         full /= full.sum()
@@ -182,9 +184,9 @@ def test_both_orders_render_to_equal_length(prompt, a, b, max_seq):
     assume(a != b)
     pair = PreferencePair("p", " ".join(prompt), " ".join(a), " ".join(b), "reasoning")
     tokenizer = build_tokenizer(PAIRS)
-    for pooled in (False, True):
+    for head in (HEAD_MLM, HEAD_POOLED):
         try:
-            lengths = [len(inst.token_ids) for inst in build_orders(pair, TEMPLATE, tokenizer, max_seq, pooled)]
+            lengths = [len(row.token_ids) for row in render_pair(pair, TEMPLATE, tokenizer, max_seq, head)]
         except SkipRecord:
             continue
         assert lengths[0] == lengths[1] <= max_seq
@@ -192,14 +194,14 @@ def test_both_orders_render_to_equal_length(prompt, a, b, max_seq):
 
 @pytest.mark.parametrize("objective", ["cloze", "pooled"])
 def test_score_pair_rejects_orders_of_unequal_length(objective, monkeypatch):
-    original = clozerm.evaluation.build_orders
+    original = clozerm.evaluation.render_pair
 
     def longer_swapped(*args, **kwargs):
-        insts = original(*args, **kwargs)
-        insts[1].token_ids = insts[1].token_ids + [insts[1].token_ids[-1]]
-        return insts
+        rows = original(*args, **kwargs)
+        rows[1].token_ids = rows[1].token_ids + [rows[1].token_ids[-1]]
+        return rows
 
-    monkeypatch.setattr(clozerm.evaluation, "build_orders", longer_swapped)
+    monkeypatch.setattr(clozerm.evaluation, "render_pair", longer_swapped)
     with pytest.raises(ContractError, match="render to lengths"):
         score_pairs(make_model(objective=objective, seed=3), [PAIRS[0]])
 
@@ -220,28 +222,23 @@ def per_pair_option_logits(model, pair):
     """Each pair scored alone: both orders in one 2-row forward (mlm,
     pooled), or one forward per response (token head)."""
     cfg = model.config
-    if cfg.head_kind == "token-classifier":
-        ex = build_token_level(pair, model.template, model.tokenizer, cfg.max_seq)
+    rows = render_pair(pair, model.template, model.tokenizer, cfg.max_seq, cfg.head_kind)
+    if cfg.head_kind == HEAD_TOKEN:
         chosen, rejected = (
-            float(forward_token_batch(model.weights, cfg, [ids]).data[0, lo:hi].astype(np.float64).mean())
-            for ids, (lo, hi) in ((ex.chosen_ids, ex.chosen_span), (ex.rejected_ids, ex.rejected_span))
+            float(forward_token_batch(model.weights, cfg, [row.token_ids]).data[0, slice(*row.read)].astype(np.float64).mean())
+            for row in rows
         )
         return [(chosen, rejected), (rejected, chosen)]
-    insts = build_orders(pair, model.template, model.tokenizer, cfg.max_seq, pooled=cfg.head_kind != "mlm")
-    ids = np.asarray([inst.token_ids for inst in insts])
-    if cfg.head_kind == "mlm":
-        logits = forward_mlm_batch(model.weights, cfg, ids, [inst.mask_position for inst in insts]).data
+    ids = np.asarray([row.token_ids for row in rows])
+    if cfg.head_kind == HEAD_MLM:
+        logits = forward_mlm_batch(model.weights, cfg, ids, [row.read for row in rows]).data
         return [(float(row[VERB1_ID]), float(row[VERB2_ID])) for row in logits]
     return [(float(row[0]), float(row[1])) for row in forward_pooled_batch(model.weights, cfg, ids).data]
 
 
 def row_lengths(model, pair):
     cfg = model.config
-    if cfg.head_kind == "token-classifier":
-        ex = build_token_level(pair, model.template, model.tokenizer, cfg.max_seq)
-        return [len(ex.chosen_ids), len(ex.rejected_ids)]
-    insts = build_orders(pair, model.template, model.tokenizer, cfg.max_seq, pooled=cfg.head_kind != "mlm")
-    return [len(inst.token_ids) for inst in insts]
+    return [len(row.token_ids) for row in render_pair(pair, model.template, model.tokenizer, cfg.max_seq, cfg.head_kind)]
 
 
 @pytest.mark.parametrize("objective", OBJECTIVES)
@@ -311,7 +308,7 @@ def test_grouped_scoring_skips_unfit_pairs():
 def test_grouped_scoring_divergence_names_the_pair(monkeypatch):
     model = make_model(pairs=MIXED, seed=3)
     swapped = ORDERS.index(ORDER_SWAPPED)
-    renders = [build_orders(p, TEMPLATE, model.tokenizer, SMALL.max_seq)[swapped].token_ids for p in MIXED]
+    renders = [render_pair(p, TEMPLATE, model.tokenizer, SMALL.max_seq, HEAD_MLM)[swapped].token_ids for p in MIXED]
     # The last pair whose render is unique and shares its length, so its
     # forward scores other pairs too.
     at = max(i for i, ids in enumerate(renders)
@@ -338,9 +335,9 @@ def test_scoring_forward_bits_do_not_depend_on_a_recording_tape(n_layers, n_pair
     settings = ModelSettings(n_layers=n_layers, hidden=64, n_heads=8, ffn_mult=4, max_seq=48)
     model = make_model(pairs=MIXED, seed=1, settings=settings)
     arithmetic = [p for p in MIXED if p.domain == "reasoning"][:n_pairs]
-    insts = [inst for p in arithmetic for inst in build_orders(p, TEMPLATE, model.tokenizer, settings.max_seq)]
-    ids = np.asarray([inst.token_ids for inst in insts])
-    positions = [inst.mask_position for inst in insts]
+    rows = [row for p in arithmetic for row in render_pair(p, TEMPLATE, model.tokenizer, settings.max_seq, HEAD_MLM)]
+    ids = np.asarray([row.token_ids for row in rows])
+    positions = [row.read for row in rows]
     plain = forward_mlm_batch(model.weights, model.config, ids, positions).data
     weights = {name: Tensor(w, requires_grad=True) for name, w in model.weights.items()}
     with Tape() as tape:
@@ -404,8 +401,8 @@ def test_eval_matches_brute_force_enumeration():
     per_order = {"original": [], "swapped": []}
     for pair in four:
         for order in ("original", "swapped"):
-            inst = build_orders(pair, TEMPLATE, model.tokenizer, SMALL.max_seq)[ORDERS.index(order)]
-            logits = forward_mlm_batch(model.weights, model.config, [inst.token_ids], [inst.mask_position]).data[0]
+            row = render_pair(pair, TEMPLATE, model.tokenizer, SMALL.max_seq, HEAD_MLM)[ORDERS.index(order)]
+            logits = forward_mlm_batch(model.weights, model.config, [row.token_ids], [row.read]).data[0]
             p1 = 1.0 / (1.0 + math.exp(float(logits[VERB2_ID]) - float(logits[VERB1_ID])))
             gold = "1" if order == "original" else "2"
             credit = 0.5 if abs(2 * p1 - 1) < TIE_EPS else float(("1" if p1 > 0.5 else "2") == gold)
@@ -475,10 +472,10 @@ def test_eval_dataset_saturated_token_model_is_perfect():
         weights[name][:] = 0
     weights["final_ln.gain"][:] = 1
     template = ClozeTemplate(prefix=DOMAIN_PREFIXES["chat"])
-    ex = build_token_level(pair, template, tokenizer, 32)
+    chosen, rejected = render_pair(pair, template, tokenizer, 32, HEAD_TOKEN)
     pattern = np.array([1.0, -1.0, 1.0, -1.0], dtype=np.float32)
-    weights["tok_emb"][ex.chosen_ids[ex.chosen_span[0]]] = pattern
-    weights["tok_emb"][ex.rejected_ids[ex.rejected_span[0]]] = -pattern
+    weights["tok_emb"][chosen.token_ids[chosen.read[0]]] = pattern
+    weights["tok_emb"][rejected.token_ids[rejected.read[0]]] = -pattern
     weights["head.w"][:, 0] = 25 * pattern
     model = EvalModel(config=config, weights=weights, tokenizer=tokenizer, template=template)
     report = eval_dataset(model, [pair])

@@ -13,9 +13,8 @@ from clozerm.data import (
     DOMAIN_PREFIXES,
     ClozeTemplate,
     PreferencePair,
-    build_orders,
-    build_token_level,
     build_tokenizer,
+    render_pair,
     synth_generate,
 )
 from clozerm.errors import (
@@ -300,31 +299,31 @@ TEMPLATE = ClozeTemplate(prefix="Which response is more correct?")
 
 def test_loss_cloze_uniform_logits_equals_log_vocab():
     wt, config, tok = build_model("cloze", PAIRS, zero=True)
-    inst = build_orders(PAIRS[0], TEMPLATE, tok, SMALL.max_seq)[0]
-    loss = float(loss_cloze(wt, config, [inst]).data)
+    row = render_pair(PAIRS[0], TEMPLATE, tok, SMALL.max_seq, HEAD_MLM)[0]
+    loss = float(loss_cloze(wt, config, [row]).data)
     assert loss == pytest.approx(math.log(config.vocab_size), abs=1e-4)
 
 
 def test_loss_cloze_gold_logit_saturated():
     wt, config, tok = build_model("cloze", PAIRS, zero=True)
-    inst = build_orders(PAIRS[0], TEMPLATE, tok, SMALL.max_seq)[0]
-    wt["head.b"].data[inst.gold] = 100.0
-    assert float(loss_cloze(wt, config, [inst]).data) < 1e-5
+    row = render_pair(PAIRS[0], TEMPLATE, tok, SMALL.max_seq, HEAD_MLM)[0]
+    wt["head.b"].data[row.target] = 100.0
+    assert float(loss_cloze(wt, config, [row]).data) < 1e-5
 
 
 def test_loss_cloze_matches_f64_cross_entropy_of_logits():
     wt, config, tok = build_model("cloze", PAIRS, seed=5)
-    for inst in build_orders(PAIRS[1], TEMPLATE, tok, SMALL.max_seq):
-        logits = forward_mlm_batch(wt, config, [inst.token_ids], [inst.mask_position]).data[0]
-        oracle = ce_oracle(logits.astype(np.float64), inst.gold)
-        assert float(loss_cloze(wt, config, [inst]).data) == pytest.approx(oracle, abs=1e-6)
+    for row in render_pair(PAIRS[1], TEMPLATE, tok, SMALL.max_seq, HEAD_MLM):
+        logits = forward_mlm_batch(wt, config, [row.token_ids], [row.read]).data[0]
+        oracle = ce_oracle(logits.astype(np.float64), row.target)
+        assert float(loss_cloze(wt, config, [row]).data) == pytest.approx(oracle, abs=1e-6)
 
 
 def test_loss_cloze_deterministic_bitwise():
     wt, config, tok = build_model("cloze", PAIRS, seed=9)
-    inst = build_orders(PAIRS[2], TEMPLATE, tok, SMALL.max_seq)[0]
-    a = float(loss_cloze(wt, config, [inst]).data)
-    b = float(loss_cloze(wt, config, [inst]).data)
+    row = render_pair(PAIRS[2], TEMPLATE, tok, SMALL.max_seq, HEAD_MLM)[0]
+    a = float(loss_cloze(wt, config, [row]).data)
+    b = float(loss_cloze(wt, config, [row]).data)
     assert a == b
 
 
@@ -337,9 +336,9 @@ def test_batch1_cloze_step_at_readme_shape_records_17_tape_ops():
     wt, config, tok = build_model("cloze", PAIRS, settings=settings)
     for tensor in wt.values():
         tensor.requires_grad = True
-    inst = build_orders(PAIRS[0], TEMPLATE, tok, settings.max_seq)[0]
+    row = render_pair(PAIRS[0], TEMPLATE, tok, settings.max_seq, HEAD_MLM)[0]
     with Tape() as tape:
-        loss = loss_cloze(wt, config, [inst])
+        loss = loss_cloze(wt, config, [row])
     assert len(tape) == 17
     tape.backward(loss)
     assert all(tensor.grad is not None for tensor in wt.values())
@@ -357,9 +356,9 @@ def test_dora_step_at_readme_shape_records_16_tape_ops():
     adapters = attach_adapters(weights, 8, AdapterTargets(), freeze, rng=0)
     for name in apply_freeze(weights, freeze):
         wt[name].requires_grad = name not in adapters
-    inst = build_orders(PAIRS[0], TEMPLATE, tok, settings.max_seq)[0]
+    row = render_pair(PAIRS[0], TEMPLATE, tok, settings.max_seq, HEAD_MLM)[0]
     with Tape() as tape:
-        loss = loss_cloze(adapted_forward_weights(wt, adapters), config, [inst])
+        loss = loss_cloze(adapted_forward_weights(wt, adapters), config, [row])
     assert len(adapters) == 6 and len(tape) == 16
     tape.backward(loss)
     assert all(t.grad is not None for ad in adapters.values() for t in (ad.A, ad.B, ad.m))
@@ -367,30 +366,30 @@ def test_dora_step_at_readme_shape_records_16_tape_ops():
 
 def test_loss_cloze_rejects_wrong_head():
     wt, config, tok = build_model("pooled", PAIRS)
-    inst = build_orders(PAIRS[0], TEMPLATE, tok, SMALL.max_seq, pooled=True)[0]
+    row = render_pair(PAIRS[0], TEMPLATE, tok, SMALL.max_seq, HEAD_POOLED)[0]
     with pytest.raises(ContractError):
-        loss_cloze(wt, config, [inst])
+        loss_cloze(wt, config, [row])
 
 
 def test_loss_pooled_equal_logits_equals_log2():
     wt, config, tok = build_model("pooled", PAIRS, zero=True)
-    inst = build_orders(PAIRS[0], TEMPLATE, tok, SMALL.max_seq, pooled=True)[0]
-    assert float(loss_pooled(wt, config, [inst]).data) == pytest.approx(math.log(2.0), abs=1e-6)
+    row = render_pair(PAIRS[0], TEMPLATE, tok, SMALL.max_seq, HEAD_POOLED)[0]
+    assert float(loss_pooled(wt, config, [row]).data) == pytest.approx(math.log(2.0), abs=1e-6)
 
 
 def test_loss_pooled_matches_f64_oracle_both_orders():
     wt, config, tok = build_model("pooled", PAIRS, seed=4)
-    for inst in build_orders(PAIRS[3], TEMPLATE, tok, SMALL.max_seq, pooled=True):
-        logits = forward_pooled_batch(wt, config, [inst.token_ids]).data[0]
-        oracle = ce_oracle(logits.astype(np.float64), inst.label)
-        assert float(loss_pooled(wt, config, [inst]).data) == pytest.approx(oracle, abs=1e-6)
+    for row in render_pair(PAIRS[3], TEMPLATE, tok, SMALL.max_seq, HEAD_POOLED):
+        logits = forward_pooled_batch(wt, config, [row.token_ids]).data[0]
+        oracle = ce_oracle(logits.astype(np.float64), row.target)
+        assert float(loss_pooled(wt, config, [row]).data) == pytest.approx(oracle, abs=1e-6)
 
 
 def test_loss_pooled_rejects_wrong_head():
     wt, config, tok = build_model("cloze", PAIRS)
-    inst = build_orders(PAIRS[0], TEMPLATE, tok, SMALL.max_seq)[0]
+    row = render_pair(PAIRS[0], TEMPLATE, tok, SMALL.max_seq, HEAD_MLM)[0]
     with pytest.raises(ContractError):
-        loss_pooled(wt, config, [inst])
+        loss_pooled(wt, config, [row])
 
 
 TOKEN_PAIR = PreferencePair(
@@ -398,14 +397,14 @@ TOKEN_PAIR = PreferencePair(
 )
 
 
-def token_example(tok, max_seq=32):
-    return build_token_level(TOKEN_PAIR, ClozeTemplate(prefix="Select the best response."), tok, max_seq)
+def token_rows(tok, max_seq=32):
+    return render_pair(TOKEN_PAIR, ClozeTemplate(prefix="Select the best response."), tok, max_seq, HEAD_TOKEN)
 
 
 def test_loss_token_level_zero_scores_equals_log2():
     wt, config, tok = build_model("token-level", [TOKEN_PAIR], zero=True)
-    ex = token_example(tok, SMALL.max_seq)
-    loss = loss_token_level(wt, config, [ex])
+    rows = token_rows(tok, SMALL.max_seq)
+    loss = loss_token_level(wt, config, rows)
     assert float(loss.data) == pytest.approx(math.log(2.0), abs=1e-6)
 
 
@@ -419,43 +418,46 @@ def test_loss_token_level_saturated_scores_vanish():
     for name in weights:
         weights[name][:] = 0
     weights["final_ln.gain"][:] = 1
-    ex = token_example(tok)
+    chosen, rejected = token_rows(tok)
     pattern = np.array([1.0, -1.0, 1.0, -1.0], dtype=np.float32)
-    weights["tok_emb"][ex.chosen_ids[ex.chosen_span[0]]] = pattern
-    weights["tok_emb"][ex.rejected_ids[ex.rejected_span[0]]] = -pattern
+    weights["tok_emb"][chosen.token_ids[chosen.read[0]]] = pattern
+    weights["tok_emb"][rejected.token_ids[rejected.read[0]]] = -pattern
     weights["head.w"][:, 0] = 25 * pattern
     wt = {name: Tensor(arr) for name, arr in weights.items()}
-    loss = loss_token_level(wt, config, [ex])
+    loss = loss_token_level(wt, config, [chosen, rejected])
     assert float(loss.data) < 1e-5
 
 
 def test_loss_token_level_matches_per_token_oracle():
     wt, config, tok = build_model("token-level", [TOKEN_PAIR], seed=6)
-    ex = token_example(tok, SMALL.max_seq)
-    loss = loss_token_level(wt, config, [ex])
+    rows = token_rows(tok, SMALL.max_seq)
+    loss = loss_token_level(wt, config, rows)
 
     terms = []
-    for ids, (start, end), label in (
-        (ex.chosen_ids, ex.chosen_span, 1),
-        (ex.rejected_ids, ex.rejected_span, 0),
-    ):
-        scores = forward_token_batch(wt, config, [ids]).data[0].astype(np.float64)
-        terms.extend(bce_oracle(float(scores[p]), label) for p in range(start, end))
+    for row in rows:
+        start, end = row.read
+        scores = forward_token_batch(wt, config, [row.token_ids]).data[0].astype(np.float64)
+        terms.extend(bce_oracle(float(scores[p]), row.target) for p in range(start, end))
     assert float(loss.data) == pytest.approx(sum(terms) / len(terms), abs=1e-6)
 
 
 def test_loss_token_level_empty_span_rejected():
     wt, config, tok = build_model("token-level", [TOKEN_PAIR])
-    ex = token_example(tok, SMALL.max_seq)
+    chosen, rejected = token_rows(tok, SMALL.max_seq)
     with pytest.raises(ContractError, match="empty response span"):
-        loss_token_level(wt, config, [dataclasses.replace(ex, chosen_span=(3, 3))])
+        loss_token_level(wt, config, [dataclasses.replace(chosen, read=(3, 3)), rejected])
+
+
+def test_loss_token_level_rejects_a_row_without_its_pair():
+    wt, config, tok = build_model("token-level", [TOKEN_PAIR])
+    with pytest.raises(ContractError, match="two rows"):
+        loss_token_level(wt, config, token_rows(tok, SMALL.max_seq)[:1])
 
 
 def test_loss_token_level_rejects_wrong_head():
     wt, config, tok = build_model("cloze", [TOKEN_PAIR])
-    ex = token_example(tok, SMALL.max_seq)
     with pytest.raises(ContractError):
-        loss_token_level(wt, config, [ex])
+        loss_token_level(wt, config, token_rows(tok, SMALL.max_seq))
 
 
 MIXED = (
@@ -465,17 +467,16 @@ MIXED = (
 )
 
 
-def mixed_batch(objective, tok):
-    if objective == "token-level":
-        batch = [build_token_level(p, TEMPLATE, tok, SMALL.max_seq) for p in MIXED]
-        lengths = [len(ids) for ex in batch for ids in (ex.chosen_ids, ex.rejected_ids)]
-    else:
-        pooled = objective == "pooled"
-        batch = [inst for p in MIXED for inst in build_orders(p, TEMPLATE, tok, SMALL.max_seq, pooled)]
-        lengths = [len(x.token_ids) for x in batch]
+def mixed_units(config, tok):
+    """MIXED as the units training draws: one row per order (mlm, pooled)
+    or a pair's two rows (token head)."""
+    rendered = [render_pair(p, TEMPLATE, tok, SMALL.max_seq, config.head_kind) for p in MIXED]
+    lengths = [len(row.token_ids) for rows in rendered for row in rows]
     # several length groups, at least one of them holding more than one row
     assert 2 < len(set(lengths)) < len(lengths)
-    return batch
+    if config.head_kind == HEAD_TOKEN:
+        return rendered
+    return [[row] for rows in rendered for row in rows]
 
 
 EVERY_LOSS = pytest.mark.parametrize(
@@ -488,8 +489,9 @@ EVERY_LOSS = pytest.mark.parametrize(
 @EVERY_LOSS
 def test_grouped_loss_equals_mean_of_batch_of_one_losses(objective, loss_fn):
     wt, config, tok = build_model(objective, MIXED, seed=8)
-    batch = mixed_batch(objective, tok)
-    singles = [float(loss_fn(wt, config, [x]).data) for x in batch]
+    units = mixed_units(config, tok)
+    singles = [float(loss_fn(wt, config, unit).data) for unit in units]
+    batch = [row for unit in units for row in unit]
     assert float(loss_fn(wt, config, batch).data) == pytest.approx(sum(singles) / len(singles), abs=1e-6)
 
 
@@ -659,6 +661,23 @@ def test_train_resume_rejects_head_mismatch():
         train(small_config(objective="pooled"), PAIRS, init_from=pre.checkpoint)
 
 
+def test_train_resume_rejects_pooling_mismatch():
+    pooled = small_config(objective="pooled", model=dataclasses.replace(SMALL, pooling="cls"))
+    pre = train(pooled, PAIRS)
+    mean = dataclasses.replace(pooled, model=dataclasses.replace(SMALL, pooling="mean"))
+    with pytest.raises(ConfigError, match="pooling"):
+        train(mean, PAIRS, init_from=pre.checkpoint)
+    assert train(pooled, PAIRS, init_from=pre.checkpoint).checkpoint.config.pooling == "cls"
+
+
+def test_eval_every_without_heldout_is_rejected_before_the_first_step(monkeypatch):
+    steps = []
+    monkeypatch.setattr(clozerm.training, "backward", lambda *a: steps.append(a))
+    with pytest.raises(ConfigError, match="held-out"):
+        train(small_config(eval_every=1), PAIRS)
+    assert steps == []
+
+
 def test_train_resume_rejects_missing_or_invalid_vocab():
     pre = train(small_config(), PAIRS).checkpoint
     vocab = pre.extra["vocab"]
@@ -719,13 +738,14 @@ ORDER_PAIRS = (
 def test_each_step_trains_the_seeded_order_draw(objective, order_policy, max_seq, monkeypatch):
     # Each epoch makes one order_rng.random() per pair under 'shuffled'
     # (below 0.5: original), skipped pairs included, and none under 'fixed'
-    # or for token-level examples; plan_epoch on shuffle_rng then orders
-    # the pairs that fit. max_seq skips 3 of the 12 pairs.
+    # or for token-level, which trains both rows of a pair; plan_epoch on
+    # shuffle_rng then orders the pairs that fit. max_seq skips 3 of the 12
+    # pairs.
     loss_fn = clozerm.training._LOSSES[objective]
     trained = []
 
     def recording_loss(weights, config, batch):
-        trained.extend((x.source_id, getattr(x, "order", None)) for x in batch)
+        trained.extend((row.source_id, row.order) for row in batch)
         return loss_fn(weights, config, batch)
 
     monkeypatch.setitem(clozerm.training._LOSSES, objective, recording_loss)
@@ -734,11 +754,11 @@ def test_each_step_trains_the_seeded_order_draw(objective, order_policy, max_seq
     result = train(config, ORDER_PAIRS)
 
     template, tok = ClozeTemplate(config.prefix), build_tokenizer(ORDER_PAIRS)
-    render = build_token_level if objective == "token-level" else build_orders
+    head = result.checkpoint.config.head_kind
     fits = []
     for pair in ORDER_PAIRS:
         try:
-            render(pair, template, tok, max_seq)
+            render_pair(pair, template, tok, max_seq, head)
             fits.append(True)
         except SkipRecord:
             fits.append(False)
@@ -755,11 +775,24 @@ def test_each_step_trains_the_seeded_order_draw(objective, order_policy, max_seq
             if order is not None and order_policy == "shuffled":
                 order = "original" if order_rng.random() < 0.5 else "swapped"
             if fit:
-                epoch.append((pair.id, order))
-        expected.extend(epoch[i] for batch in plan_epoch(len(epoch), 1, shuffle_rng) for i in batch)
-    assert trained == expected and len(trained) == len(result.trace)
+                epoch.append([(pair.id, order)] * (2 if head == HEAD_TOKEN else 1))
+        expected.extend(row for batch in plan_epoch(len(epoch), 1, shuffle_rng) for i in batch for row in epoch[i])
+    rows_per_step = 2 if head == HEAD_TOKEN else 1
+    assert trained == expected and len(trained) == rows_per_step * len(result.trace)
     if (objective, order_policy) == ("cloze", "shuffled"):
         assert {order for _, order in trained} == {"original", "swapped"}
+
+
+# train() and score_pairs leave out the same pairs at a max_seq that 3 of
+# the 12 pairs cannot fit, whichever head renders them.
+@pytest.mark.parametrize("objective,max_seq", [("cloze", 32), ("pooled", 24), ("token-level", 18)])
+def test_training_and_scoring_skip_the_same_pairs(objective, max_seq):
+    config = small_config(objective=objective, model=dataclasses.replace(SMALL, max_seq=max_seq))
+    result = train(config, ORDER_PAIRS)
+    skipped = []
+    score_pairs(EvalModel.from_checkpoint(result.checkpoint), ORDER_PAIRS, skipped)
+    assert len(skipped) == 3
+    assert [s.split(":")[0] for s in result.skipped] == [pair.id for pair in skipped]
 
 
 # ---------------------------------------------------------------------------
