@@ -135,11 +135,12 @@ def _add_model_flags(p):
                    help="pooling for the pooled objective")
 
 
-def _add_train_flags(p, sweep=False):
+def _add_train_flags(p, sweep=False, heldout=False):
     """The training flags of train, compare and sweep. Sweep draws each
     trial's prefix (unless --prefix is given), frozen-layer count and
     adapter rank, so there these flags default to None and _cmd_sweep
-    rejects --frozen-layers and --dora-rank when they are given."""
+    rejects --frozen-layers and --dora-rank when they are given. Only a
+    command that takes a held-out set (heldout=True) has --eval-every."""
     p.add_argument("--config", metavar="FILE",
                    help="key=value config file; explicit flags override it")
     p.add_argument("--learning-rate", type=float, default=1e-3,
@@ -165,8 +166,9 @@ def _add_train_flags(p, sweep=False):
     p.add_argument("--dora-targets", default=None,
                    help="comma-separated matrix roles (default: all six)")
     p.add_argument("--clip-norm", type=float, default=None, help="global gradient-norm clip")
-    p.add_argument("--eval-every", type=int, default=0,
-                   help="held-out eval cadence in steps (0: final step only)")
+    if heldout:
+        p.add_argument("--eval-every", type=int, default=0,
+                       help="held-out eval cadence in steps (0: final step only)")
     _add_model_flags(p)
 
 
@@ -203,7 +205,7 @@ def _train_config_from(args) -> TrainConfig:
         order_policy=args.order_policy,
         model=model,
         clip_norm=args.clip_norm,
-        eval_every=args.eval_every,
+        eval_every=getattr(args, "eval_every", 0),
     )
 
 
@@ -339,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init-from", help="checkpoint to continue from")
     p.add_argument("--out", required=True, help="output checkpoint path")
     p.add_argument("--trace", help="write the per-step metrics CSV here")
-    _add_train_flags(p)
+    _add_train_flags(p, heldout=True)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("sweep", help="seeded random hyperparameter search",

@@ -9,8 +9,15 @@ constant-prediction model therefore lands at exactly 0.5, and
 position bias = |acc_original - acc_swapped| is reported first class.
 """
 
+import contextvars
+import ctypes
+import functools
 import json
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -143,6 +150,145 @@ def _score_rows(model: EvalModel, rows) -> list:
     return [_span_mean(scores_row, row.read) for scores_row, row in zip(scores, rows)]
 
 
+def _plan_chunks(token_rows) -> list:
+    """The row indices of each scoring forward, in the order they are
+    planned: rows of one length, lengths in first-seen order, as many whole
+    pairs' rows a forward as fit TOKEN_BUDGET tokens and at least one
+    pair's."""
+    plan = []
+    for length, idxs in group_by_length(token_rows).items():
+        cap = 2 * max(1, TOKEN_BUDGET // (2 * length))
+        plan += [idxs[lo : lo + cap] for lo in range(0, len(idxs), cap)]
+    return plan
+
+
+@functools.cache
+def _openblas():
+    """(get, set) of the loaded OpenBLAS's thread count, or None when no
+    mapped OpenBLAS exports them (an MKL or Accelerate build, or no
+    /proc/self/maps to find it by)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        # Plain builds, 64-bit-integer builds and NumPy's scipy-openblas wheels.
+        for prefix, suffix in (("openblas", ""), ("openblas", "64_"),
+                               ("scipy_openblas", "64_"), ("scipy_openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0))
+
+
+class _ScoringThreads:
+    """The process's helper threads for scoring, started on first use, and
+    the OpenBLAS thread count saved while any scoring call holds it at one."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.pool = None
+        self.holders = 0
+        self.saved = None
+
+    def executor(self) -> ThreadPoolExecutor:
+        with self.lock:
+            if self.pool is None:
+                self.pool = ThreadPoolExecutor(max_workers=_usable_cpus() - 1,
+                                               thread_name_prefix="clozerm-score")
+            return self.pool
+
+    @contextmanager
+    def one_blas_thread(self, blas):
+        """Hold OpenBLAS at one thread: the first of overlapping callers
+        saves the count and the last one out restores it. With blas None
+        (no settable OpenBLAS) nothing is held."""
+        if blas is None:
+            yield
+            return
+        get, set_ = blas
+        with self.lock:
+            if self.holders == 0:
+                self.saved = get()
+                set_(1)
+            self.holders += 1
+        try:
+            yield
+        finally:
+            with self.lock:
+                self.holders -= 1
+                if self.holders == 0:
+                    set_(self.saved)
+
+
+_threads = _ScoringThreads()
+
+
+def _forget_threads_in_child():
+    # A forked child has only the forking thread: an inherited pool would
+    # queue work for a helper that no longer runs.
+    global _threads
+    _threads = _ScoringThreads()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_threads_in_child)
+
+
+def _score_chunks(model: EvalModel, rows, plan) -> list:
+    """Each row's _score_rows value, the plan's forwards taken by the
+    calling thread and helper threads from one shared iterator."""
+    values = [None] * len(rows)
+    chunks = iter(plan)
+    take = threading.Lock()
+
+    def drain():
+        while True:
+            with take:
+                chunk = next(chunks, None)
+            if chunk is None:
+                return
+            for k, value in zip(chunk, _score_rows(model, [rows[k] for k in chunk])):
+                values[k] = value
+
+    blas = _openblas()
+    n_threads = 1 if blas is None else min(_usable_cpus(), len(plan))
+    with _threads.one_blas_thread(blas):
+        # Each helper runs in its own copy of the caller's context, which
+        # carries NumPy's floating-point error state (np.errstate).
+        helpers = [_threads.executor().submit(contextvars.copy_context().run, drain)
+                   for _ in range(n_threads - 1)]
+        try:
+            drain()
+        except BaseException:
+            with take:
+                for _ in chunks:  # the helpers stop after their current forward
+                    pass
+            raise
+        finally:
+            # A helper still queued behind an overlapping call's has nothing
+            # left to take here.
+            for helper in helpers:
+                helper.cancel()
+            wait(helpers)
+        for helper in helpers:
+            if not helper.cancelled():
+                helper.result()
+    return values
+
+
 def score_pairs(model: EvalModel, pairs, skipped=None) -> list:
     """The two TrialRecords of each pair, in input order and ORDERS order,
     rendered with the model's template.
@@ -157,9 +303,15 @@ def score_pairs(model: EvalModel, pairs, skipped=None) -> list:
 
     Rows of one length are stacked into forwards of as many whole pairs'
     rows as fit TOKEN_BUDGET tokens (at least one pair), lengths in
-    first-seen order. A pair whose options cannot fit
-    max_seq raises SkipRecord, or, given a skipped list, is appended to it
-    and left out.
+    first-seen order. The calling thread and up to one helper thread per
+    further usable CPU take those forwards from one shared plan, and each
+    forward's values go to their rows' indices, so the trials are those of
+    serial scoring bit for bit. For the length of the call the loaded
+    OpenBLAS is held at one thread, then its count is restored; scoring
+    stays on the calling thread alone when the process may use one CPU,
+    the plan has one forward, or no OpenBLAS thread count can be set. A
+    pair whose options cannot fit max_seq raises SkipRecord, or, given a
+    skipped list, is appended to it and left out.
     """
     cfg = model.config
     rendered = []
@@ -176,13 +328,7 @@ def score_pairs(model: EvalModel, pairs, skipped=None) -> list:
             raise ContractError(f"the two orders of pair {pair.id!r} render to lengths {lengths}")
         rendered.append((pair, pair_rows))
     rows = [row for _, pair_rows in rendered for row in pair_rows]
-    values = [None] * len(rows)
-    for length, idxs in group_by_length([row.token_ids for row in rows]).items():
-        cap = 2 * max(1, TOKEN_BUDGET // (2 * length))
-        for lo in range(0, len(idxs), cap):
-            chunk = idxs[lo : lo + cap]
-            for k, value in zip(chunk, _score_rows(model, [rows[k] for k in chunk])):
-                values[k] = value
+    values = _score_chunks(model, rows, _plan_chunks([row.token_ids for row in rows]))
     trials = []
     for (pair, _), first, second in zip(rendered, values[::2], values[1::2]):
         option_logits = [(first, second), (second, first)] if cfg.head_kind == HEAD_TOKEN else [first, second]

@@ -25,8 +25,10 @@ single op's temporaries: 4 * (6 * hidden + 2 * n_heads * seq) bytes per
 stacked token for attention and 12 * ffn width bytes for the FFN, about
 2.9 MB for 512 tokens at the README shape (hidden 64, 8 heads, FFN width
 256) and max_seq 64. The buffer grows by doubling, so it reserves at most
-twice that. No op returns a view of the arena: every output is a fresh
-array.
+twice that. Scoring runs its forwards on the calling thread and on the
+evaluation module's helper threads, which live for the process, so a
+process holds one arena per scoring thread. No op returns a view of the
+arena: every output is a fresh array.
 """
 
 import math

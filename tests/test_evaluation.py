@@ -1,8 +1,10 @@
 """Pairwise scoring, report aggregation, the FLOPs cost model, tradeoff
 CSV emission, and the three-objective comparison."""
 
+import itertools
 import json
 import math
+import multiprocessing
 import random
 import sys
 import threading
@@ -24,7 +26,7 @@ from clozerm.data import (
     render_pair,
     synth_generate,
 )
-from clozerm.errors import CheckpointError, ConfigError, ContractError, DivergenceError, SkipRecord
+from clozerm.errors import CheckpointError, ConfigError, ContractError, DivergenceError, ShapeError, SkipRecord
 from clozerm.evaluation import (
     TIE_EPS,
     TOKEN_BUDGET,
@@ -87,6 +89,31 @@ def make_model(objective="cloze", pairs=PAIRS, seed=0, zero=False, settings=SMAL
         for name in weights:
             weights[name][:] = 0
     return EvalModel(config=config, weights=weights, tokenizer=tokenizer, template=TEMPLATE)
+
+
+OPENBLAS = clozerm.evaluation._openblas()
+needs_openblas = pytest.mark.skipif(OPENBLAS is None, reason="no settable OpenBLAS thread count")
+
+
+def blas_threads():
+    """The loaded OpenBLAS's thread count, or None without one."""
+    return None if OPENBLAS is None else OPENBLAS[0]()
+
+
+@pytest.fixture
+def blas_count():
+    """The OpenBLAS thread count set to 3 for the test, so that restoring
+    any other count shows; None without a settable OpenBLAS."""
+    if OPENBLAS is None:
+        yield None
+        return
+    get, set_ = OPENBLAS
+    saved = get()
+    set_(3)
+    try:
+        yield 3
+    finally:
+        set_(saved)
 
 
 def option1_model():
@@ -263,25 +290,31 @@ def test_grouped_scoring_forwards_per_length_group(objective, monkeypatch):
         original = getattr(clozerm.evaluation, name)
         monkeypatch.setattr(clozerm.evaluation, name,
                             lambda w, c, ids, *a, _f=original: shapes.append(ids.shape) or _f(w, c, ids, *a))
-    lengths = [n for pair in MIXED for n in row_lengths(model, pair)]
+    cfg = model.config
+    token_rows = [row.token_ids for pair in MIXED
+                  for row in render_pair(pair, model.template, model.tokenizer, cfg.max_seq, cfg.head_kind)]
+    lengths = [len(ids) for ids in token_rows]
     arithmetic = row_lengths(model, next(p for p in MIXED if p.domain == "reasoning"))[0]
     # Token budgets: the module's; eight arithmetic rows, which takes the
     # nine arithmetic pairs in two full chunks and a remainder; and one
     # token, below a single pair, which still takes one pair a forward.
     for tokens, arithmetic_chunks in ((TOKEN_BUDGET, None), (8 * arithmetic, [8, 8, 2]), (1, [2] * 9)):
         monkeypatch.setattr(clozerm.evaluation, "TOKEN_BUDGET", tokens)
-        shapes.clear()
-        score_pairs(model, MIXED)
         # Rows of one length in first-seen order, as many whole pairs' rows
         # a forward as fit the budget, and at least one pair's.
         expected = []
         for length in dict.fromkeys(lengths):
-            n = lengths.count(length)
+            idxs = [k for k, n in enumerate(lengths) if n == length]
             cap = 2 * max(1, tokens // (2 * length))
-            expected += [(min(cap, n - lo), length) for lo in range(0, n, cap)]
-        assert shapes == expected
+            expected += [idxs[lo : lo + cap] for lo in range(0, len(idxs), cap)]
+        assert clozerm.evaluation._plan_chunks(token_rows) == expected
+        # Threads take the planned forwards in no fixed order, so the
+        # forwards that ran are compared as a multiset.
+        shapes.clear()
+        score_pairs(model, MIXED)
+        assert sorted(shapes) == sorted((len(chunk), lengths[chunk[0]]) for chunk in expected)
         if arithmetic_chunks is not None:
-            assert [rows for rows, length in shapes if length == arithmetic] == arithmetic_chunks
+            assert [len(chunk) for chunk in expected if lengths[chunk[0]] == arithmetic] == arithmetic_chunks
 
 
 def test_grouped_scoring_keeps_input_order():
@@ -349,7 +382,7 @@ def test_scoring_forward_bits_do_not_depend_on_a_recording_tape(n_layers, n_pair
 # serial trials. Three threads on two cores with a short switch interval
 # score the pairs in three different orders, so that no two threads compute
 # the same rows at the same time.
-def test_concurrent_scoring_threads_get_the_serial_trials():
+def test_concurrent_scoring_threads_get_the_serial_trials(blas_count):
     model = make_model(pairs=MIXED, seed=3)
     orders = [MIXED, MIXED[::-1], MIXED[7:] + MIXED[:7]]
     serial = [score_pairs(model, pairs) for pairs in orders]
@@ -370,6 +403,107 @@ def test_concurrent_scoring_threads_get_the_serial_trials():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert results == [[trials] * 4 for trials in serial]
+    # Overlapping calls leave the OpenBLAS thread count as they found it.
+    assert blas_threads() == blas_count
+
+
+# Scoring holds OpenBLAS at one thread while its forwards run, on the caller
+# and the helpers alike, and restores the count it found.
+@needs_openblas
+def test_scoring_holds_openblas_at_one_thread_and_restores_the_count(monkeypatch, blas_count):
+    model = make_model(pairs=MIXED, seed=3)
+    seen = []
+    original = clozerm.evaluation.forward_mlm_batch
+    monkeypatch.setattr(clozerm.evaluation, "forward_mlm_batch", lambda *a: seen.append(blas_threads()) or original(*a))
+    eval_dataset(model, MIXED)
+    assert seen and set(seen) == {1}
+    assert blas_threads() == blas_count
+
+
+# A forward that raises reaches the caller after the helper has stopped, the
+# OpenBLAS count is restored, and the next call scores as before.
+def test_a_raising_forward_reaches_the_caller_and_restores_the_count(monkeypatch, blas_count):
+    model = make_model(pairs=MIXED, seed=3)
+    serial = score_pairs(model, MIXED)
+    calls = itertools.count()
+    original = clozerm.evaluation.forward_mlm_batch
+
+    def failing(*args):
+        if next(calls) == 2:
+            raise ShapeError("planted")
+        return original(*args)
+
+    monkeypatch.setattr(clozerm.evaluation, "forward_mlm_batch", failing)
+    with pytest.raises(ShapeError, match="planted"):
+        eval_dataset(model, MIXED)
+    assert blas_threads() == blas_count
+    monkeypatch.setattr(clozerm.evaluation, "forward_mlm_batch", original)
+    assert score_pairs(model, MIXED) == serial
+
+
+# The caller's first forward waits until another thread has run one: with
+# two usable CPUs a helper scores beside the caller, under the caller's
+# np.errstate, and the trials are the serial ones.
+@needs_openblas
+def test_a_helper_thread_scores_beside_the_caller(monkeypatch):
+    model = make_model(pairs=MIXED, seed=3)
+    caller = threading.get_ident()
+    monkeypatch.setattr(clozerm.evaluation, "_usable_cpus", lambda: 1)
+    serial = score_pairs(model, MIXED)
+    helper_ran = threading.Event()
+    errstates = []
+    original = clozerm.evaluation.forward_mlm_batch
+
+    def meet(*args):
+        errstates.append(np.geterr())
+        if threading.get_ident() == caller:
+            assert helper_ran.wait(timeout=30), "no helper thread ran a forward"
+        else:
+            helper_ran.set()
+        return original(*args)
+
+    monkeypatch.setattr(clozerm.evaluation, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(clozerm.evaluation, "forward_mlm_batch", meet)
+    with np.errstate(all="ignore"):
+        assert score_pairs(model, MIXED) == serial
+        expected = np.geterr()
+    assert errstates and all(state == expected for state in errstates)
+
+
+# With one usable CPU every forward runs on the calling thread, and the
+# trials are those of the threaded path.
+def test_one_usable_cpu_scores_on_the_calling_thread(monkeypatch):
+    model = make_model(pairs=MIXED, seed=3)
+    threaded = score_pairs(model, MIXED)
+    callers = set()
+    original = clozerm.evaluation.forward_mlm_batch
+    monkeypatch.setattr(clozerm.evaluation, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(clozerm.evaluation, "forward_mlm_batch",
+                        lambda *a: callers.add(threading.get_ident()) or original(*a))
+    assert score_pairs(model, MIXED) == threaded
+    assert callers == {threading.get_ident()}
+
+
+# The parent's helper thread does not survive a fork: a child forked after
+# the parent has scored starts its own and gets the parent's trials, where
+# waiting on the inherited helper would hang.
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method")
+def test_a_forked_child_scores_after_the_parent_has_scored():
+    model = make_model(pairs=MIXED, seed=3)
+    trials = score_pairs(model, MIXED)
+    context = multiprocessing.get_context("fork")
+    receive, send = context.Pipe(duplex=False)
+    child = context.Process(target=lambda: send.send(score_pairs(model, MIXED)))
+    child.start()
+    try:
+        assert receive.poll(60), "the forked child did not finish scoring"
+        assert receive.recv() == trials
+    finally:
+        child.join(timeout=10)
+        if child.is_alive():
+            child.kill()
+            child.join(timeout=10)
+    assert child.exitcode == 0
 
 
 # ---------------------------------------------------------------------------
