@@ -11,7 +11,8 @@ Layout, all integers little-endian:
     config length in bytes              u32
     config JSON: {"model": {...}, "extra": {...}}
 
-Readers reject unknown versions, non-finite weights, bytes after the
+Readers reject unknown versions, tensors whose byte ranges overlap or
+leave payload bytes unread, non-finite weights, bytes after the
 config block, and base tensors whose names or shapes differ from the model
 config's manifest. Adapter tensors travel under
 names prefixed "adapter." next to the base weights, with their rank and
@@ -123,14 +124,27 @@ def load_checkpoint(path) -> Checkpoint:
         if any(d < 0 for d in shape):
             raise CheckpointError(f"{path}: negative dimension on manifest line {line_no}: {dims}")
 
-    tensors = {}
+    spans = {}
     for name, shape, offset in entries:
-        if name in tensors:
+        if name in spans:
             raise CheckpointError(f"{path}: duplicate tensor {name}")
-        count = math.prod(shape)  # Python ints: a huge shape must not wrap
-        end = offset + 4 * count
+        end = offset + 4 * math.prod(shape)  # Python ints: a huge shape must not wrap
         if offset < 0 or end > len(payload):
             raise CheckpointError(f"{path}: tensor {name} lies outside the payload")
+        spans[name] = (offset, end)
+    # The tensors' byte ranges tile the payload: none shares or skips a byte.
+    at, before = 0, "the payload's start"
+    for offset, end, name in sorted((offset, end, name) for name, (offset, end) in spans.items()):
+        if offset != at:
+            how = "overlaps" if offset < at else f"starts {offset - at} bytes after"
+            raise CheckpointError(f"{path}: tensor {name} {how} {before}")
+        at, before = end, f"tensor {name}"
+    if at != len(payload):
+        raise CheckpointError(f"{path}: {len(payload) - at} payload bytes follow {before}")
+
+    tensors = {}
+    for name, shape, offset in entries:
+        count = math.prod(shape)
         arr = np.frombuffer(payload, dtype="<f4", count=count, offset=offset)
         if not np.isfinite(arr).all():
             raise CheckpointError(f"{path}: tensor {name} holds non-finite values")

@@ -21,6 +21,7 @@ tail-truncated to one equal budget each; scaffold text never shrinks.
 import json
 import random
 import re
+import weakref
 from dataclasses import dataclass, field
 
 from .errors import CheckpointError, ConfigError, ContractError, DataError, SkipRecord
@@ -144,6 +145,20 @@ _POOLED_PARTS = _parse_layout(POOLED_LAYOUT)
 _RESPONSE_PARTS = _parse_layout(RESPONSE_LAYOUT)
 
 
+# Per tokenizer, the ids of the scaffold texts it has encoded: the layout
+# literals and the prefixes, which repeat in every pair. Prompts and
+# responses are encoded afresh.
+_SCAFFOLD_IDS = weakref.WeakKeyDictionary()
+
+
+def _scaffold_ids(tokenizer: Tokenizer, text: str) -> tuple:
+    known = _SCAFFOLD_IDS.setdefault(tokenizer, {})
+    ids = known.get(text)
+    if ids is None:
+        ids = known[text] = tuple(tokenizer.encode(text))
+    return ids
+
+
 def _encode_segments(parts, values, tokenizer: Tokenizer):
     """Tokenize each layout segment, shifting a literal's trailing space
     onto the following slot so segment tokens concatenate to the
@@ -158,11 +173,12 @@ def _encode_segments(parts, values, tokenizer: Tokenizer):
     for kind, val, lead in items:
         if kind == "lit":
             if val:
-                segments.append(("lit", tokenizer.encode(val)))
+                segments.append(("lit", _scaffold_ids(tokenizer, val)))
         elif val == "mask":
             segments.append(("mask", [MASK_ID]))
         else:
-            segments.append((val, tokenizer.encode((" " if lead else "") + values[val])))
+            text = (" " if lead else "") + values[val]
+            segments.append((val, _scaffold_ids(tokenizer, text) if val == "prefix" else tokenizer.encode(text)))
     return segments
 
 

@@ -20,15 +20,15 @@ tape open, or no parent requires a gradient): one buffer per thread, kept
 in the thread-local state beside the tape stack, which every call reuses
 from the front, so that a run of inference forwards does not free and fault
 in fresh heap pages on each call. Recorded ops take fresh arrays, which
-their backward reads. The arena's written pages never exceed the largest
-single op's temporaries: 4 * (6 * hidden + 2 * n_heads * seq) bytes per
-stacked token for attention and 12 * ffn width bytes for the FFN, about
-2.9 MB for 512 tokens at the README shape (hidden 64, 8 heads, FFN width
-256) and max_seq 64. The buffer grows by doubling, so it reserves at most
-twice that. Scoring runs its forwards on the calling thread and on the
-evaluation module's helper threads, which live for the process, so a
-process holds one arena per scoring thread. No op returns a view of the
-arena: every output is a fresh array.
+their backward reads. An unrecorded op keeps only the temporaries it reads
+again, so the arena's written pages never exceed the largest single op's:
+4 * (3 * hidden + n_heads * seq) bytes per stacked token for attention and
+8 * ffn width bytes for the FFN, 1.38 MiB for 512 tokens at the README
+shape (hidden 64, 8 heads, FFN width 256) and max_seq 64. The buffer grows
+by doubling, so it reserves at most twice that. Scoring runs its forwards
+on the calling thread and on the evaluation module's helper threads, which
+live for the process, so a process holds one arena per scoring thread. No
+op returns a view of the arena: every output is a fresh array.
 """
 
 import math
@@ -411,9 +411,12 @@ def _move_heads(t, split, shape, new, view, reuse=None):
     return _copy(moved, new, reuse).reshape(shape)
 
 
-def _split_heads(t, batch, seq, n_heads, new, fresh=False):
+def _split_heads(t, batch, seq, n_heads, new, fresh=False, strided=False):
     """[batch*seq, hidden] -> [batch*n_heads, seq, head_dim]: a view when
-    batch, seq or n_heads is 1, else (and always with fresh) a copy."""
+    batch, seq or n_heads is 1, else (and always with fresh) a copy. With
+    strided, the view [batch, n_heads, seq, head_dim] of t at every shape."""
+    if strided:
+        return t.reshape(batch, seq, n_heads, -1).transpose(0, 2, 1, 3)
     view = not fresh and 1 in (batch, seq, n_heads)
     return _move_heads(t, (batch, seq, n_heads, -1), (batch * n_heads, seq, -1), new, view)
 
@@ -481,20 +484,38 @@ def residual_attention(x, a, wq, wk, wv, wo, seq: int, n_heads: int, query=None)
         return full
 
     # Every temporary below comes from new; only the result is a fresh array.
+    # Unrecorded, the heads are [batch, n_heads, seq, head_dim] strided views
+    # of their projections, except k on the query path: there a strided k
+    # sends the one-row products to another BLAS kernel, which rounds
+    # differently. Recorded, they are _split_heads' views and copies, which
+    # the backward reads.
     new = _allocator((x, a, wq, wk, wv, wo))
+    lean = new is not _fresh
+
+    def heads(t, n, strided):
+        split = _split_heads(t, batch, n, n_heads, new, strided=strided)
+        return split.reshape(batch, n_heads, n, -1) if lean else split
+
     q_proj, k_proj = _matmul(a_q, wq.data, new), _matmul(a.data, wk.data, new)
-    q = _split_heads(q_proj, batch, n_q, n_heads, new)
-    k = _split_heads(k_proj, batch, seq, n_heads, new)
-    v = _split_heads(_matmul(a.data, wv.data, new), batch, seq, n_heads, new)
-    kt = k.transpose(0, 2, 1)
+    q = heads(q_proj, n_q, lean)
+    k = heads(k_proj, seq, lean and query is None)
+    v = heads(_matmul(a.data, wv.data, new), seq, lean)
+    kt = k.swapaxes(-1, -2)
     # The scores are scaled, shifted, exponentiated and normalised in place.
-    # The row maxima are taken down the columns of a transposed copy of all
+    # The row maxima are taken down the columns of a transposed copy of the
     # score rows: a maximum is exact in any order, and a last-axis reduction
-    # over many short rows is slow.
+    # over many short rows is slow. Unrecorded, the copy is made a block of
+    # rows at a time into k's projection, which nothing reads once the
+    # scores exist; recorded, it is one fresh array.
     p = _matmul(q, kt, new)
     scale = np.asarray(1.0 / math.sqrt(h // n_heads), dtype=p.dtype)
     p *= scale
-    row_max = np.maximum.reduce(_copy(p.reshape(-1, seq).T, new), axis=0)
+    score_rows = p.reshape(-1, seq)
+    row_max = np.empty(len(score_rows), p.dtype)
+    step = max(1, k_proj.size // seq if lean else len(score_rows))
+    for lo in range(0, len(score_rows), step):
+        block = _copy(score_rows[lo : lo + step].T, new, k_proj)
+        np.maximum.reduce(block, axis=0, out=row_max[lo : lo + step])
     p -= row_max.reshape(*p.shape[:-1], 1)
     np.exp(p, out=p)
     p /= np.add.reduce(p, axis=-1, keepdims=True)
@@ -571,9 +592,10 @@ def residual_ffn(x, b, w1, w2) -> Tensor:
     t += z
     t *= c
     np.tanh(t, out=t)
-    act = np.multiply(0.5, z, out=new(z.shape, z.dtype))
-    # Only a backward reads z from here on, so 1 + t can take its memory.
-    act *= np.add(1.0, t, out=new(z.shape, z.dtype, z))
+    # Only a backward reads z and t from here on, so 0.5 * z and 1 + t can
+    # take their memory.
+    act = np.multiply(0.5, z, out=new(z.shape, z.dtype, z))
+    act *= np.add(1.0, t, out=new(z.shape, z.dtype, t))
     data = act @ w2.data
     data += x.data
 

@@ -257,6 +257,8 @@ MALFORMED_CHECKPOINTS = (
     "tensor-misshapen",
     "tensor-non-finite",
     "trailing-bytes",
+    "tensor-overlapping",
+    "payload-gap",
 )
 
 
@@ -287,12 +289,23 @@ def malformed_checkpoint(blob: bytes, case: str) -> bytes:
     elif case == "tensor-misshapen":  # the same element count, transposed
         rows, cols = dims.split(b"x")
         manifest = manifest.replace(name + b" " + dims, name + b" " + cols + b"x" + rows, 1)
+    elif case == "tensor-overlapping":  # ln1.bias reads ln1.gain's bytes
+        lines = {line.split(b" ")[0]: line for line in manifest.split(b"\n")}
+        gain, bias = lines[b"layer0.ln1.gain"], lines[b"layer0.ln1.bias"]
+        manifest = manifest.replace(bias, bias.rpartition(b" ")[0] + b" " + gain.rpartition(b" ")[2], 1)
+    elif case == "payload-gap":  # the last tensor starts 4 bytes later
+        last = manifest.rstrip(b"\n").rpartition(b"\n")[2]
+        entry, _, at = last.rpartition(b" ")
+        manifest = manifest.replace(last, entry + b" " + str(int(at) + 4).encode(), 1)
     tail = blob[end:]
     if case == "tensor-non-finite":  # NaN as the first tensor's first element
         at = 8 + int(offset)
         tail = tail[:at] + np.float32(np.nan).astype("<f4").tobytes() + tail[at + 4 :]
     elif case == "trailing-bytes":
         tail += b"\x00"
+    elif case == "payload-gap":  # four zero bytes more at the payload's end
+        size = int.from_bytes(tail[:8], "little")
+        tail = (size + 4).to_bytes(8, "little") + tail[8 : 8 + size] + bytes(4) + tail[8 + size :]
     if case == "config-rejected":
         config_at = 8 + int.from_bytes(tail[:8], "little")
         config = json.loads(tail[config_at + 4 :])

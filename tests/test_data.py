@@ -9,11 +9,14 @@ from clozerm.data import (
     DOMAIN_PREFIXES,
     DOMAINS,
     ORDERS,
+    POOLED_LAYOUT,
     PREFIX_POOL,
     REFUSAL_MARKER,
+    RESPONSE_LAYOUT,
     SYNTH_TASKS,
     ClozeTemplate,
     PreferencePair,
+    Row,
     build_tokenizer,
     load_jsonl,
     render_pair,
@@ -23,7 +26,7 @@ from clozerm.data import (
 )
 from clozerm.errors import CheckpointError, ConfigError, DataError, SkipRecord
 from clozerm.model import HEAD_KINDS, HEAD_MLM, HEAD_POOLED, HEAD_TOKEN
-from clozerm.tokenizer import CLS_ID, MASK_ID, VERB1_ID, VERB2_ID
+from clozerm.tokenizer import CLS_ID, MASK_ID, VERB1_ID, VERB2_ID, Tokenizer
 
 MAX_SEQ = 64
 
@@ -239,6 +242,50 @@ def test_render_pair_token_spans_cover_response_only():
     assert chosen.token_ids[0] == CLS_ID
     assert (chosen.target, rejected.target) == (1.0, 0.0)
     assert chosen.order is None and rejected.source_id == "p1"
+
+
+def _whole_text_rows(p, tpl, tok, head):
+    """The pair's rows as tokenizations of each whole rendered text."""
+    prefix = tpl.prefix_for(p.domain)
+    if head == HEAD_TOKEN:
+        rows = []
+        for text, label in ((p.chosen, 1.0), (p.rejected, 0.0)):
+            ids = [CLS_ID] + tok.encode(RESPONSE_LAYOUT.format(prefix=prefix, x=p.prompt, y=text))
+            rows.append(Row(ids, (len(ids) - len(tok.encode(" " + text)), len(ids)), label, None, p.id))
+        return rows
+    rows = []
+    for order, (a, b) in zip(ORDERS, ((p.chosen, p.rejected), (p.rejected, p.chosen))):
+        swapped = order != ORDERS[0]
+        if head == HEAD_POOLED:
+            ids = [CLS_ID] + tok.encode(POOLED_LAYOUT.format(prefix=prefix, x=p.prompt, a=a, b=b))
+            rows.append(Row(ids, None, int(swapped), order, p.id))
+            continue
+        filled = CANONICAL_LAYOUT.replace("[MASK]", "1").format(prefix=prefix, x=p.prompt, a=a, b=b)
+        ids = [CLS_ID] + tok.encode(filled)
+        ids[-2] = MASK_ID  # the verbalizer before the closing "."
+        rows.append(Row(ids, len(ids) - 2, VERB2_ID if swapped else VERB1_ID, order, p.id))
+    return rows
+
+
+# The prefixes and layout literals are encoded once per tokenizer, so once
+# a domain's first pair has rendered, a cloze or pooled pair costs three
+# encodes (its prompt and two responses) and a token-level pair four (the
+# prompt once for each response), and every row is still the tokenization
+# of its whole rendered text (no pair is truncated here).
+@pytest.mark.parametrize("head,calls", [(HEAD_MLM, 3), (HEAD_POOLED, 3), (HEAD_TOKEN, 4)])
+def test_a_pair_encodes_only_its_prompt_and_responses(monkeypatch, head, calls):
+    pairs = [p for task in SYNTH_TASKS for p in synth_generate(task, 4, seed=2)]
+    tok = tok_for(pairs)
+    tpl = ClozeTemplate(PREFIX_POOL[3], {"safety": PREFIX_POOL[2]})
+    encoded = []
+    encode = Tokenizer.encode
+    monkeypatch.setattr(Tokenizer, "encode", lambda self, text: encoded.append(text) or encode(self, text))
+    first = [render_pair(p, tpl, tok, 256, head) for p in pairs]
+    for p, rows in zip(pairs, first):
+        encoded.clear()
+        again = render_pair(p, tpl, tok, 256, head)
+        assert len(encoded) == calls
+        assert again == rows == _whole_text_rows(p, tpl, tok, head)
 
 
 # ------------------------------------------------------------------ jsonl

@@ -620,28 +620,46 @@ def test_residual_ffn_is_bitwise_the_unfused_chain(rows, hidden):
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+def _attention(seq, n_heads, query=None):
+    return lambda *ts: residual_attention(*ts, seq, n_heads, query=query)
+
+
 # The block ops at README widths (hidden 64, 8 heads, sequence 29):
 # attention over a batch of 3 and of 1, one query row per sequence, and the
 # FFN. Each takes its temporaries from the thread's arena when nothing will
 # record it, and fresh arrays otherwise.
 ARENA_OPS = {
-    "attention-batch-3": (3, lambda *ts: residual_attention(*ts, 29, 8)),
-    "attention-batch-1": (1, lambda *ts: residual_attention(*ts, 29, 8)),
-    "attention-query": (3, lambda *ts: residual_attention(*ts, 29, 8, query=[28, 0, 13])),
-    "ffn": (3, residual_ffn),
+    "attention-batch-3": (3, 29, _attention(29, 8)),
+    "attention-batch-1": (1, 29, _attention(29, 8)),
+    "attention-query": (3, 29, _attention(29, 8, [28, 0, 13])),
+    "ffn": (3, 29, residual_ffn),
+}
+
+# Unrecorded attention reads q, k and v as strided head views where a
+# recorded one copies them, so the bits of every product on them must not
+# depend on the layout BLAS is handed: at lengths 1, 29 and 64, batches of
+# 1, 2 and 8 and 1, 2 and 8 heads, over every row and one query row per
+# sequence (the last row first).
+VIEW_OPS = {
+    f"attention-{path}-seq-{seq}-batch-{batch}-heads-{n_heads}": (
+        batch,
+        seq,
+        _attention(seq, n_heads, None if path == "full" else [(seq - 1 - 5 * i) % seq for i in range(batch)]),
+    )
+    for path, seq, batch, n_heads in itertools.product(("full", "query"), (1, 29, 64), (1, 2, 8), (1, 2, 8))
 }
 
 
 def _arena_case(name, seed):
-    batch, op = ARENA_OPS[name]
+    batch, seq, op = {**ARENA_OPS, **VIEW_OPS}[name]
     rng = np.random.default_rng(seed)
-    arrays = [rng.normal(size=(batch * 29, 64)) for _ in range(2)]
+    arrays = [rng.normal(size=(batch * seq, 64)) for _ in range(2)]
     shapes = [(64, 256), (256, 64)] if name == "ffn" else [(64, 64)] * 4
     arrays += [rng.normal(0.0, 0.3, size=shape) for shape in shapes]
     return op, [a.astype(np.float32) for a in arrays]
 
 
-@pytest.mark.parametrize("name", sorted(ARENA_OPS))
+@pytest.mark.parametrize("name", sorted(ARENA_OPS) + list(VIEW_OPS))
 def test_block_ops_give_the_same_bits_with_and_without_a_recording_tape(name):
     op, arrays = _arena_case(name, 0)
     plain = op(*(Tensor(a) for a in arrays)).data
@@ -650,6 +668,29 @@ def test_block_ops_give_the_same_bits_with_and_without_a_recording_tape(name):
         recorded = op(*(Tensor(a, requires_grad=True) for a in arrays)).data
     assert len(tape) == 1
     assert np.array_equal(plain, recorded) and np.array_equal(unrecorded, recorded)
+
+
+# An unrecorded op keeps only the temporaries it reads again, so its arena
+# holds at most 4 * (3 * hidden + n_heads * seq) bytes per stacked token for
+# attention, over every row or one query row per sequence, and 8 * ffn width
+# bytes per row for the FFN, plus a cache line per carve: 1.38 MiB for 512
+# tokens of 64 and 0.91 MiB for the FFN over 16 rows of 29.
+@pytest.mark.parametrize("batch,seq", [(8, 64), (16, 29)])
+@pytest.mark.parametrize("op", ["full", "query", "ffn"])
+def test_unrecorded_block_ops_keep_their_arena_within_the_bound(op, batch, seq):
+    rng = np.random.default_rng(seq)
+    tokens, hidden, n_heads, width = batch * seq, 64, 8, 256
+    xs = [Tensor(rng.normal(size=(tokens, hidden)).astype(np.float32)) for _ in range(2)]
+    if op == "ffn":
+        w1, w2 = (Tensor(rng.normal(0.0, 0.3, size=s).astype(np.float32)) for s in ((hidden, width), (width, hidden)))
+        residual_ffn(*xs, w1, w2)
+        bound = 8 * width * tokens
+    else:
+        ws = [Tensor(rng.normal(0.0, 0.3, size=(hidden, hidden)).astype(np.float32)) for _ in range(4)]
+        query = None if op == "full" else rng.integers(0, seq, size=batch)
+        residual_attention(*xs, *ws, seq, n_heads, query=query)
+        bound = 4 * (3 * hidden + n_heads * seq) * tokens
+    assert clozerm.tensor._state.arena.used <= bound + 5 * clozerm.tensor._ARENA_ALIGN
 
 
 @pytest.mark.parametrize("name", sorted(ARENA_OPS))
