@@ -16,9 +16,9 @@ import json
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -193,63 +193,41 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-class _ScoringThreads:
-    """The process's helper threads for scoring, started on first use, and
-    the OpenBLAS thread count saved while any scoring call holds it at one."""
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.pool = None
-        self.holders = 0
-        self.saved = None
-
-    def executor(self) -> ThreadPoolExecutor:
-        with self.lock:
-            if self.pool is None:
-                self.pool = ThreadPoolExecutor(max_workers=_usable_cpus() - 1,
-                                               thread_name_prefix="clozerm-score")
-            return self.pool
-
-    @contextmanager
-    def one_blas_thread(self, blas):
-        """Hold OpenBLAS at one thread: the first of overlapping callers
-        saves the count and the last one out restores it. With blas None
-        (no settable OpenBLAS) nothing is held."""
-        if blas is None:
-            yield
-            return
-        get, set_ = blas
-        with self.lock:
-            if self.holders == 0:
-                self.saved = get()
-                set_(1)
-            self.holders += 1
-        try:
-            yield
-        finally:
-            with self.lock:
-                self.holders -= 1
-                if self.holders == 0:
-                    set_(self.saved)
+@contextmanager
+def _one_blas_thread(blas):
+    """Hold OpenBLAS at one thread, then restore the count it had. With
+    blas None (no settable OpenBLAS) nothing is held."""
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    saved = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(saved)
 
 
-_threads = _ScoringThreads()
+# Held for the whole of a scoring call, so overlapping calls run in turn.
+_call_lock = threading.Lock()
 
 
-def _forget_threads_in_child():
-    # A forked child has only the forking thread: an inherited pool would
-    # queue work for a helper that no longer runs.
-    global _threads
-    _threads = _ScoringThreads()
+def _fresh_lock_in_child():
+    # A forked child has only the forking thread: a lock that another parent
+    # thread held inside a scoring call would never be released there.
+    global _call_lock
+    _call_lock = threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_threads_in_child)
+    os.register_at_fork(after_in_child=_fresh_lock_in_child)
 
 
 def _score_chunks(model: EvalModel, rows, plan) -> list:
     """Each row's _score_rows value, the plan's forwards taken by the
-    calling thread and helper threads from one shared iterator."""
+    calling thread and this call's helper threads from one shared
+    iterator."""
     values = [None] * len(rows)
     chunks = iter(plan)
     take = threading.Lock()
@@ -265,11 +243,13 @@ def _score_chunks(model: EvalModel, rows, plan) -> list:
 
     blas = _openblas()
     n_threads = 1 if blas is None else min(_usable_cpus(), len(plan))
-    with _threads.one_blas_thread(blas):
+    # The executor starts a thread only for submitted work, and leaving it
+    # joins the helpers once their current forward is done.
+    with (_call_lock, _one_blas_thread(blas),
+          ThreadPoolExecutor(max(n_threads - 1, 1), thread_name_prefix="clozerm-score") as pool):
         # Each helper runs in its own copy of the caller's context, which
         # carries NumPy's floating-point error state (np.errstate).
-        helpers = [_threads.executor().submit(contextvars.copy_context().run, drain)
-                   for _ in range(n_threads - 1)]
+        helpers = [pool.submit(contextvars.copy_context().run, drain) for _ in range(n_threads - 1)]
         try:
             drain()
         except BaseException:
@@ -277,15 +257,8 @@ def _score_chunks(model: EvalModel, rows, plan) -> list:
                 for _ in chunks:  # the helpers stop after their current forward
                     pass
             raise
-        finally:
-            # A helper still queued behind an overlapping call's has nothing
-            # left to take here.
-            for helper in helpers:
-                helper.cancel()
-            wait(helpers)
         for helper in helpers:
-            if not helper.cancelled():
-                helper.result()
+            helper.result()
     return values
 
 
@@ -306,12 +279,15 @@ def score_pairs(model: EvalModel, pairs, skipped=None) -> list:
     first-seen order. The calling thread and up to one helper thread per
     further usable CPU take those forwards from one shared plan, and each
     forward's values go to their rows' indices, so the trials are those of
-    serial scoring bit for bit. For the length of the call the loaded
-    OpenBLAS is held at one thread, then its count is restored; scoring
-    stays on the calling thread alone when the process may use one CPU,
-    the plan has one forward, or no OpenBLAS thread count can be set. A
-    pair whose options cannot fit max_seq raises SkipRecord, or, given a
-    skipped list, is appended to it and left out.
+    serial scoring bit for bit. The helpers are started for the call and
+    joined before it returns, so only the calling thread's arena (see
+    tensor.py) outlives it; calls that overlap from several threads run in
+    turn. For the length of the call the loaded OpenBLAS is held at one
+    thread, then its count is restored; scoring stays on the calling
+    thread alone when the process may use one CPU, the plan has one
+    forward, or no OpenBLAS thread count can be set. A pair whose options
+    cannot fit max_seq raises SkipRecord, or, given a skipped list, is
+    appended to it and left out.
     """
     cfg = model.config
     rendered = []
@@ -560,18 +536,7 @@ def compare_objectives(pairs, base_config, heldout_fraction: float = 0.2) -> Obj
 
 
 def report_to_json(report: EvalReport) -> str:
-    payload = {
-        "chat": report.chat,
-        "reasoning": report.reasoning,
-        "safety": report.safety,
-        "overall": report.overall,
-        "position_bias": report.position_bias,
-        "n": report.n,
-        "gflops_per_token": report.gflops_per_token,
-        "total_accuracy": report.total_accuracy,
-        "n_skipped": report.n_skipped,
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(asdict(report), sort_keys=True, indent=2) + "\n"
 
 
 def report_to_table(report: EvalReport) -> str:
@@ -588,21 +553,8 @@ def report_to_table(report: EvalReport) -> str:
 
 
 def comparison_to_json(cmp: ObjectiveComparison) -> str:
-    payload = {
-        "rows": [
-            {
-                "objective": r.objective,
-                "heldout_accuracy": r.heldout_accuracy,
-                "n_train": r.n_train,
-                "n_heldout": r.n_heldout,
-                "epochs": r.epochs,
-                "batch_size": r.batch_size,
-                "total_steps": r.total_steps,
-                "learning_rate": r.learning_rate,
-            }
-            for r in cmp.rows
-        ]
-    }
+    # Rows only: the checkpoints are kept for re-scoring, not reported.
+    payload = {"rows": [asdict(r) for r in cmp.rows]}
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 

@@ -26,9 +26,10 @@ again, so the arena's written pages never exceed the largest single op's:
 8 * ffn width bytes for the FFN, 1.38 MiB for 512 tokens at the README
 shape (hidden 64, 8 heads, FFN width 256) and max_seq 64. The buffer grows
 by doubling, so it reserves at most twice that. Scoring runs its forwards
-on the calling thread and on the evaluation module's helper threads, which
-live for the process, so a process holds one arena per scoring thread. No
-op returns a view of the arena: every output is a fresh array.
+on the calling thread and on helper threads that the evaluation module
+starts for each call and joins before it returns, so a helper's arena is
+freed with its thread and only the calling thread's lives for the process.
+No op returns a view of the arena: every output is a fresh array.
 """
 
 import math

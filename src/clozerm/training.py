@@ -114,10 +114,11 @@ class TrainConfig:
     eval_every: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
-        if self.weight_decay < 0:
-            raise ConfigError("weight_decay must be non-negative")
+        # Written so that NaN, which fails every comparison, is rejected too.
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError("learning_rate must be finite and positive")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ConfigError("weight_decay must be finite and non-negative")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be at least 1")
         if self.epochs < 1:
@@ -128,8 +129,8 @@ class TrainConfig:
             raise ConfigError(f"unknown order_policy {self.order_policy!r}")
         if not self.prefix:
             raise ConfigError("prefix must be non-empty")
-        if self.clip_norm is not None and self.clip_norm <= 0:
-            raise ConfigError("clip_norm must be positive when set")
+        if self.clip_norm is not None and not 0 < self.clip_norm < math.inf:
+            raise ConfigError("clip_norm must be finite and positive when set")
         if self.eval_every < 0:
             raise ConfigError("eval_every must be non-negative")
 
@@ -545,8 +546,8 @@ class SweepSpec:
     def __post_init__(self):
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
-        if not 0 < self.lr_min <= self.lr_max:
-            raise ConfigError("need 0 < lr_min <= lr_max")
+        if not 0 < self.lr_min <= self.lr_max < math.inf:
+            raise ConfigError("need 0 < lr_min <= lr_max < inf")
         if not self.ranks or any(r < 0 for r in self.ranks):
             raise ConfigError("ranks must be a non-empty set of non-negative ints")
         if not 0 <= self.frozen_min <= self.frozen_max:

@@ -387,6 +387,34 @@ def test_config_file_errors(tmp_path, corpus):
                 "--config", str(tmp_path / "none.cfg")]) == 2
 
 
+# A non-finite learning rate, weight decay, clip norm or sweep bound is a
+# configuration error (exit 1) before any step, from a flag or a config file,
+# with no warning on the way.
+@pytest.mark.parametrize("command,name", [
+    (["train", "--clip-norm", "nan"], "clip_norm"),
+    (["train", "--clip-norm", "inf"], "clip_norm"),
+    (["train", "--learning-rate", "nan"], "learning_rate"),
+    (["train", "--learning-rate", "inf"], "learning_rate"),
+    (["train", "--weight-decay", "nan"], "weight_decay"),
+    (["train", "--weight-decay", "inf"], "weight_decay"),
+    (["train", "--config", "nan.cfg"], "learning_rate"),
+    (["sweep", "--lr-max", "inf", "--ranks", "0"], "lr_max"),
+    (["sweep", "--lr-min", "nan", "--ranks", "0"], "lr_min"),
+], ids=["clip-nan", "clip-inf", "lr-nan", "lr-inf", "wd-nan", "wd-inf", "config-lr-nan",
+        "sweep-lr-max-inf", "sweep-lr-min-nan"])
+def test_non_finite_float_settings_exit_1(tmp_path, corpus, capsys, recwarn, command, name):
+    (tmp_path / "nan.cfg").write_text("learning_rate = nan\n")
+    sub, *rest = command
+    rest = [str(tmp_path / arg) if arg.endswith(".cfg") else arg for arg in rest]
+    out = tmp_path / "out"
+    assert run([sub, "--data", str(corpus), "--out", str(out), *rest, *FLAT]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and name in err
+    assert "Traceback" not in err and "Warning" not in err
+    assert not recwarn.list
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # sweep / compare
 

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import multiprocessing
+import os
 import random
 import sys
 import threading
@@ -378,10 +379,12 @@ def test_scoring_forward_bits_do_not_depend_on_a_recording_tape(n_layers, n_pair
     assert len(tape) > 0 and np.array_equal(plain, recorded)
 
 
-# Each thread has its own arena, so threads that score at once get the
+# Scoring calls that overlap from several threads run in turn and get the
 # serial trials. Three threads on two cores with a short switch interval
-# score the pairs in three different orders, so that no two threads compute
-# the same rows at the same time.
+# score the pairs in three different orders, four times each, so that calls
+# often arrive while another runs. Each call saves the OpenBLAS count, holds
+# it at one and restores it: a call let in beside another would save the
+# held count and could leave it behind.
 def test_concurrent_scoring_threads_get_the_serial_trials(blas_count):
     model = make_model(pairs=MIXED, seed=3)
     orders = [MIXED, MIXED[::-1], MIXED[7:] + MIXED[:7]]
@@ -484,26 +487,66 @@ def test_one_usable_cpu_scores_on_the_calling_thread(monkeypatch):
     assert callers == {threading.get_ident()}
 
 
-# The parent's helper thread does not survive a fork: a child forked after
-# the parent has scored starts its own and gets the parent's trials, where
-# waiting on the inherited helper would hang.
+# A call's helper threads are joined before it returns: one is alive while
+# the caller runs its forwards, none once the call is done.
+@needs_openblas
+def test_no_helper_thread_outlives_a_scoring_call(monkeypatch):
+    def helpers_alive():
+        return [t for t in threading.enumerate() if t.name.startswith("clozerm-score")]
+
+    model = make_model(pairs=MIXED, seed=3)
+    during = []
+    original = clozerm.evaluation.forward_mlm_batch
+    monkeypatch.setattr(clozerm.evaluation, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(clozerm.evaluation, "forward_mlm_batch",
+                        lambda *a: during.append(len(helpers_alive())) or original(*a))
+    score_pairs(model, MIXED)
+    assert max(during) == 1
+    assert helpers_alive() == []
+
+
+# A child forked after the parent has scored, while another parent thread is
+# inside a scoring call (its forwards held at a gate), scores at once and
+# gets the parent's trials, where a child that kept the call lock that thread
+# holds would wait on it for ever. The parent's call finishes with the same trials
+# once the gate opens.
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method")
-def test_a_forked_child_scores_after_the_parent_has_scored():
+def test_a_child_forked_during_another_threads_scoring_call_scores(monkeypatch):
     model = make_model(pairs=MIXED, seed=3)
     trials = score_pairs(model, MIXED)
-    context = multiprocessing.get_context("fork")
-    receive, send = context.Pipe(duplex=False)
-    child = context.Process(target=lambda: send.send(score_pairs(model, MIXED)))
-    child.start()
+    parent = os.getpid()
+    entered, gate = threading.Event(), threading.Event()
+    original = clozerm.evaluation.forward_mlm_batch
+
+    def gated(*args):
+        if os.getpid() == parent:
+            entered.set()
+            assert gate.wait(timeout=120), "the gate was never opened"
+        return original(*args)
+
+    monkeypatch.setattr(clozerm.evaluation, "forward_mlm_batch", gated)
+    blocked = []
+    scorer = threading.Thread(target=lambda: blocked.append(score_pairs(model, MIXED)))
+    scorer.start()
     try:
-        assert receive.poll(60), "the forked child did not finish scoring"
-        assert receive.recv() == trials
-    finally:
-        child.join(timeout=10)
-        if child.is_alive():
-            child.kill()
+        assert entered.wait(timeout=30), "the scoring thread never ran a forward"
+        context = multiprocessing.get_context("fork")
+        receive, send = context.Pipe(duplex=False)
+        child = context.Process(target=lambda: send.send(score_pairs(model, MIXED)))
+        child.start()
+        try:
+            assert receive.poll(30), "the forked child did not finish scoring"
+            assert receive.recv() == trials
+        finally:
             child.join(timeout=10)
-    assert child.exitcode == 0
+            if child.is_alive():
+                child.kill()
+                child.join(timeout=10)
+        assert child.exitcode == 0
+    finally:
+        gate.set()
+        scorer.join(timeout=60)
+    assert not scorer.is_alive() and blocked == [trials]
 
 
 # ---------------------------------------------------------------------------
