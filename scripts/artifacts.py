@@ -12,14 +12,14 @@ rank-4 checkpoints with its eval, an eval of the README-shape checkpoint
 under an overriding --prefix, evals of the three objectives' and the
 README-shape checkpoints on a 90-pair held-out set (30 single-length
 arithmetic pairs, so several full scoring chunks and a remainder), a
-two-epoch batch-1 cloze run on that set whose max_seq skips a few pairs
-with its eval, a pooled and a token-level run on that set whose max_seq
-skips a few pairs, each with its eval, a sweep and an objective
-comparison. Next to every eval
-report REPORT.eval.json it writes REPORT.trials.jsonl, one line per
-scored order of a pair from evaluation.score_pairs with p1 and p2 written
-by repr, so a change that moves a probability in its last bit shows even
-when no report changes.
+two-epoch batch-1 cloze run on that set whose max_seq skips a few pairs,
+scored at eval_every steps on a held-out set of which max_seq skips
+pairs too, with its eval, a pooled and a token-level run on that set
+whose max_seq skips a few pairs, each with its eval, a sweep and an
+objective comparison. Next to every eval report REPORT.eval.json it
+writes REPORT.trials.jsonl, one line per scored order of a pair from
+evaluation.score_pairs with p1 and p2 written by repr, so a change that
+moves a probability in its last bit shows even when no report changes.
 Every file is deterministic, so `diff -r` between the outputs of two
 checkouts shows whether a refactor kept the artifacts byte-identical:
 
@@ -111,9 +111,10 @@ def main(argv=None):
 
     # Two epochs at batch 1 and a max_seq that skips 3 of the 90 pairs: each
     # epoch draws every pair's order, skipped pairs included, and each step's
-    # loss shows the order it trained on.
+    # loss shows the order it trained on. The held-out set, 2 of whose 36
+    # pairs that max_seq skips, is scored every 40 steps.
     epochs2 = out / "epochs2.trm1"
-    clozerm("train", "--data", wide, "--heldout", heldout, "--epochs", 2, "--max-seq", 36,
+    clozerm("train", "--data", wide, "--heldout", heldout, "--epochs", 2, "--max-seq", 36, "--eval-every", 40,
             "--out", epochs2, "--trace", out / "epochs2.trace.csv", *SMALL, "--batch-size", 1)
     evaluate(epochs2, heldout, "epochs2")
 

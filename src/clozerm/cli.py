@@ -2,8 +2,8 @@
 
 Subcommands: synth, train, sweep, eval, merge, average, flops, compare.
 Exit codes: 0 success; 1 validation or usage errors; 2 I/O and file-format
-errors; 3 numerical divergence (non-finite training loss or evaluated
-logits). Results go to stdout or --out files;
+errors; 3 numerical divergence (non-finite training loss, trained
+parameters or evaluated logits). Results go to stdout or --out files;
 diagnostics go to stderr. train/sweep/compare accept --config FILE with
 flat key=value lines (keys named like the long flags, underscores for
 dashes); explicit flags override file values.
@@ -11,6 +11,8 @@ dashes); explicit flags override file values.
 
 import argparse
 import sys
+
+import numpy as np
 
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import (
@@ -409,7 +411,9 @@ def run(argv=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:  # the --help path
             return 0 if exc.code in (None, 0) else int(exc.code)
-        return args.func(args)
+        # Each non-finite result raises its own error; NumPy's warnings would repeat it.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -243,6 +243,23 @@ def render_pair(pair, template: ClozeTemplate, tokenizer: Tokenizer, max_seq: in
     return rows
 
 
+def render_pairs(pairs, template: ClozeTemplate, tokenizer: Tokenizer, max_seq: int, head: str,
+                 skipped=None) -> list:
+    """Each pair's render_pair rows, or None for a pair that cannot fit
+    max_seq. Such a pair's SkipRecord is raised, or, given a skipped list,
+    appended to it."""
+    rendered = []
+    for pair in pairs:
+        try:
+            rendered.append(render_pair(pair, template, tokenizer, max_seq, head))
+        except SkipRecord as exc:
+            if skipped is None:
+                raise
+            skipped.append(exc)
+            rendered.append(None)
+    return rendered
+
+
 def group_by_length(rows) -> dict:
     """Indices of the token-id rows grouped by row length; lengths and the
     indices within each length in first-seen order."""

@@ -46,5 +46,5 @@ class CheckpointError(ClozermError):
 
 
 class DivergenceError(ClozermError):
-    """Numerics diverged: the training loss or an evaluated option logit
-    became non-finite."""
+    """Numerics diverged: the training loss, the trained parameters or an
+    evaluated option logit became non-finite."""

@@ -29,9 +29,9 @@ from .data import (
     ORDER_ORIGINAL,
     ClozeTemplate,
     group_by_length,
-    render_pair,
+    render_pairs,
 )
-from .errors import ConfigError, ContractError, DivergenceError, SkipRecord
+from .errors import ConfigError, ContractError, DivergenceError
 from .model import (
     HEAD_MLM,
     HEAD_POOLED,
@@ -285,28 +285,33 @@ def score_pairs(model: EvalModel, pairs, skipped=None) -> list:
     turn. For the length of the call the loaded OpenBLAS is held at one
     thread, then its count is restored; scoring stays on the calling
     thread alone when the process may use one CPU, the plan has one
-    forward, or no OpenBLAS thread count can be set. A pair whose options
-    cannot fit max_seq raises SkipRecord, or, given a skipped list, is
-    appended to it and left out.
+    forward, or no OpenBLAS thread count can be set. The pairs are
+    rendered by data.render_pairs first: a pair whose options cannot fit
+    max_seq raises SkipRecord, or, given a skipped list, is appended to it
+    and left out.
     """
     cfg = model.config
-    rendered = []
-    for pair in pairs:
-        try:
-            pair_rows = render_pair(pair, model.template, model.tokenizer, cfg.max_seq, cfg.head_kind)
-        except SkipRecord:
-            if skipped is None:
-                raise
-            skipped.append(pair)
-            continue
+    pairs = list(pairs)
+    skips = None if skipped is None else []
+    rendered = render_pairs(pairs, model.template, model.tokenizer, cfg.max_seq, cfg.head_kind, skips)
+    if skips:
+        skipped.extend(pair for pair, rows in zip(pairs, rendered) if rows is None)
+    return _score_rendered(model, pairs, rendered)
+
+
+def _score_rendered(model: EvalModel, pairs, rendered) -> list:
+    """score_pairs' trials of the pairs whose render_pairs rows, rendered
+    with the model's template, tokenizer, max_seq and head, are not None."""
+    cfg = model.config
+    kept = [(pair, rows) for pair, rows in zip(pairs, rendered) if rows is not None]
+    for pair, pair_rows in kept:
         lengths = [len(row.token_ids) for row in pair_rows]
         if cfg.head_kind != HEAD_TOKEN and lengths[0] != lengths[1]:
             raise ContractError(f"the two orders of pair {pair.id!r} render to lengths {lengths}")
-        rendered.append((pair, pair_rows))
-    rows = [row for _, pair_rows in rendered for row in pair_rows]
+    rows = [row for _, pair_rows in kept for row in pair_rows]
     values = _score_chunks(model, rows, _plan_chunks([row.token_ids for row in rows]))
     trials = []
-    for (pair, _), first, second in zip(rendered, values[::2], values[1::2]):
+    for (pair, _), first, second in zip(kept, values[::2], values[1::2]):
         option_logits = [(first, second), (second, first)] if cfg.head_kind == HEAD_TOKEN else [first, second]
         if not all(math.isfinite(v) for logits in option_logits for v in logits):
             raise DivergenceError(f"non-finite option logits {option_logits} for pair {pair.id!r}")

@@ -22,7 +22,7 @@ from .data import (
     ClozeTemplate,
     build_tokenizer,
     group_by_length,
-    render_pair,
+    render_pairs,
 )
 from .errors import (
     ConfigError,
@@ -30,8 +30,8 @@ from .errors import (
     DataError,
     DivergenceError,
     ShapeError,
-    SkipRecord,
 )
+from .evaluation import EvalModel, _score_rendered, aggregate_trials, eval_dataset
 from .model import (
     HEAD_MLM,
     HEAD_POOLED,
@@ -304,19 +304,6 @@ _LOSSES = {
 }
 
 
-def _render_pairs(pairs, head, tokenizer, max_seq, template, skipped) -> list:
-    """Each pair's two rows from render_pair, or None for a pair that
-    cannot fit max_seq, which is recorded in skipped."""
-    rendered = []
-    for pair in pairs:
-        try:
-            rendered.append(render_pair(pair, template, tokenizer, max_seq, head))
-        except SkipRecord as exc:
-            skipped.append(f"{exc.record_id}: {exc.reason}")
-            rendered.append(None)
-    return rendered
-
-
 def plan_epoch(n_instances: int, batch_size: int, rng) -> list:
     """Shuffled batch index arrays for one epoch."""
     order = rng.permutation(n_instances)
@@ -344,18 +331,6 @@ def trace_to_csv(trace) -> str:
         acc = "" if row.heldout_acc is None else repr(row.heldout_acc)
         lines.append(f"{row.step},{row.lr!r},{row.loss!r},{acc}")
     return "\n".join(lines) + "\n"
-
-
-def _heldout_accuracy(wt, adapters, model_config, tokenizer, template, heldout_pairs) -> float:
-    from .evaluation import EvalModel, eval_dataset
-
-    model = EvalModel(
-        config=model_config,
-        weights=merge_adapters(wt, adapters),
-        tokenizer=tokenizer,
-        template=template,
-    )
-    return eval_dataset(model, heldout_pairs).total_accuracy
 
 
 def _flatten_parameters(tensors):
@@ -392,11 +367,14 @@ def train(config: TrainConfig, pairs, heldout=None, init_from=None, _template=No
     """Train one model over the pair list; deterministic given config.seed.
 
     heldout: optional pair list scored at eval_every steps, which need it,
-    and at the final step (accuracy lands in the trace). init_from:
-    checkpoint to continue from (any adapters in it are merged first); its
-    stored vocabulary is reused, so new text falls back to UNK. _template,
-    train_aao's domain map, replaces ClozeTemplate(config.prefix)
-    everywhere.
+    and at the final step (accuracy lands in the trace), as eval_dataset
+    scores the merged weights. It is rendered once with the training pairs,
+    before the first step, and one that max_seq skips entirely raises
+    ConfigError. Parameters left non-finite by the last update raise
+    DivergenceError. init_from: checkpoint to continue from (any adapters
+    in it are merged first); its stored vocabulary is reused, so new text
+    falls back to UNK. _template, train_aao's domain map, replaces
+    ClozeTemplate(config.prefix) everywhere.
     """
     pairs = list(pairs)
     if not pairs:
@@ -462,11 +440,16 @@ def train(config: TrainConfig, pairs, heldout=None, init_from=None, _template=No
     shuffle_rng = np.random.default_rng(shuffle_ss)
     batch_loss = _LOSSES[config.objective]
 
-    skipped = []
-    rendered = _render_pairs(pairs, head, tokenizer, model_config.max_seq, template, skipped)
+    skips = []
+    rendered = render_pairs(pairs, template, tokenizer, model_config.max_seq, head, skips)
+    skipped = [f"{exc.record_id}: {exc.reason}" for exc in skips]
     n_instances = len(pairs) - len(skipped)
     if not n_instances:
         raise DataError("every training record was skipped", skipped)
+    if heldout is not None:
+        heldout_rows = render_pairs(heldout, template, tokenizer, model_config.max_seq, head, [])
+        if not any(heldout_rows):
+            raise ConfigError("every held-out pair was skipped")
     total_steps = math.ceil(n_instances / config.batch_size) * config.epochs
     draw = config.order_policy == "shuffled" and config.objective != "token-level"
 
@@ -498,9 +481,12 @@ def train(config: TrainConfig, pairs, heldout=None, init_from=None, _template=No
             if heldout is not None and (
                 is_last or (config.eval_every > 0 and (step + 1) % config.eval_every == 0)
             ):
-                acc = _heldout_accuracy(wt, adapters, model_config, tokenizer, template, heldout)
+                model = EvalModel(model_config, merge_adapters(wt, adapters), tokenizer, template)
+                acc = aggregate_trials(_score_rendered(model, heldout, heldout_rows)).total_accuracy
             trace.append(TraceRow(step=step, lr=lr_t, loss=loss_value, heldout_acc=acc))
             step += 1
+    if not np.isfinite(flat_p).all():
+        raise DivergenceError(f"training parameters became non-finite at step {step - 1}")
 
     tensors = {name: t.data.copy() for name, t in wt.items()}
     for name, arr in adapter_tensors(adapters).items():
@@ -627,8 +613,6 @@ def sweep(spec: SweepSpec, pairs) -> list:
     The split stream is separate from the draw stream so adding trials
     never changes the split.
     """
-    from .evaluation import EvalModel, eval_dataset
-
     pairs = list(pairs)
     if len(pairs) < 2:
         raise ConfigError("sweep needs at least 2 pairs to split")

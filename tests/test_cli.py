@@ -19,6 +19,7 @@ from clozerm.data import (
     PREFIX_POOL,
     SYNTH_TASKS,
     ClozeTemplate,
+    PreferencePair,
     load_jsonl,
     save_jsonl,
     synth_generate,
@@ -154,19 +155,41 @@ def test_validation_error_exits_1(tmp_path, corpus):
 
 
 def test_empty_heldout_exits_1_before_training(tmp_path, corpus, capsys):
-    empty, out, trace = tmp_path / "empty.jsonl", tmp_path / "x.trm1", tmp_path / "x.csv"
+    # An empty file, and one whose only pair cannot fit --max-seq.
+    empty, overlong = tmp_path / "empty.jsonl", tmp_path / "overlong.jsonl"
     empty.write_text("")
-    assert run(["train", "--data", str(corpus), "--heldout", str(empty), "--out", str(out),
-                "--trace", str(trace), *TINY]) == 1
-    assert "held-out dataset is empty" in capsys.readouterr().err
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.jsonl"]
+    save_jsonl([PreferencePair("big", "x " * 200, "1", "2", "reasoning")], overlong)
+    out, trace = tmp_path / "x.trm1", tmp_path / "x.csv"
+    for heldout, message in ((empty, "held-out dataset is empty"), (overlong, "every held-out pair was skipped")):
+        assert run(["train", "--data", str(corpus), "--heldout", str(heldout), "--out", str(out),
+                    "--trace", str(trace), *TINY]) == 1
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["empty.jsonl", "overlong.jsonl"]
 
 
-def test_divergence_exits_3(tmp_path, corpus):
+def test_divergence_exits_3(tmp_path, corpus, capsys):
     out = tmp_path / "x.trm1"
-    with np.errstate(all="ignore"):
-        assert run(["train", "--data", str(corpus), "--out", str(out), *TINY,
-                    "--learning-rate", "1e30"]) == 3
+    assert run(["train", "--data", str(corpus), "--out", str(out), *TINY,
+                "--learning-rate", "1e30"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+# An update that overflows the parameters exits 3 with only the error line on
+# stderr (no NumPy warning) and writes nothing, also when it is a run's last:
+# at batch size 16 the run has one step, so no later loss shows it.
+@pytest.mark.parametrize("command", [
+    ["train", "--learning-rate", "1e30", "--batch-size", "16"],
+    ["sweep", "--lr-min", "1e30", "--lr-max", "1e30", "--ranks", "0", "--trials", "1"],
+], ids=["train-last-update", "sweep"])
+def test_overflowing_updates_exit_3_and_write_nothing(tmp_path, corpus, capsys, command):
+    sub, *rest = command
+    out = tmp_path / "out"
+    assert run([sub, "--data", str(corpus), "--out", str(out), *TINY, *rest]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "non-finite" in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +284,9 @@ def test_eval_non_finite_logits_exits_3(tmp_path, trained, corpus, capsys):
     broken = tmp_path / "overflow.trm1"
     save_checkpoint(Checkpoint(config=full.config, tensors=tensors, extra=full.extra), broken)
     report = tmp_path / "report.json"
-    with np.errstate(all="ignore"):
-        assert run(["eval", "--ckpt", str(broken), "--data", str(corpus), "--out", str(report)]) == 3
-    assert "non-finite" in capsys.readouterr().err
+    assert run(["eval", "--ckpt", str(broken), "--data", str(corpus), "--out", str(report)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "non-finite" in err
     assert not report.exists()
 
 

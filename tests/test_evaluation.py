@@ -15,6 +15,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import clozerm.data
 import clozerm.evaluation
 from clozerm.checkpoint import Checkpoint
 from clozerm.data import (
@@ -222,14 +223,14 @@ def test_both_orders_render_to_equal_length(prompt, a, b, max_seq):
 
 @pytest.mark.parametrize("objective", ["cloze", "pooled"])
 def test_score_pair_rejects_orders_of_unequal_length(objective, monkeypatch):
-    original = clozerm.evaluation.render_pair
+    original = clozerm.data.render_pair
 
     def longer_swapped(*args, **kwargs):
         rows = original(*args, **kwargs)
         rows[1].token_ids = rows[1].token_ids + [rows[1].token_ids[-1]]
         return rows
 
-    monkeypatch.setattr(clozerm.evaluation, "render_pair", longer_swapped)
+    monkeypatch.setattr(clozerm.data, "render_pair", longer_swapped)
     with pytest.raises(ContractError, match="render to lengths"):
         score_pairs(make_model(objective=objective, seed=3), [PAIRS[0]])
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import clozerm.data
 import clozerm.training
 from clozerm.checkpoint import Checkpoint
 from clozerm.data import (
@@ -625,12 +626,45 @@ def test_train_heldout_eval_points():
             assert 0.0 <= row.heldout_acc <= 1.0
 
 
+GIANT = PreferencePair(id="big", prompt="x " * 200, chosen="1", rejected="2", domain="reasoning")
+HELDOUT = [p for task, seed in (("arithmetic", 11), ("refusal", 12), ("verbosity", 13))
+           for p in synth_generate(task, 4, seed=seed)]
+
+
 def test_empty_heldout_is_rejected_before_the_first_step(monkeypatch):
     steps = []
     monkeypatch.setattr(clozerm.training, "adamw_step", lambda *a, **k: steps.append(1))
-    with pytest.raises(ConfigError, match="held-out dataset is empty"):
-        train(small_config(), PAIRS, heldout=iter([]))
+    for heldout, message in ((iter([]), "held-out dataset is empty"), ([GIANT], "every held-out pair was skipped")):
+        with pytest.raises(ConfigError, match=message):
+            train(small_config(), PAIRS, heldout=heldout)
     assert steps == []
+
+
+# The trace's held-out accuracy, scored on rows rendered once before the
+# first step, is the checkpoint's eval_dataset accuracy.
+@pytest.mark.parametrize("overrides,heldout", [
+    ({}, HELDOUT),
+    ({"objective": "pooled"}, HELDOUT),
+    ({"objective": "token-level"}, HELDOUT),
+    ({"dora": DoraSettings(rank=2), "freeze": FreezeSpec(n_frozen_layers=1),
+      "model": dataclasses.replace(SMALL, n_layers=2)}, HELDOUT),
+    ({}, HELDOUT[:6] + [GIANT] + HELDOUT[6:]),
+], ids=["cloze", "pooled", "token-level", "dora", "overlong"])
+def test_trace_heldout_accuracy_is_the_checkpoints_eval_accuracy(overrides, heldout):
+    result = train(small_config(epochs=2, eval_every=3, **overrides), PAIRS, heldout=heldout)
+    report = eval_dataset(EvalModel.from_checkpoint(result.checkpoint), heldout)
+    assert result.trace[-1].heldout_acc == report.total_accuracy
+    assert report.n_skipped == (GIANT in heldout)
+
+
+def test_train_renders_each_heldout_pair_once(monkeypatch):
+    rendered = []
+    original = clozerm.data.render_pair
+    monkeypatch.setattr(clozerm.data, "render_pair", lambda pair, *a: rendered.append(pair) or original(pair, *a))
+    heldout = HELDOUT + [GIANT]
+    result = train(small_config(eval_every=1), PAIRS, heldout=heldout)
+    assert len(result.trace) > 1 and all(row.heldout_acc is not None for row in result.trace)
+    assert [sum(p is pair for p in rendered) for pair in heldout] == [1] * len(heldout)
 
 
 def test_train_resume_with_frozen_layers_preserves_them_bitwise():
