@@ -81,7 +81,7 @@ from .training import (
     SweepSpec,
     TrainConfig,
     TrainResult,
-    adamw_step,
+    adamw_update,
     loss_cloze,
     loss_pooled,
     loss_token_level,

@@ -192,7 +192,8 @@ def _train_config_from(args) -> TrainConfig:
             targets = AdapterTargets(tuple(s.strip() for s in args.dora_targets.split(",")))
         dora = DoraSettings(rank=args.dora_rank, targets=targets)
     elif args.dora_targets is not None:
-        raise ConfigError("--dora-targets needs adapters: set --dora-rank above 0")
+        wanted = "a rank above 0 in --ranks" if args.command == "sweep" else "--dora-rank above 0"
+        raise ConfigError(f"--dora-targets needs adapters: set {wanted}")
     return TrainConfig(
         learning_rate=args.learning_rate,
         weight_decay=args.weight_decay,

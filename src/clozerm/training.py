@@ -149,76 +149,71 @@ def model_config_for(settings: ModelSettings, objective: str, vocab_size: int) -
     )
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.98
+ADAM_EPS = 1e-6
+
+
 @dataclass
 class OptimizerState:
-    beta1: float = 0.9
-    beta2: float = 0.98
-    eps: float = 1e-6
+    """adamw_update's step count, first and second moments and two scratch
+    arrays for one parameter array; the first update allocates the arrays."""
+
     t: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
-    scratch: dict = field(default_factory=dict)
+    m: "np.ndarray | None" = None
+    v: "np.ndarray | None" = None
+    scratch: tuple = ()
 
 
-def adamw_step(params, grads, state: OptimizerState, lr_t: float, weight_decay: float):
-    """One bias-corrected Adam update followed by decoupled decay
-    p *= (1 - lr_t * wd), all in place at each parameter's own dtype.
+def adamw_update(p, g, state: OptimizerState, lr_t: float, weight_decay: float) -> None:
+    """One bias-corrected Adam update of the parameter array p by the
+    gradient g, followed by decoupled decay p *= (1 - lr_t * wd), all in
+    place at p's dtype with β₁ = ADAM_BETA1, β₂ = ADAM_BETA2 and
+    ε = ADAM_EPS. g must have p's shape and dtype.
 
-    Parameters absent from `grads` see a zero gradient (their Adam update
-    is exactly zero; decay still applies). Frozen tensors are simply not
-    in `params`. The update is elementwise, so one call on a concatenation
-    of parameters gives the same bits as one call per parameter; its
-    temporaries go to two scratch arrays per parameter kept on `state`.
+    The update is elementwise, so one call on a concatenation of
+    parameters gives the same bits as one call per parameter: train()
+    makes one call per step on its flat parameter buffer. Its temporaries
+    go to the two scratch arrays on `state`.
 
-    A bias correction or decay factor that rounds to exactly 1.0 at the
-    parameter's dtype is skipped, since dividing or multiplying by it
-    changes no bit: in float32 the bias corrections reach 1.0 after a few
-    hundred steps, and 1 - lr_t * wd is 1.0 whenever lr_t * wd is at most
-    2**-25 (about 3e-8).
+    A bias correction or decay factor that rounds to exactly 1.0 at p's
+    dtype is skipped, since dividing or multiplying by it changes no bit:
+    in float32 the bias corrections reach 1.0 after a few hundred steps,
+    and 1 - lr_t * wd is 1.0 whenever lr_t * wd is at most 2**-25 (about
+    3e-8).
     """
     if lr_t < 0:
         raise ContractError("lr_t must be non-negative")
+    if g.shape != p.shape:
+        raise ShapeError(f"gradient shape {g.shape} does not match parameter shape {p.shape}")
+    if g.dtype != p.dtype:
+        raise ContractError(f"gradient dtype {g.dtype} does not match parameter dtype {p.dtype}")
+    if state.m is None:
+        state.m, state.v = np.zeros_like(p), np.zeros_like(p)
+        state.scratch = (np.empty_like(p), np.empty_like(p))
+    m, v, (s, u) = state.m, state.v, state.scratch
     state.t += 1
-    bc1 = 1.0 - state.beta1 ** state.t
-    bc2 = 1.0 - state.beta2 ** state.t
+    bc1 = 1.0 - ADAM_BETA1 ** state.t
+    bc2 = 1.0 - ADAM_BETA2 ** state.t
     decay = 1.0 - lr_t * weight_decay
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            g = np.zeros_like(p)
-        else:
-            g = np.asarray(g, dtype=p.dtype)
-            if g.shape != p.shape:
-                raise ShapeError(
-                    f"gradient shape {g.shape} does not match parameter {name!r} shape {p.shape}"
-                )
-        m = state.m.get(name)
-        if m is None:
-            m = state.m[name] = np.zeros_like(p)
-            v = state.v[name] = np.zeros_like(p)
-            state.scratch[name] = (np.empty_like(p), np.empty_like(p))
-        else:
-            v = state.v[name]
-        s, u = state.scratch[name]
-        np.multiply(m, state.beta1, out=m)
-        np.multiply(g, 1.0 - state.beta1, out=s)
-        m += s
-        np.multiply(v, state.beta2, out=v)
-        np.multiply(g, g, out=s)
-        np.multiply(s, 1.0 - state.beta2, out=s)
-        v += s
-        # p -= lr_t * ((m / bc1) / (sqrt(v / bc2) + eps)), in that order.
-        rounded = p.dtype.type
-        m_hat = m if rounded(bc1) == 1.0 else np.divide(m, bc1, out=s)
-        v_hat = v if rounded(bc2) == 1.0 else np.divide(v, bc2, out=u)
-        np.sqrt(v_hat, out=u)
-        np.add(u, state.eps, out=u)
-        np.divide(m_hat, u, out=s)
-        np.multiply(s, lr_t, out=s)
-        p -= s
-        if rounded(decay) != 1.0:
-            p *= decay
-    return params, state
+    np.multiply(m, ADAM_BETA1, out=m)
+    np.multiply(g, 1.0 - ADAM_BETA1, out=s)
+    m += s
+    np.multiply(v, ADAM_BETA2, out=v)
+    np.multiply(g, g, out=s)
+    np.multiply(s, 1.0 - ADAM_BETA2, out=s)
+    v += s
+    # p -= lr_t * ((m / bc1) / (sqrt(v / bc2) + eps)), in that order.
+    rounded = p.dtype.type
+    m_hat = m if rounded(bc1) == 1.0 else np.divide(m, bc1, out=s)
+    v_hat = v if rounded(bc2) == 1.0 else np.divide(v, bc2, out=u)
+    np.sqrt(v_hat, out=u)
+    np.add(u, ADAM_EPS, out=u)
+    np.divide(m_hat, u, out=s)
+    np.multiply(s, lr_t, out=s)
+    p -= s
+    if rounded(decay) != 1.0:
+        p *= decay
 
 
 def lr_linear(step: int, total_steps: int, lr_max: float) -> float:
@@ -353,12 +348,12 @@ def _flatten_parameters(tensors):
 
 def _clip_global_norm(grads, max_norm: float) -> float:
     total = 0.0
-    for g in grads.values():
+    for g in grads:
         total += float(np.sum(np.asarray(g, dtype=np.float64) ** 2))
     norm = math.sqrt(total)
     if norm > max_norm:
         scale = np.float32(max_norm / norm)
-        for g in grads.values():
+        for g in grads:
             g *= scale
     return norm
 
@@ -396,19 +391,9 @@ def train(config: TrainConfig, pairs, heldout=None, init_from=None, _template=No
         base_ckpt = merge_checkpoint(init_from)
         tokenizer = stored_tokenizer(base_ckpt)
         model_config = base_ckpt.config
-        want = (settings.n_layers, settings.hidden, settings.n_heads, settings.ffn_mult, settings.max_seq)
-        got = (model_config.n_layers, model_config.hidden, model_config.n_heads,
-               model_config.ffn_mult, model_config.max_seq)
-        if want != got:
-            raise ConfigError(f"init checkpoint model {got} does not match configured model {want}")
-        if model_config.head_kind != head:
-            raise ConfigError(
-                f"init checkpoint head {model_config.head_kind!r} does not match objective {config.objective!r}"
-            )
-        if head == HEAD_POOLED and model_config.pooling != settings.pooling:
-            raise ConfigError(
-                f"init checkpoint pooling {model_config.pooling!r} does not match configured {settings.pooling!r}"
-            )
+        want = model_config_for(settings, config.objective, model_config.vocab_size)
+        if model_config != want:
+            raise ConfigError(f"init checkpoint model {model_config} does not match configured model {want}")
         weights_np = {name: arr.copy() for name, arr in base_ckpt.tensors.items()}
     else:
         tokenizer = build_tokenizer(pairs)
@@ -426,13 +411,12 @@ def train(config: TrainConfig, pairs, heldout=None, init_from=None, _template=No
     trainable = [n for n in apply_freeze(weights_np, config.freeze) if n not in adapters]
     trainset = set(trainable)
     wt = {name: Tensor(arr, requires_grad=name in trainset) for name, arr in weights_np.items()}
-    param_tensors = {name: wt[name] for name in trainable}
-    for base_name, adapter in adapters.items():
-        for suffix, t in (("A", adapter.A), ("B", adapter.B), ("m", adapter.m)):
-            param_tensors[f"adapter.{base_name}.{suffix}"] = t
-    if not param_tensors:
+    params = [wt[name] for name in trainable]
+    for adapter in adapters.values():
+        params += (adapter.A, adapter.B, adapter.m)
+    if not params:
         raise ConfigError("nothing to train: every parameter is frozen")
-    flat_p, flat_g = _flatten_parameters(param_tensors.values())
+    flat_p, flat_g = _flatten_parameters(params)
     del weights_np  # its trainable arrays were copied into flat_p
 
     state = OptimizerState()
@@ -473,8 +457,8 @@ def train(config: TrainConfig, pairs, heldout=None, init_from=None, _template=No
                 raise DivergenceError(f"training loss became non-finite at step {step}")
             backward(tape, loss)
             if config.clip_norm is not None:
-                _clip_global_norm({name: t.grad for name, t in param_tensors.items()}, config.clip_norm)
-            adamw_step({"params": flat_p}, {"params": flat_g}, state, lr_t, config.weight_decay)
+                _clip_global_norm([t.grad for t in params], config.clip_norm)
+            adamw_update(flat_p, flat_g, state, lr_t, config.weight_decay)
             flat_g.fill(0)
             acc = None
             is_last = step + 1 == total_steps
@@ -607,8 +591,8 @@ def heldout_split(pairs, seed: int, stream: int, fraction: float):
 def sweep(spec: SweepSpec, pairs) -> list:
     """Train and evaluate each sampled trial on a seeded held-out split;
     rows sorted by accuracy desc, then GFLOPs/token asc, then trial index.
-    Every draw is checked against the base's layer count before the first
-    trial trains.
+    Every draw is checked against the base's layer count and width before
+    the first trial trains.
 
     The split stream is separate from the draw stream so adding trials
     never changes the split.
@@ -618,8 +602,12 @@ def sweep(spec: SweepSpec, pairs) -> list:
         raise ConfigError("sweep needs at least 2 pairs to split")
     draws = sample_trial_configs(spec)
     configs = [trial_config(spec, draw) for draw in draws]
+    hidden = spec.base.model.hidden
     for cfg in configs:
         cfg.freeze.check(spec.base.model.n_layers, adapters=cfg.dora is not None)
+        # Every adaptable matrix is hidden wide on its narrow side.
+        if cfg.dora is not None and cfg.dora.rank > hidden:
+            raise ConfigError(f"rank {cfg.dora.rank} out of range for a hidden-{hidden} model")
     train_pairs, eval_pairs = heldout_split(pairs, spec.seed, 1, spec.heldout_fraction)
 
     results = []

@@ -51,7 +51,7 @@ from clozerm.training import (
     OBJECTIVES,
     OptimizerState,
     TrainConfig,
-    adamw_step,
+    adamw_update,
     model_config_for,
     train,
 )
@@ -190,7 +190,7 @@ def test_criterion_06_decoupled_decay_law():
     start = p.astype(np.float64)
     state = OptimizerState()
     for _ in range(100):
-        adamw_step({"w": p}, {}, state, lr_t=0.1, weight_decay=0.01)
+        adamw_update(p, np.zeros_like(p), state, lr_t=0.1, weight_decay=0.01)
     law = start * (1.0 - 0.1 * 0.01) ** 100
     rel = np.max(np.abs(p.astype(np.float64) - law) / np.abs(law))
     assert rel < 1e-5

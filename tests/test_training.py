@@ -40,6 +40,9 @@ from clozerm.model import (
 from clozerm.peft import AdapterTargets, adapted_forward_weights, apply_freeze, attach_adapters
 from clozerm.tensor import Tape, Tensor
 from clozerm.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     DoraSettings,
     FreezeSpec,
     ModelSettings,
@@ -49,7 +52,7 @@ from clozerm.training import (
     TraceRow,
     _clip_global_norm,
     _flatten_parameters,
-    adamw_step,
+    adamw_update,
     loss_cloze,
     loss_pooled,
     loss_token_level,
@@ -80,14 +83,14 @@ def tensors_equal(a, b):
 
 
 # ---------------------------------------------------------------------------
-# adamw_step
+# adamw_update
 
 
 def test_adamw_zero_grad_no_decay_is_identity():
     p = np.linspace(-1.0, 1.0, 12, dtype=np.float32).reshape(3, 4)
     before = p.copy()
     state = OptimizerState()
-    adamw_step({"w": p}, {}, state, lr_t=0.5, weight_decay=0.0)
+    adamw_update(p, np.zeros_like(p), state, lr_t=0.5, weight_decay=0.0)
     assert np.array_equal(p, before)
     assert state.t == 1
 
@@ -97,7 +100,7 @@ def test_adamw_zero_grad_single_decay_step_exact():
     # p *= (1 - lr*wd), computed at the parameter's own float32 precision.
     p = np.random.default_rng(0).normal(size=(5, 3)).astype(np.float32)
     expected = p * np.float32(1.0 - 0.1 * 0.01)
-    adamw_step({"w": p}, {}, OptimizerState(), lr_t=0.1, weight_decay=0.01)
+    adamw_update(p, np.zeros_like(p), OptimizerState(), lr_t=0.1, weight_decay=0.01)
     assert np.array_equal(p, expected)
 
 
@@ -107,7 +110,7 @@ def test_adamw_decay_law_100_steps():
     start = p.astype(np.float64)
     state = OptimizerState()
     for _ in range(100):
-        adamw_step({"w": p}, {}, state, lr_t=0.1, weight_decay=0.01)
+        adamw_update(p, np.zeros_like(p), state, lr_t=0.1, weight_decay=0.01)
     law = start * (1.0 - 0.1 * 0.01) ** 100
     rel = np.max(np.abs(p.astype(np.float64) - law) / np.abs(law))
     assert rel < 1e-5
@@ -119,7 +122,7 @@ def test_adamw_single_step_hand_oracle():
     # so the update is exactly -lr / (1 + eps).
     p = np.array([0.0], dtype=np.float64)
     g = np.array([1.0], dtype=np.float64)
-    adamw_step({"w": p}, {"w": g}, OptimizerState(), lr_t=0.1, weight_decay=0.0)
+    adamw_update(p, g, OptimizerState(), lr_t=0.1, weight_decay=0.0)
     expected = -0.1 / (1.0 + 1e-6)
     assert abs(p[0] - expected) < 1e-7
 
@@ -141,7 +144,7 @@ def test_adamw_multi_step_matches_python_reference():
     p = np.array([0.3], dtype=np.float64)
     state = OptimizerState()
     for g, lr in zip(grads, lrs):
-        adamw_step({"w": p}, {"w": np.array([g])}, state, lr_t=lr, weight_decay=wd)
+        adamw_update(p, np.array([g]), state, lr_t=lr, weight_decay=wd)
     assert abs(p[0] - ref) < 1e-12
 
 
@@ -151,9 +154,10 @@ def test_adamw_skipped_identity_passes_keep_the_bits():
     # bit against always dividing and always decaying.
     rng = np.random.default_rng(5)
     beta1, beta2, eps = 0.9, 0.98, 1e-6
+    assert (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) == (beta1, beta2, eps)
     p = rng.normal(size=(64,)).astype(np.float32)
     ref, m, v = p.copy(), np.zeros_like(p), np.zeros_like(p)
-    state = OptimizerState(beta1=beta1, beta2=beta2, eps=eps)
+    state = OptimizerState()
     for t in range(1, 1001):
         g = rng.normal(size=p.shape).astype(np.float32)
         lr, wd = 1.75e-3 * (1.0 - t / 1000), (1e-5 if t % 2 else 0.5)
@@ -161,7 +165,7 @@ def test_adamw_skipped_identity_passes_keep_the_bits():
         v = v * beta2 + (g * g) * (1.0 - beta2)
         ref -= (m / (1.0 - beta1 ** t)) / (np.sqrt(v / (1.0 - beta2 ** t)) + eps) * lr
         ref *= 1.0 - lr * wd
-        adamw_step({"w": p}, {"w": g}, state, lr_t=lr, weight_decay=wd)
+        adamw_update(p, g, state, lr_t=lr, weight_decay=wd)
         assert np.array_equal(p, ref), t
     assert np.float32(1.0 - beta2 ** 1000) == 1.0 and np.float32(1.0 - 1.75e-3 * 1e-5) == 1.0
 
@@ -169,51 +173,56 @@ def test_adamw_skipped_identity_passes_keep_the_bits():
 def test_adamw_moments_persist_across_calls():
     p = np.array([1.0], dtype=np.float64)
     state = OptimizerState()
-    adamw_step({"w": p}, {"w": np.array([1.0])}, state, lr_t=0.0, weight_decay=0.0)
-    assert state.m["w"][0] == pytest.approx(0.1)
-    assert state.v["w"][0] == pytest.approx(0.02)
-    adamw_step({"w": p}, {"w": np.array([1.0])}, state, lr_t=0.0, weight_decay=0.0)
-    assert state.m["w"][0] == pytest.approx(0.9 * 0.1 + 0.1)
+    adamw_update(p, np.array([1.0]), state, lr_t=0.0, weight_decay=0.0)
+    assert state.m[0] == pytest.approx(0.1)
+    assert state.v[0] == pytest.approx(0.02)
+    adamw_update(p, np.array([1.0]), state, lr_t=0.0, weight_decay=0.0)
+    assert state.m[0] == pytest.approx(0.9 * 0.1 + 0.1)
     assert state.t == 2
 
 
-def test_adamw_missing_grad_still_decays():
-    p = np.array([2.0], dtype=np.float32)
-    adamw_step({"w": p}, {}, OptimizerState(), lr_t=0.1, weight_decay=0.5)
-    assert p[0] == pytest.approx(2.0 * (1 - 0.05), rel=1e-6)
-
-
-def test_adamw_shape_mismatch_names_tensor():
-    p = np.zeros((2, 3), dtype=np.float32)
-    with pytest.raises(ShapeError, match="'w'"):
-        adamw_step({"w": p}, {"w": np.zeros((3, 2), dtype=np.float32)}, OptimizerState(), 0.1, 0.0)
+@pytest.mark.parametrize("grad,error,message", [
+    (np.zeros((3, 2), dtype=np.float32), ShapeError, r"gradient shape \(3, 2\) does not match parameter shape \(2, 3\)"),
+    (np.zeros((2, 3), dtype=np.float64), ContractError, "gradient dtype float64 does not match parameter dtype float32"),
+], ids=["shape", "dtype"])
+def test_adamw_gradient_must_match_parameter(grad, error, message):
+    # A mismatched gradient raises before any state or parameter changes.
+    p = np.ones((2, 3), dtype=np.float32)
+    state = OptimizerState()
+    with pytest.raises(error, match=message):
+        adamw_update(p, grad, state, 0.1, 0.0)
+    assert state.t == 0 and state.m is None
+    assert np.array_equal(p, np.ones((2, 3), dtype=np.float32))
 
 
 def test_adamw_negative_lr_rejected():
+    p = np.zeros(3, dtype=np.float32)
     with pytest.raises(ContractError):
-        adamw_step({}, {}, OptimizerState(), lr_t=-0.1, weight_decay=0.0)
+        adamw_update(p, np.zeros_like(p), OptimizerState(), lr_t=-0.1, weight_decay=0.0)
 
 
 def test_adamw_on_concatenation_equals_per_tensor_bitwise():
     # train() updates one flat buffer holding every parameter; that must
-    # give the same bits as one update per tensor. "b" gets no gradient.
+    # give the same bits as one update per tensor, each with its own state.
+    # "b" gets a zero gradient.
     rng = np.random.default_rng(4)
     shapes = {"a": (33, 17), "b": (64,), "c": (5, 9, 3)}
     params = {n: rng.normal(size=s).astype(np.float32) for n, s in shapes.items()}
     flat = np.concatenate([p.ravel() for p in params.values()])
-    per_tensor, whole = OptimizerState(), OptimizerState()
+    per_tensor = {n: OptimizerState() for n in params}
+    whole = OptimizerState()
     for step in range(4):
         grads = {n: rng.normal(size=shapes[n]).astype(np.float32) for n in ("a", "c")}
-        flat_grad = np.concatenate(
-            [grads[n].ravel() if n in grads else np.zeros(p.size, np.float32) for n, p in params.items()]
-        )
+        grads["b"] = np.zeros(shapes["b"], np.float32)
+        flat_grad = np.concatenate([grads[n].ravel() for n in params])
         lr_t = lr_linear(step, 4, 0.01)
-        adamw_step(params, grads, per_tensor, lr_t, weight_decay=0.1)
-        adamw_step({"params": flat}, {"params": flat_grad}, whole, lr_t, weight_decay=0.1)
+        for n, p in params.items():
+            adamw_update(p, grads[n], per_tensor[n], lr_t, weight_decay=0.1)
+        adamw_update(flat, flat_grad, whole, lr_t, weight_decay=0.1)
         assert np.array_equal(flat, np.concatenate([p.ravel() for p in params.values()]))
         for moments in ("m", "v"):
-            split = np.concatenate([a.ravel() for a in getattr(per_tensor, moments).values()])
-            assert np.array_equal(getattr(whole, moments)["params"], split)
+            split = np.concatenate([getattr(s, moments).ravel() for s in per_tensor.values()])
+            assert np.array_equal(getattr(whole, moments), split)
 
 
 # ---------------------------------------------------------------------------
@@ -242,11 +251,11 @@ def test_clip_global_norm_scales_flat_buffer_through_views():
     flat_g[:] = rng.normal(size=flat_g.size)
     before = math.sqrt(float(np.sum(flat_g.astype(np.float64) ** 2)))
     assert before > 1.0
-    norm = _clip_global_norm({str(i): t.grad for i, t in enumerate(tensors)}, 1.0)
+    norm = _clip_global_norm([t.grad for t in tensors], 1.0)
     assert norm == pytest.approx(before, rel=1e-12)
     assert float(np.linalg.norm(flat_g.astype(np.float64))) == pytest.approx(1.0, rel=1e-6)
     kept = flat_g.copy()
-    assert _clip_global_norm({str(i): t.grad for i, t in enumerate(tensors)}, 2.0) == pytest.approx(1.0, rel=1e-6)
+    assert _clip_global_norm([t.grad for t in tensors], 2.0) == pytest.approx(1.0, rel=1e-6)
     assert np.array_equal(flat_g, kept)
 
 
@@ -633,7 +642,7 @@ HELDOUT = [p for task, seed in (("arithmetic", 11), ("refusal", 12), ("verbosity
 
 def test_empty_heldout_is_rejected_before_the_first_step(monkeypatch):
     steps = []
-    monkeypatch.setattr(clozerm.training, "adamw_step", lambda *a, **k: steps.append(1))
+    monkeypatch.setattr(clozerm.training, "adamw_update", lambda *a, **k: steps.append(1))
     for heldout, message in ((iter([]), "held-out dataset is empty"), ([GIANT], "every held-out pair was skipped")):
         with pytest.raises(ConfigError, match=message):
             train(small_config(), PAIRS, heldout=heldout)
@@ -750,7 +759,7 @@ def test_dora_with_every_layer_frozen_is_rejected_before_the_first_step(monkeypa
     settings = dataclasses.replace(SMALL, n_layers=2)
     base = train(small_config(model=settings), PAIRS).checkpoint
     steps = []
-    monkeypatch.setattr(clozerm.training, "adamw_step", lambda *a, **k: steps.append(1))
+    monkeypatch.setattr(clozerm.training, "adamw_update", lambda *a, **k: steps.append(1))
     config = small_config(model=settings, freeze=FreezeSpec(n_frozen_layers=2), dora=DoraSettings(rank=8))
     for init_from in (base, None):
         with pytest.raises(ConfigError, match="no layer to adapt"):
@@ -943,17 +952,19 @@ def test_sweep_deterministic():
     assert sweep(l0_spec(trials=2), PAIRS) == sweep(l0_spec(trials=2), PAIRS)
 
 
-@pytest.mark.parametrize("ranks,frozen_max,error", [
-    ((0, 4), 2, "DoRA has no layer to adapt: all 2 layers are frozen"),
-    ((0,), 3, "cannot freeze 3 layers of a 2-layer model"),
-], ids=["dora-all-frozen", "too-many-frozen"])
-def test_sweep_checks_every_draw_before_the_first_trial(ranks, frozen_max, error, monkeypatch):
-    # On a 2-layer base, seed 0 draws such a trial after trials that would
-    # train.
+@pytest.mark.parametrize("ranks,frozen_max,seed,error", [
+    ((0, 4), 2, 0, "DoRA has no layer to adapt: all 2 layers are frozen"),
+    ((0,), 3, 0, "cannot freeze 3 layers of a 2-layer model"),
+    ((0, 100), 0, 2, "rank 100 out of range for a hidden-16 model"),
+], ids=["dora-all-frozen", "too-many-frozen", "rank-above-hidden"])
+def test_sweep_checks_every_draw_before_the_first_trial(ranks, frozen_max, seed, error, monkeypatch):
+    # On a 2-layer, hidden-16 base, each seed draws such a trial after
+    # trials that would train.
     spec = SweepSpec(base=small_config(model=dataclasses.replace(SMALL, n_layers=2)),
-                     trials=6, seed=0, ranks=ranks, frozen_max=frozen_max)
+                     trials=6, seed=seed, ranks=ranks, frozen_max=frozen_max)
     draws = sample_trial_configs(spec)
-    bad = [i for i, d in enumerate(draws) if d.frozen_layers > 2 or (d.dora_rank and d.frozen_layers == 2)]
+    bad = [i for i, d in enumerate(draws)
+           if d.frozen_layers > 2 or (d.dora_rank and d.frozen_layers == 2) or d.dora_rank > 16]
     assert bad and bad[0] > 0
     trained = []
     monkeypatch.setattr(clozerm.training, "train", lambda *a, **k: trained.append(a))
