@@ -16,7 +16,9 @@ two-epoch batch-1 cloze run on that set whose max_seq skips a few pairs,
 scored at eval_every steps on a held-out set of which max_seq skips
 pairs too, with its eval, a pooled and a token-level run on that set
 whose max_seq skips a few pairs, each with its eval, a sweep and an
-objective comparison. Next to every eval report REPORT.eval.json it
+objective comparison, and six runs that freeze lower layers (criterion
+07's DoRA arm, full-rank cloze, pooled-mean and token-level runs, every
+layer frozen, and one with trainable embeddings), each with its eval. Next to every eval report REPORT.eval.json it
 writes REPORT.trials.jsonl, one line per scored order of a pair from
 evaluation.score_pairs with p1 and p2 written by repr, so a change that
 moves a probability in its last bit shows even when no report changes.
@@ -126,6 +128,32 @@ def main(argv=None):
         clozerm("train", "--data", wide, "--heldout", heldout, "--objective", objective, "--max-seq", max_seq,
                 "--out", ckpt, "--trace", out / f"{objective}.skips.trace.csv", *SMALL)
         evaluate(ckpt, heldout, f"{objective}.skips")
+
+    # Runs whose embeddings and lower layers are frozen, so that training
+    # computes their hidden states outside the step: criterion 07's DoRA
+    # arm (README shape, batch 1, rank 8, layer 0 frozen, no clipping); a
+    # full-rank run at batch 3 on the mixed-length set; pooled-mean and
+    # token-level runs; both layers of the 2-layer model frozen, whose last
+    # layer still computes only the mask rows in the step; and layer 0
+    # frozen under trainable embeddings, which keeps the whole stack in the
+    # step. The seed of frozen1 and the rate of frozen2 are picked so that
+    # their held-out accuracy is not exactly 0.5.
+    adapt("dora-frozen", "--init-from", readme, "--dora-rank", 8, "--frozen-layers", 1,
+          "--n-layers", 2, "--hidden", 64, "--n-heads", 8, "--batch-size", 1,
+          "--learning-rate", "1.75e-3", "--seed", 7)
+    frozen_runs = {
+        "frozen1": ["--batch-size", 3, "--seed", 5],
+        "frozen1.mean": ["--objective", "pooled", "--pooling", "mean", "--batch-size", 3],
+        "frozen1.token-level": ["--objective", "token-level", "--batch-size", 3],
+        "frozen2": ["--frozen-layers", 2, "--batch-size", 3, "--learning-rate", "3e-2", "--epochs", 3],
+        "frozen1.embeddings": ["--no-freeze-embeddings", "--batch-size", 3],
+    }
+    for name, args in frozen_runs.items():
+        ckpt = out / f"{name}.trm1"
+        frozen = [] if "--frozen-layers" in args else ["--frozen-layers", 1]
+        clozerm("train", "--data", wide, "--heldout", heldout, *frozen, "--out", ckpt,
+                "--trace", out / f"{name}.trace.csv", *SMALL, *args)
+        evaluate(ckpt, heldout, name)
 
     clozerm("sweep", "--data", data, "--trials", 3, "--ranks", "0,4", "--frozen-max", 1,
             "--out", out / "sweep.csv", *SMALL)

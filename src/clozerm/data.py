@@ -269,6 +269,30 @@ def group_by_length(rows) -> dict:
     return groups
 
 
+# Tokens (rows x length) stacked into one untaped forward: a scoring
+# forward, in whole pairs and at least one (8 pairs of length 29, 5 of
+# length 48, 4 of length 64), or a forward of a training run's frozen
+# layers. At the README width a short forward is largely fixed per-call cost,
+# but the block ops' arena (see tensor.py) grows with the stack. On a 2-core
+# VM, 512 with the arena scored 29-token pairs about x1.35 faster than 4
+# pairs a forward without it, for 1.5-2% more peak memory. 448 was as fast
+# on 29 tokens but stacks only 3 pairs of 64, and larger budgets take more
+# memory. Without the arena, larger stacks faulted in more heap.
+TOKEN_BUDGET = 512
+
+
+def plan_chunks(token_rows, unit: int = 1) -> list:
+    """The row indices of each forward over the token-id rows, in planned
+    order: rows of one length, lengths in first-seen order, as many rows a
+    forward as fit TOKEN_BUDGET tokens in a multiple of unit, and at least
+    unit rows. Scoring plans in units of 2, a pair's two rows."""
+    plan = []
+    for length, idxs in group_by_length(token_rows).items():
+        cap = unit * max(1, TOKEN_BUDGET // (unit * length))
+        plan += [idxs[lo : lo + cap] for lo in range(0, len(idxs), cap)]
+    return plan
+
+
 def vocab_texts(pairs):
     """Every string the vocabulary must cover: the prefix pool plus each
     pair's filled cloze rendering and both response renderings."""

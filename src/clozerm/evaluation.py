@@ -28,7 +28,7 @@ from .data import (
     ORDERS,
     ORDER_ORIGINAL,
     ClozeTemplate,
-    group_by_length,
+    plan_chunks,
     render_pairs,
 )
 from .errors import ConfigError, ContractError, DivergenceError
@@ -45,16 +45,6 @@ from .peft import merge_checkpoint
 from .tokenizer import VERB1_ID, VERB2_ID, Tokenizer
 
 TIE_EPS = 1e-9
-
-# Tokens (rows x length) stacked into one scoring forward, in whole pairs
-# and at least one pair: 8 pairs of length 29, 5 of length 48, 4 of length
-# 64. At the README width a short forward is largely fixed per-call cost,
-# but the block ops' arena (see tensor.py) grows with the stack. On a 2-core
-# VM, 512 with the arena scored 29-token pairs about x1.35 faster than 4
-# pairs a forward without it, for 1.5-2% more peak memory. 448 was as fast
-# on 29 tokens but stacks only 3 pairs of 64, and larger budgets take more
-# memory. Without the arena, larger stacks faulted in more heap.
-TOKEN_BUDGET = 512
 
 
 @dataclass
@@ -148,18 +138,6 @@ def _score_rows(model: EvalModel, rows) -> list:
         return [(float(row[0]), float(row[1])) for row in logits]
     scores = forward_token_batch(model.weights, cfg, ids).data
     return [_span_mean(scores_row, row.read) for scores_row, row in zip(scores, rows)]
-
-
-def _plan_chunks(token_rows) -> list:
-    """The row indices of each scoring forward, in the order they are
-    planned: rows of one length, lengths in first-seen order, as many whole
-    pairs' rows a forward as fit TOKEN_BUDGET tokens and at least one
-    pair's."""
-    plan = []
-    for length, idxs in group_by_length(token_rows).items():
-        cap = 2 * max(1, TOKEN_BUDGET // (2 * length))
-        plan += [idxs[lo : lo + cap] for lo in range(0, len(idxs), cap)]
-    return plan
 
 
 @functools.cache
@@ -275,11 +253,11 @@ def score_pairs(model: EvalModel, pairs, skipped=None) -> list:
     DivergenceError naming the pair instead of being scored.
 
     Rows of one length are stacked into forwards of as many whole pairs'
-    rows as fit TOKEN_BUDGET tokens (at least one pair), lengths in
-    first-seen order. The calling thread and up to one helper thread per
-    further usable CPU take those forwards from one shared plan, and each
-    forward's values go to their rows' indices, so the trials are those of
-    serial scoring bit for bit. The helpers are started for the call and
+    rows as fit data.TOKEN_BUDGET tokens (at least one pair), lengths in
+    first-seen order, as data.plan_chunks plans them. The calling thread
+    and up to one helper thread per further usable CPU take those
+    forwards from one shared plan, and each forward's values go to their
+    rows' indices, so the trials are those of serial scoring bit for bit. The helpers are started for the call and
     joined before it returns, so only the calling thread's arena (see
     tensor.py) outlives it; calls that overlap from several threads run in
     turn. For the length of the call the loaded OpenBLAS is held at one
@@ -309,7 +287,7 @@ def _score_rendered(model: EvalModel, pairs, rendered) -> list:
         if cfg.head_kind != HEAD_TOKEN and lengths[0] != lengths[1]:
             raise ContractError(f"the two orders of pair {pair.id!r} render to lengths {lengths}")
     rows = [row for _, pair_rows in kept for row in pair_rows]
-    values = _score_chunks(model, rows, _plan_chunks([row.token_ids for row in rows]))
+    values = _score_chunks(model, rows, plan_chunks([row.token_ids for row in rows], unit=2))
     trials = []
     for (pair, _), first, second in zip(kept, values[::2], values[1::2]):
         option_logits = [(first, second), (second, first)] if cfg.head_kind == HEAD_TOKEN else [first, second]

@@ -164,30 +164,31 @@ def _check_ids(config, ids: np.ndarray):
     return shape
 
 
-def encode_batch(weights, config: ModelConfig, ids: np.ndarray, query=None) -> Tensor:
-    """Run the encoder stack on [batch, seq] ids; returns [batch*seq, hidden]
-    final hidden states (after the final layer norm).
-
-    With query, an int array [batch] of positions, returns only each
-    sequence's hidden state at its query position, [batch, hidden]: the last
-    layer computes attention queries, FFN and final layer norm at those rows
-    alone, since nothing else reads the other rows."""
-    ids = np.asarray(ids, dtype=np.int64)
-    batch, seq = _check_ids(config, ids)
-    if query is not None:
-        query = np.asarray(query, dtype=np.int64)
-        if query.shape != (batch,) or (query < 0).any() or (query >= seq).any():
-            raise ContractError("query must hold one position inside each sequence")
-
+def _embed(weights, ids: np.ndarray, batch: int, seq: int) -> Tensor:
     positions = np.tile(np.arange(seq, dtype=np.int64), batch)
-    x = add(
+    return add(
         gather_rows(_get(weights, "tok_emb"), ids.reshape(-1)),
         gather_rows(_get(weights, "pos_emb"), positions),
     )
-    if query is not None and config.n_layers == 0:
-        x = gather_rows(x, np.arange(batch, dtype=np.int64) * seq + query)
 
-    for i in range(config.n_layers):
+
+def embed(weights, config: ModelConfig, ids: np.ndarray) -> Tensor:
+    """Token plus position embeddings of [batch, seq] ids: the hidden
+    states entering layer 0, [batch*seq, hidden]."""
+    ids = np.asarray(ids, dtype=np.int64)
+    batch, seq = _check_ids(config, ids)
+    return _embed(weights, ids, batch, seq)
+
+
+def run_layers(weights, config: ModelConfig, x: Tensor, seq: int, layers, query=None) -> Tensor:
+    """Run the encoder layers in `layers`, consecutive and ascending, over
+    the hidden states x, [batch*seq, hidden], entering the first of them.
+
+    query, an int array [batch] of positions, applies at the model's last
+    layer when it is among `layers`: that layer computes attention queries
+    and FFN at each sequence's query row alone and returns [batch, hidden],
+    since nothing else reads the other rows."""
+    for i in layers:
         p = f"layer{i}."
         a = layer_norm(x, _get(weights, p + "ln1.gain"), _get(weights, p + "ln1.bias"))
         x = residual_attention(
@@ -196,16 +197,60 @@ def encode_batch(weights, config: ModelConfig, ids: np.ndarray, query=None) -> T
         )
         b = layer_norm(x, _get(weights, p + "ln2.gain"), _get(weights, p + "ln2.bias"))
         x = residual_ffn(x, b, _get(weights, p + "w1"), _get(weights, p + "w2"))
+    return x
 
+
+def final_norm(weights, x: Tensor) -> Tensor:
+    """The final layer norm of the last layer's hidden states."""
     return layer_norm(x, _get(weights, "final_ln.gain"), _get(weights, "final_ln.bias"))
+
+
+def encode_batch(weights, config: ModelConfig, ids: np.ndarray, query=None, x=None, start=0) -> Tensor:
+    """Run the encoder stack on [batch, seq] ids; returns [batch*seq, hidden]
+    final hidden states (after the final layer norm): embed, run_layers
+    over every layer, final_norm.
+
+    With query, an int array [batch] of positions, returns only each
+    sequence's hidden state at its query position, [batch, hidden] (see
+    run_layers).
+
+    With x, the [batch*seq, hidden] hidden states entering layer start
+    (0 < start < n_layers) for these ids, only layers start.. run, so a
+    training run whose embeddings and lower layers are frozen computes
+    their states outside the step. The last layer always runs here, so its
+    query rows are those of a forward from the ids, bit for bit. The ids
+    are checked either way."""
+    ids = np.asarray(ids, dtype=np.int64)
+    batch, seq = _check_ids(config, ids)
+    if query is not None:
+        query = np.asarray(query, dtype=np.int64)
+        if query.shape != (batch,) or (query < 0).any() or (query >= seq).any():
+            raise ContractError("query must hold one position inside each sequence")
+
+    if x is None:
+        if start != 0:
+            raise ContractError("a start layer needs the hidden states entering it")
+        x = _embed(weights, ids, batch, seq)
+        if query is not None and config.n_layers == 0:
+            x = gather_rows(x, np.arange(batch, dtype=np.int64) * seq + query)
+    else:
+        if not 0 < start < config.n_layers:
+            raise ContractError(f"start layer {start} outside [1, {config.n_layers - 1}]")
+        x = x if isinstance(x, Tensor) else Tensor(x)
+        if x.shape != (batch * seq, config.hidden):
+            raise ShapeError(f"hidden states {x.shape} do not fit {batch} sequences of {seq}")
+
+    return final_norm(weights, run_layers(weights, config, x, seq, range(start, config.n_layers), query))
 
 
 def _head(weights, rows: Tensor) -> Tensor:
     return add(matmul(rows, _get(weights, "head.w")), _get(weights, "head.b"))
 
 
-def forward_mlm_batch(weights, config: ModelConfig, ids: np.ndarray, mask_positions) -> Tensor:
-    """Full-vocabulary logits at each sequence's mask position: [batch, vocab]."""
+def forward_mlm_batch(weights, config: ModelConfig, ids: np.ndarray, mask_positions, x=None, start=0) -> Tensor:
+    """Full-vocabulary logits at each sequence's mask position: [batch, vocab].
+    x and start: the hidden states entering layer start, as encode_batch
+    takes them."""
     if config.head_kind != HEAD_MLM:
         raise ContractError(f"forward_mlm_batch requires the mlm head, got {config.head_kind}")
     ids = np.asarray(ids, dtype=np.int64)
@@ -217,11 +262,12 @@ def forward_mlm_batch(weights, config: ModelConfig, ids: np.ndarray, mask_positi
         raise ContractError("mask position outside the sequence")
     if (ids[np.arange(batch), pos] != MASK_ID).any():
         raise ContractError("mask position does not hold the mask token")
-    return _head(weights, encode_batch(weights, config, ids, query=pos))
+    return _head(weights, encode_batch(weights, config, ids, query=pos, x=x, start=start))
 
 
-def forward_pooled_batch(weights, config: ModelConfig, ids: np.ndarray) -> Tensor:
-    """Two-way logits from pooled final hidden states: [batch, 2]."""
+def forward_pooled_batch(weights, config: ModelConfig, ids: np.ndarray, x=None, start=0) -> Tensor:
+    """Two-way logits from pooled final hidden states: [batch, 2]. x and
+    start as encode_batch takes them."""
     if config.head_kind != HEAD_POOLED:
         raise ContractError(f"forward_pooled_batch requires the pooled-classifier head, got {config.head_kind}")
     ids = np.asarray(ids, dtype=np.int64)
@@ -229,19 +275,20 @@ def forward_pooled_batch(weights, config: ModelConfig, ids: np.ndarray) -> Tenso
     if config.pooling == "cls":
         if (ids[:, 0] != CLS_ID).any():
             raise ContractError("cls pooling requires sequences to start with the CLS token")
-        pooled = encode_batch(weights, config, ids, query=np.zeros(batch, dtype=np.int64))
+        pooled = encode_batch(weights, config, ids, query=np.zeros(batch, dtype=np.int64), x=x, start=start)
     else:
-        hidden = encode_batch(weights, config, ids)
+        hidden = encode_batch(weights, config, ids, x=x, start=start)
         pooled = tmean(reshape(hidden, (batch, seq, config.hidden)), axis=1)
     return _head(weights, pooled)
 
 
-def forward_token_batch(weights, config: ModelConfig, ids: np.ndarray) -> Tensor:
-    """One scalar logit per token: [batch, seq]."""
+def forward_token_batch(weights, config: ModelConfig, ids: np.ndarray, x=None, start=0) -> Tensor:
+    """One scalar logit per token: [batch, seq]. x and start as
+    encode_batch takes them."""
     if config.head_kind != HEAD_TOKEN:
         raise ContractError(f"forward_token_batch requires the token-classifier head, got {config.head_kind}")
     ids = np.asarray(ids, dtype=np.int64)
     batch, seq = _batch_shape(config, ids)
-    hidden = encode_batch(weights, config, ids)
+    hidden = encode_batch(weights, config, ids, x=x, start=start)
     return reshape(_head(weights, hidden), (batch, seq))
 

@@ -19,9 +19,11 @@ from .checkpoint import Checkpoint, stored_tokenizer
 from .data import (
     DOMAIN_PREFIXES,
     PREFIX_POOL,
+    TOKEN_BUDGET,
     ClozeTemplate,
     build_tokenizer,
     group_by_length,
+    plan_chunks,
     render_pairs,
 )
 from .errors import (
@@ -37,10 +39,12 @@ from .model import (
     HEAD_POOLED,
     HEAD_TOKEN,
     ModelConfig,
+    embed,
     forward_mlm_batch,
     forward_pooled_batch,
     forward_token_batch,
     init_weights,
+    run_layers,
 )
 from .peft import (
     AdapterTargets,
@@ -232,21 +236,31 @@ def _check_batch(config: ModelConfig, head: str, objective: str, batch) -> None:
         raise ContractError(f"{objective} loss needs a non-empty batch")
 
 
-def loss_cloze(weights, config: ModelConfig, rows) -> Tensor:
+def _stacked(states, idxs):
+    """The states of rows idxs stacked for one forward, or None."""
+    return None if states is None else np.concatenate([states[i] for i in idxs])
+
+
+def loss_cloze(weights, config: ModelConfig, rows, states=None, start=0) -> Tensor:
     """Mean full-vocabulary cross-entropy at each row's mask against its
-    gold verbalizer, one forward per group of equal-length rows."""
+    gold verbalizer, one forward per group of equal-length rows.
+
+    states, in the three losses: each row's hidden states entering layer
+    start, as frozen_states computes them; the forwards then run only
+    layers start.. (see model.encode_batch)."""
     _check_batch(config, HEAD_MLM, "cloze", rows)
     total = None
     for idxs in group_by_length([r.token_ids for r in rows]).values():
         ids = np.array([rows[i].token_ids for i in idxs], dtype=np.int64)
         pos = np.array([rows[i].read for i in idxs], dtype=np.int64)
         golds = np.array([rows[i].target for i in idxs], dtype=np.int64)
-        group = tsum(cross_entropy_rows(forward_mlm_batch(weights, config, ids, pos), golds))
+        logits = forward_mlm_batch(weights, config, ids, pos, x=_stacked(states, idxs), start=start)
+        group = tsum(cross_entropy_rows(logits, golds))
         total = group if total is None else add(total, group)
     return mul(total, 1.0 / len(rows))
 
 
-def loss_pooled(weights, config: ModelConfig, rows) -> Tensor:
+def loss_pooled(weights, config: ModelConfig, rows, states=None, start=0) -> Tensor:
     """Mean two-way cross-entropy on the pooled representation; class 0
     means Option 1 is the better response."""
     _check_batch(config, HEAD_POOLED, "pooled", rows)
@@ -254,12 +268,13 @@ def loss_pooled(weights, config: ModelConfig, rows) -> Tensor:
     for idxs in group_by_length([r.token_ids for r in rows]).values():
         ids = np.array([rows[i].token_ids for i in idxs], dtype=np.int64)
         labels = np.array([rows[i].target for i in idxs], dtype=np.int64)
-        group = tsum(cross_entropy_rows(forward_pooled_batch(weights, config, ids), labels))
+        logits = forward_pooled_batch(weights, config, ids, x=_stacked(states, idxs), start=start)
+        group = tsum(cross_entropy_rows(logits, labels))
         total = group if total is None else add(total, group)
     return mul(total, 1.0 / len(rows))
 
 
-def loss_token_level(weights, config: ModelConfig, rows) -> Tensor:
+def loss_token_level(weights, config: ModelConfig, rows, states=None, start=0) -> Tensor:
     """Mean over pairs of the binary cross-entropy averaged over both
     response spans, the rows being each pair's chosen row then its rejected
     row: each row's label on every token of its span. Scaffold tokens
@@ -276,15 +291,16 @@ def loss_token_level(weights, config: ModelConfig, rows) -> Tensor:
     total = None
     for length, idxs in group_by_length([r.token_ids for r in rows]).items():
         ids = np.array([rows[i].token_ids for i in idxs], dtype=np.int64)
-        flat = reshape(forward_token_batch(weights, config, ids), (len(idxs) * length, 1))
+        scores = forward_token_batch(weights, config, ids, x=_stacked(states, idxs), start=start)
+        flat = reshape(scores, (len(idxs) * length, 1))
         gidx = []
         labels = []
         wvec = []
         for k, i in enumerate(idxs):
-            start, end = rows[i].read
-            gidx.extend(range(k * length + start, k * length + end))
-            labels.extend([rows[i].target] * (end - start))
-            wvec.extend([pair_weights[i // 2]] * (end - start))
+            lo, hi = rows[i].read
+            gidx.extend(range(k * length + lo, k * length + hi))
+            labels.extend([rows[i].target] * (hi - lo))
+            wvec.extend([pair_weights[i // 2]] * (hi - lo))
         sel = gather_rows(flat, np.asarray(gidx, dtype=np.int64))
         bce = bce_with_logits(sel, np.asarray(labels, dtype=np.float32).reshape(-1, 1))
         group = tsum(mul(bce, np.asarray(wvec, dtype=np.float32).reshape(-1, 1)))
@@ -297,6 +313,57 @@ _LOSSES = {
     "pooled": loss_pooled,
     "token-level": loss_token_level,
 }
+
+
+def frozen_states(weights, config: ModelConfig, rows, k: int) -> list:
+    """Each row's hidden states entering layer k, [seq, hidden]: embed and
+    run_layers over layers 0..k-1, untaped, in the forwards that
+    data.plan_chunks plans over the rows, each of one length and at most
+    TOKEN_BUDGET tokens unless one row is longer. Each state is a view into
+    its forward's output. Stacking rows changes no bit of a row's states
+    (the tests check it against batch-1 forwards): every matmul here has a
+    row per token, and only a one-row product, which a one-token row would
+    make, takes another BLAS path."""
+    states = [None] * len(rows)
+    for idxs in plan_chunks([r.token_ids for r in rows]):
+        ids = np.array([rows[i].token_ids for i in idxs], dtype=np.int64)
+        seq = ids.shape[1]
+        out = run_layers(weights, config, embed(weights, config, ids), seq, range(k)).data
+        for j, i in enumerate(idxs):
+            states[i] = out[j * seq : (j + 1) * seq]
+    return states
+
+
+def _step_runs(batches):
+    """Runs of consecutive batches of rows, each as many batches as fit
+    TOKEN_BUDGET tokens and at least one."""
+    run, tokens = [], 0
+    for batch in batches:
+        n = sum(len(row.token_ids) for row in batch)
+        if run and tokens + n > TOKEN_BUDGET:
+            yield run
+            run, tokens = [], 0
+        run.append(batch)
+        tokens += n
+    if run:
+        yield run
+
+
+def _with_frozen_states(weights, config: ModelConfig, batches, k: int):
+    """Each batch of rows with its rows' frozen_states, or None when k is 0.
+    The states are computed before each of the _step_runs of the batches,
+    so the frozen layers see each row once and only one run's states are
+    held at a time."""
+    if not k:
+        for batch in batches:
+            yield batch, None
+        return
+    for run in _step_runs(batches):
+        states = frozen_states(weights, config, [row for batch in run for row in batch], k)
+        lo = 0
+        for batch in run:
+            yield batch, states[lo : lo + len(batch)]
+            lo += len(batch)
 
 
 def plan_epoch(n_instances: int, batch_size: int, rng) -> list:
@@ -370,6 +437,13 @@ def train(config: TrainConfig, pairs, heldout=None, init_from=None, _template=No
     in it are merged first); its stored vocabulary is reused, so new text
     falls back to UNK. _template, train_aao's domain map, replaces
     ClozeTemplate(config.prefix) everywhere.
+
+    With the embeddings and layers 0..k-1 frozen (k >= 1), the steps run
+    only layers from min(k, n_layers - 1) up, from the frozen_states of
+    their rows: before each run of consecutive steps that fits
+    TOKEN_BUDGET tokens, the frozen layers run untaped over that run's
+    rows, so they see each trained row once per epoch. Stacking the rows
+    changes no bit of the run (see frozen_states).
     """
     pairs = list(pairs)
     if not pairs:
@@ -435,6 +509,14 @@ def train(config: TrainConfig, pairs, heldout=None, init_from=None, _template=No
         if not any(heldout_rows):
             raise ConfigError("every held-out pair was skipped")
     total_steps = math.ceil(n_instances / config.batch_size) * config.epochs
+    # With the embeddings and layers 0..k-1 frozen, and so free of adapters,
+    # the states entering layer k depend on the token ids alone, and the
+    # steps start there from frozen_states. The last layer always runs in
+    # the step: at the query rows (mask or cls) a step of one sequence
+    # multiplies one row, which rounds unlike a row of a stacked call.
+    start = 0
+    if config.freeze.embeddings_frozen:
+        start = min(config.freeze.n_frozen_layers, model_config.n_layers - 1)
     draw = config.order_policy == "shuffled" and config.objective != "token-level"
 
     trace = []
@@ -446,12 +528,13 @@ def train(config: TrainConfig, pairs, heldout=None, init_from=None, _template=No
         picks = [1 if draw and order_rng.random() >= 0.5 else 0 for _ in rendered]
         instances = [rows if head == HEAD_TOKEN else rows[pick : pick + 1]
                      for rows, pick in zip(rendered, picks) if rows is not None]
-        for batch_idx in plan_epoch(n_instances, config.batch_size, shuffle_rng):
-            batch = [row for i in batch_idx for row in instances[i]]
+        batches = ([row for i in batch_idx for row in instances[i]]
+                   for batch_idx in plan_epoch(n_instances, config.batch_size, shuffle_rng))
+        for batch, states in _with_frozen_states(wt, model_config, batches, start):
             lr_t = lr_linear(step, total_steps, config.learning_rate)
             with Tape() as tape:
                 eff = adapted_forward_weights(wt, adapters) if adapters else wt
-                loss = batch_loss(eff, model_config, batch)
+                loss = batch_loss(eff, model_config, batch, states, start)
             loss_value = float(loss.data)
             if not np.isfinite(loss_value):
                 raise DivergenceError(f"training loss became non-finite at step {step}")

@@ -22,6 +22,7 @@ from clozerm.data import (
     DOMAIN_PREFIXES,
     ORDER_SWAPPED,
     ORDERS,
+    TOKEN_BUDGET,
     ClozeTemplate,
     PreferencePair,
     build_tokenizer,
@@ -31,7 +32,6 @@ from clozerm.data import (
 from clozerm.errors import CheckpointError, ConfigError, ContractError, DivergenceError, ShapeError, SkipRecord
 from clozerm.evaluation import (
     TIE_EPS,
-    TOKEN_BUDGET,
     EvalModel,
     TradeoffPoint,
     TrialRecord,
@@ -301,7 +301,7 @@ def test_grouped_scoring_forwards_per_length_group(objective, monkeypatch):
     # nine arithmetic pairs in two full chunks and a remainder; and one
     # token, below a single pair, which still takes one pair a forward.
     for tokens, arithmetic_chunks in ((TOKEN_BUDGET, None), (8 * arithmetic, [8, 8, 2]), (1, [2] * 9)):
-        monkeypatch.setattr(clozerm.evaluation, "TOKEN_BUDGET", tokens)
+        monkeypatch.setattr(clozerm.data, "TOKEN_BUDGET", tokens)
         # Rows of one length in first-seen order, as many whole pairs' rows
         # a forward as fit the budget, and at least one pair's.
         expected = []
@@ -309,7 +309,7 @@ def test_grouped_scoring_forwards_per_length_group(objective, monkeypatch):
             idxs = [k for k, n in enumerate(lengths) if n == length]
             cap = 2 * max(1, tokens // (2 * length))
             expected += [idxs[lo : lo + cap] for lo in range(0, len(idxs), cap)]
-        assert clozerm.evaluation._plan_chunks(token_rows) == expected
+        assert clozerm.data.plan_chunks(token_rows, unit=2) == expected
         # Threads take the planned forwards in no fixed order, so the
         # forwards that ran are compared as a multiset.
         shapes.clear()

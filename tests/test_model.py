@@ -12,12 +12,15 @@ from clozerm.model import (
     HEAD_TOKEN,
     ModelConfig,
     count_params,
+    embed,
     encode_batch,
+    final_norm,
     forward_mlm_batch,
     forward_pooled_batch,
     forward_token_batch,
     init_weights,
     manifest,
+    run_layers,
 )
 from clozerm.tokenizer import CLS_ID, MASK_ID
 from helpers import encoder_loops, head_loops
@@ -256,6 +259,84 @@ def test_encode_batch_rejects_query_outside_a_sequence():
     for query in ([0, 4], [-1, 0], [0, 1, 2]):
         with pytest.raises(ContractError, match="query"):
             encode_batch(weights, config, ids, query=query)
+
+
+@pytest.mark.parametrize("query", [None, [0, 5, 2]], ids=["every-row", "query"])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_embed_run_layers_final_norm_is_bitwise_encode_batch(k, query):
+    config = mlm_config(n_layers=3, hidden=8, n_heads=2)
+    weights = init_weights(config, seed=9)
+    ids = np.random.default_rng(9).integers(0, config.vocab_size, size=(3, 6))
+    x = run_layers(weights, config, embed(weights, config, ids), 6, range(k), query)
+    got = final_norm(weights, run_layers(weights, config, x, 6, range(k, 3), query)).data
+    assert np.array_equal(got, encode_batch(weights, config, ids, query=query).data)
+
+
+def prefix_config(head_kind, pooling=None):
+    return mlm_config(n_layers=3, hidden=8, n_heads=2, head_kind=head_kind, pooling=pooling)
+
+
+def prefix_ids(config):
+    ids = np.random.default_rng(10).integers(6, config.vocab_size, size=(3, 6))
+    ids[:, 0] = CLS_ID
+    ids[:, 4] = MASK_ID
+    return ids
+
+
+PREFIX_FORWARDS = pytest.mark.parametrize(
+    "head_kind,pooling,forward",
+    [
+        (HEAD_MLM, None, lambda w, c, ids, **kw: forward_mlm_batch(w, c, ids, [4, 4, 4], **kw)),
+        (HEAD_POOLED, "cls", forward_pooled_batch),
+        (HEAD_POOLED, "mean", forward_pooled_batch),
+        (HEAD_TOKEN, None, forward_token_batch),
+    ],
+    ids=["mlm", "cls", "mean", "token"],
+)
+
+
+@PREFIX_FORWARDS
+@pytest.mark.parametrize("k", [1, 2])
+def test_forwards_from_the_states_entering_layer_k_are_bitwise_the_forwards_from_ids(
+    head_kind, pooling, forward, k
+):
+    config = prefix_config(head_kind, pooling)
+    weights = init_weights(config, seed=10)
+    ids = prefix_ids(config)
+    x = run_layers(weights, config, embed(weights, config, ids), 6, range(k))
+    got = forward(weights, config, ids, x=x, start=k).data
+    assert np.array_equal(got, forward(weights, config, ids).data)
+
+
+@PREFIX_FORWARDS
+def test_forwards_from_states_still_check_the_ids(head_kind, pooling, forward):
+    config = prefix_config(head_kind, pooling)
+    weights = init_weights(config, seed=10)
+    ids = prefix_ids(config)
+    x = run_layers(weights, config, embed(weights, config, ids), 6, range(1))
+    out_of_vocab = ids.copy()
+    out_of_vocab[1, 2] = config.vocab_size
+    with pytest.raises(IndexError):
+        forward(weights, config, out_of_vocab, x=x, start=1)
+    if head_kind == HEAD_MLM or pooling == "cls":
+        bad = ids.copy()
+        bad[:, 4 if head_kind == HEAD_MLM else 0] = 6
+        with pytest.raises(ContractError, match="mask token" if head_kind == HEAD_MLM else "CLS"):
+            forward(weights, config, bad, x=x, start=1)
+
+
+def test_encode_batch_rejects_states_that_do_not_enter_a_middle_layer():
+    config = prefix_config(HEAD_TOKEN)
+    weights = init_weights(config, seed=10)
+    ids = prefix_ids(config)
+    x = run_layers(weights, config, embed(weights, config, ids), 6, range(1))
+    for start in (0, 3, 4):
+        with pytest.raises(ContractError, match="start layer"):
+            encode_batch(weights, config, ids, x=x, start=start)
+    with pytest.raises(ContractError, match="start layer"):
+        encode_batch(weights, config, ids, start=1)
+    with pytest.raises(ShapeError, match="hidden states"):
+        encode_batch(weights, config, ids[:2], x=x, start=1)
 
 
 def test_cls_and_mean_pooling_give_one_row_per_sequence():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import clozerm.data
+import clozerm.model
 import clozerm.training
 from clozerm.checkpoint import Checkpoint
 from clozerm.data import (
@@ -32,10 +33,12 @@ from clozerm.model import (
     HEAD_MLM,
     HEAD_POOLED,
     HEAD_TOKEN,
+    embed,
     forward_mlm_batch,
     forward_pooled_batch,
     forward_token_batch,
     init_weights,
+    run_layers,
 )
 from clozerm.peft import AdapterTargets, adapted_forward_weights, apply_freeze, attach_adapters
 from clozerm.tensor import Tape, Tensor
@@ -53,6 +56,7 @@ from clozerm.training import (
     _clip_global_norm,
     _flatten_parameters,
     adamw_update,
+    frozen_states,
     loss_cloze,
     loss_pooled,
     loss_token_level,
@@ -354,11 +358,11 @@ def test_batch1_cloze_step_at_readme_shape_records_17_tape_ops():
     assert all(tensor.grad is not None for tensor in wt.values())
 
 
-def test_dora_step_at_readme_shape_records_16_tape_ops():
-    # With layer 0 and the embeddings frozen, the ops before layer 1 record
-    # nothing. Layer 1's four block ops and the six of the final layer norm,
-    # head and loss remain, plus one dora_weight op per adapted matrix of
-    # layer 1.
+def test_dora_step_at_readme_shape_records_16_tape_ops(monkeypatch):
+    # With layer 0 and the embeddings frozen, the step starts from the
+    # states entering layer 1, and calls layer 1's block ops alone. Layer
+    # 1's four block ops and the six of the final layer norm, head and loss
+    # are recorded, plus one dora_weight op per adapted matrix of layer 1.
     settings = ModelSettings(n_layers=2, hidden=64, n_heads=8, max_seq=64)
     wt, config, tok = build_model("cloze", PAIRS, settings=settings)
     weights = {name: tensor.data for name, tensor in wt.items()}
@@ -367,9 +371,16 @@ def test_dora_step_at_readme_shape_records_16_tape_ops():
     for name in apply_freeze(weights, freeze):
         wt[name].requires_grad = name not in adapters
     row = render_pair(PAIRS[0], TEMPLATE, tok, settings.max_seq, HEAD_MLM)[0]
+    states = frozen_states(wt, config, [row], 1)
+    calls = []
+    for name in ("residual_attention", "residual_ffn"):
+        op = getattr(clozerm.model, name)
+        monkeypatch.setattr(clozerm.model, name,
+                            lambda *a, _op=op, _name=name, **kw: calls.append(_name) or _op(*a, **kw))
     with Tape() as tape:
-        loss = loss_cloze(adapted_forward_weights(wt, adapters), config, [row])
+        loss = loss_cloze(adapted_forward_weights(wt, adapters), config, [row], states, 1)
     assert len(adapters) == 6 and len(tape) == 16
+    assert calls == ["residual_attention", "residual_ffn"]
     tape.backward(loss)
     assert all(t.grad is not None for ad in adapters.values() for t in (ad.A, ad.B, ad.m))
 
@@ -513,6 +524,108 @@ def test_loss_rejects_empty_batch_before_any_forward(objective, loss_fn):
         with pytest.raises(ContractError, match="non-empty batch"):
             loss_fn(wt, config, [])
     assert len(tape) == 0
+
+
+# ---------------------------------------------------------------------------
+# frozen layers outside the step
+
+DEEP = ModelSettings(n_layers=3, hidden=16, n_heads=2, ffn_mult=2, max_seq=48)
+
+
+def spy_steps(monkeypatch, objective):
+    """Each step's (rows, states, start) as train() hands them to its loss."""
+    steps = []
+    loss_fn = clozerm.training._LOSSES[objective]
+
+    def recording_loss(weights, config, batch, states, start):
+        steps.append((batch, states, start))
+        return loss_fn(weights, config, batch, states, start)
+
+    monkeypatch.setitem(clozerm.training._LOSSES, objective, recording_loss)
+    return steps
+
+
+def spy_frozen_forwards(monkeypatch):
+    """The ids of each forward that train() runs over its frozen layers."""
+    forwards = []
+
+    def recording_embed(weights, config, ids):
+        forwards.append(np.asarray(ids))
+        return embed(weights, config, ids)
+
+    monkeypatch.setattr(clozerm.training, "embed", recording_embed)
+    return forwards
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("batch_size", [1, 3])
+@pytest.mark.parametrize(
+    "objective,pooling",
+    [("cloze", "cls"), ("pooled", "cls"), ("pooled", "mean"), ("token-level", "cls")],
+    ids=["cloze", "pooled-cls", "pooled-mean", "token-level"],
+)
+def test_each_step_starts_from_batch1_states_of_its_rows(objective, pooling, batch_size, k, monkeypatch):
+    # The states entering layer min(k, n_layers - 1): the last layer stays
+    # in the step, where it computes the query rows as a forward from ids.
+    steps = spy_steps(monkeypatch, objective)
+    config = small_config(objective=objective, batch_size=batch_size, freeze=FreezeSpec(n_frozen_layers=k),
+                          model=dataclasses.replace(DEEP, pooling=pooling))
+    result = train(config, MIXED)
+    # The embeddings and frozen layers leave training as they entered it.
+    weights, model_config = result.checkpoint.tensors, result.checkpoint.config
+    depth = min(k, DEEP.n_layers - 1)
+    assert len(steps) == len(result.trace)
+    lengths = set()
+    for batch, states, start in steps:
+        assert start == depth and len(states) == len(batch)
+        for row, state in zip(batch, states):
+            ids = np.array([row.token_ids])
+            x = embed(weights, model_config, ids)
+            assert np.array_equal(state, run_layers(weights, model_config, x, ids.shape[1], range(depth)).data)
+            lengths.add(ids.shape[1])
+    assert len(lengths) > 2
+
+
+@pytest.mark.parametrize("budget", [100, 1])
+def test_frozen_layers_see_each_trained_row_once_per_epoch_in_forwards_within_the_budget(budget, monkeypatch):
+    config = small_config(batch_size=2, epochs=2, model=DEEP, freeze=FreezeSpec(n_frozen_layers=1))
+    default = train(config, MIXED).checkpoint
+    monkeypatch.setattr(clozerm.training, "TOKEN_BUDGET", budget)
+    monkeypatch.setattr(clozerm.data, "TOKEN_BUDGET", budget)
+    forwards = spy_frozen_forwards(monkeypatch)
+    trained, ahead = [], []
+
+    def recording_loss(weights, config, batch, states, start):
+        # Tokens through the frozen layers but not yet trained on: at most
+        # one run's, so at most the budget or this one step's rows.
+        trained.extend(tuple(row.token_ids) for row in batch)
+        done = sum(forward.size for forward in forwards) - sum(map(len, trained))
+        ahead.append(done <= max(budget, sum(len(row.token_ids) for row in batch)))
+        return loss_cloze(weights, config, batch, states, start)
+
+    monkeypatch.setitem(clozerm.training._LOSSES, "cloze", recording_loss)
+    result = train(config, MIXED)
+    assert sorted(tuple(ids) for forward in forwards for ids in forward.tolist()) == sorted(trained)
+    assert len(trained) == 2 * len(MIXED) and all(ahead)
+    assert all(forward.size <= budget or len(forward) == 1 for forward in forwards)
+    assert len(forwards) < len(trained) if budget > 1 else len(forwards) == len(trained)
+    # How the rows are stacked changes no bit of the run.
+    assert tensors_equal(result.checkpoint.tensors, default.tensors)
+
+
+def test_trainable_embeddings_keep_every_layer_in_the_step(monkeypatch):
+    steps = spy_steps(monkeypatch, "cloze")
+    forwards = spy_frozen_forwards(monkeypatch)
+    frozen = train(small_config(model=DEEP, freeze=FreezeSpec(n_frozen_layers=1)), MIXED).checkpoint
+    assert forwards and all(start == 1 for _, _, start in steps)
+    forwards.clear()
+    steps.clear()
+    config = small_config(model=DEEP, freeze=FreezeSpec(n_frozen_layers=1, freeze_embeddings=False))
+    trainable = train(config, MIXED).checkpoint
+    assert forwards == [] and steps
+    assert all(states is None and start == 0 for _, states, start in steps)
+    assert not np.array_equal(trainable.tensors["tok_emb"], frozen.tensors["tok_emb"])
+    assert np.array_equal(trainable.tensors["layer0.wq"], frozen.tensors["layer0.wq"])
 
 
 # ---------------------------------------------------------------------------
@@ -787,9 +900,9 @@ def test_each_step_trains_the_seeded_order_draw(objective, order_policy, max_seq
     loss_fn = clozerm.training._LOSSES[objective]
     trained = []
 
-    def recording_loss(weights, config, batch):
+    def recording_loss(weights, config, batch, *frozen):
         trained.extend((row.source_id, row.order) for row in batch)
-        return loss_fn(weights, config, batch)
+        return loss_fn(weights, config, batch, *frozen)
 
     monkeypatch.setitem(clozerm.training._LOSSES, objective, recording_loss)
     config = small_config(objective=objective, order_policy=order_policy, batch_size=1, epochs=2,
