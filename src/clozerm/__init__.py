@@ -41,7 +41,6 @@ from .evaluation import (
     EvalModel,
     EvalReport,
     TradeoffPoint,
-    aggregate_chat,
     aggregate_trials,
     compare_objectives,
     emit_tradeoff,
@@ -50,7 +49,6 @@ from .evaluation import (
     format_gflops,
     format_score,
     overall,
-    parse_tradeoff,
     score_pairs,
 )
 from .model import (

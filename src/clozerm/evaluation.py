@@ -252,8 +252,11 @@ def score_pairs(model: EvalModel, pairs, skipped=None) -> list:
     logits gives p1 and p2. A non-finite option logit raises
     DivergenceError naming the pair instead of being scored.
 
-    Rows of one length are stacked into forwards of as many whole pairs'
-    rows as fit data.TOKEN_BUDGET tokens (at least one pair), lengths in
+    A pair whose rendered rows (token ids and read positions) repeat an
+    earlier pair's is not scored again: its trials carry that pair's
+    probabilities under its own id and domain. The distinct pairs' rows of
+    one length are stacked into forwards of as many whole pairs' rows as
+    fit data.TOKEN_BUDGET tokens (at least one pair), lengths in
     first-seen order, as data.plan_chunks plans them. The calling thread
     and up to one helper thread per further usable CPU take those
     forwards from one shared plan, and each forward's values go to their
@@ -279,17 +282,32 @@ def score_pairs(model: EvalModel, pairs, skipped=None) -> list:
 
 def _score_rendered(model: EvalModel, pairs, rendered) -> list:
     """score_pairs' trials of the pairs whose render_pairs rows, rendered
-    with the model's template, tokenizer, max_seq and head, are not None."""
+    with the model's template, tokenizer, max_seq and head, are not None.
+
+    Pairs are told apart by their rows' token ids and read positions, not
+    by id or text, so one text under two domain prompts is two pairs. Each
+    distinct pair's two rows are scored once, in its first copy's place,
+    and every copy's trials take those values under its own id and domain;
+    a forward still holds whole pairs. The copies' trials therefore have
+    the bits of a call over the distinct pairs alone."""
     cfg = model.config
     kept = [(pair, rows) for pair, rows in zip(pairs, rendered) if rows is not None]
+    rows = []
+    first_row = {}  # a pair's rows' token ids and reads -> the index of its first row in rows
+    at = []
     for pair, pair_rows in kept:
         lengths = [len(row.token_ids) for row in pair_rows]
         if cfg.head_kind != HEAD_TOKEN and lengths[0] != lengths[1]:
             raise ContractError(f"the two orders of pair {pair.id!r} render to lengths {lengths}")
-    rows = [row for _, pair_rows in kept for row in pair_rows]
+        key = tuple((tuple(row.token_ids), row.read) for row in pair_rows)
+        if key not in first_row:
+            first_row[key] = len(rows)
+            rows += pair_rows
+        at.append(first_row[key])
     values = _score_chunks(model, rows, plan_chunks([row.token_ids for row in rows], unit=2))
     trials = []
-    for (pair, _), first, second in zip(kept, values[::2], values[1::2]):
+    for (pair, _), i in zip(kept, at):
+        first, second = values[i], values[i + 1]
         option_logits = [(first, second), (second, first)] if cfg.head_kind == HEAD_TOKEN else [first, second]
         if not all(math.isfinite(v) for logits in option_logits for v in logits):
             raise DivergenceError(f"non-finite option logits {option_logits} for pair {pair.id!r}")
@@ -359,21 +377,6 @@ def eval_dataset(model: EvalModel, pairs) -> EvalReport:
     return aggregate_trials(trials, gflops_per_token=gflops, n_skipped=len(skipped))
 
 
-def aggregate_chat(sub_scores) -> float:
-    """Weighted mean over (accuracy, n) sub-splits."""
-    sub_scores = list(sub_scores)
-    if not sub_scores:
-        raise ContractError("aggregate_chat needs at least one sub-score")
-    total_n = 0
-    total = 0.0
-    for acc, n in sub_scores:
-        if n < 1:
-            raise ContractError("every sub-score needs n >= 1")
-        total += acc * n
-        total_n += n
-    return total / total_n
-
-
 def overall(chat, reasoning, safety) -> float:
     """Unweighted mean of the category accuracies that are not None, of
     which there must be at least one; accepts either fractions in [0, 1] or
@@ -412,9 +415,11 @@ def format_gflops(flops: float) -> str:
     g = flops / 1e9
     if g <= 0:
         raise ContractError("flops must be positive")
-    exponent = math.floor(math.log10(g))
-    decimals = max(0, 2 - exponent)
-    return f"{round(g, 2 - exponent):.{decimals}f}"
+    # The exponent of g rounded to 3 significant digits, so that 0.0099999
+    # renders as '0.0100', not '0.01000'.
+    rounded = f"{g:.2e}"
+    decimals = max(0, 2 - int(rounded.split("e")[1]))
+    return f"{float(rounded):.{decimals}f}"
 
 
 _TRADEOFF_HEADER = "label,gflops_per_token,accuracy"
@@ -443,25 +448,6 @@ def emit_tradeoff(points, path) -> None:
     for p in rows:
         lines.append(f"{p.label},{p.gflops_per_token!r},{p.accuracy!r}")
     atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def parse_tradeoff(path):
-    """The points of a tradeoff CSV; a row that emit_tradeoff would not
-    write raises ContractError naming its line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(n, line.rstrip("\n")) for n, line in enumerate(fh, 1) if line.strip()]
-    if not lines or lines[0][1] != _TRADEOFF_HEADER:
-        raise ContractError(f"not a tradeoff CSV: {path}")
-    points = []
-    for n, line in lines[1:]:
-        try:
-            label, gflops, acc = line.split(",")
-            point = TradeoffPoint(label=label, gflops_per_token=float(gflops), accuracy=float(acc))
-            _check_point(point)
-        except (ValueError, ContractError) as exc:
-            raise ContractError(f"{path} line {n} ({line!r}): {exc}") from None
-        points.append(point)
-    return points
 
 
 @dataclass

@@ -9,6 +9,7 @@ import os
 import random
 import sys
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ import clozerm.evaluation
 from clozerm.checkpoint import Checkpoint
 from clozerm.data import (
     DOMAIN_PREFIXES,
+    DOMAINS,
     ORDER_SWAPPED,
     ORDERS,
     TOKEN_BUDGET,
@@ -35,7 +37,6 @@ from clozerm.evaluation import (
     EvalModel,
     TradeoffPoint,
     TrialRecord,
-    aggregate_chat,
     aggregate_trials,
     compare_objectives,
     comparison_to_json,
@@ -46,7 +47,6 @@ from clozerm.evaluation import (
     format_gflops,
     format_score,
     overall,
-    parse_tradeoff,
     report_to_json,
     report_to_table,
     score_pairs,
@@ -358,6 +358,112 @@ def test_grouped_scoring_divergence_names_the_pair(monkeypatch):
     monkeypatch.setattr(clozerm.evaluation, "forward_mlm_batch", poisoned)
     with pytest.raises(DivergenceError, match=f"pair {MIXED[at].id!r}"):
         eval_dataset(model, MIXED)
+
+
+# ---------------------------------------------------------------------------
+# repeated pairs
+
+
+def copies(pairs, tag):
+    """The pairs under new ids, each moved to the next domain: TEMPLATE has
+    one prefix, so a copy renders to its original's rows."""
+    return [replace(p, id=f"{p.id}#{tag}", domain=DOMAINS[(DOMAINS.index(p.domain) + 1) % len(DOMAINS)])
+            for p in pairs]
+
+
+def spy_forward_rows(monkeypatch):
+    """The list that every scoring forward's token-id rows are appended to."""
+    rows = []
+    for name in ("forward_mlm_batch", "forward_pooled_batch", "forward_token_batch"):
+        original = getattr(clozerm.evaluation, name)
+        monkeypatch.setattr(clozerm.evaluation, name,
+                            lambda w, c, ids, *a, _f=original: rows.extend(map(tuple, ids.tolist())) or _f(w, c, ids, *a))
+    return rows
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_repeated_pairs_are_scored_once_with_the_bits_of_one_copy(objective, monkeypatch):
+    model = make_model(objective=objective, pairs=MIXED, seed=7)
+    alone = score_pairs(model, MIXED)
+    rows = spy_forward_rows(monkeypatch)
+    repeated = MIXED + copies(MIXED[::-1], "reversed") + copies(MIXED, "again")
+    trials = score_pairs(model, repeated)
+    cfg = model.config
+    distinct_rows = [tuple(row.token_ids) for pair in MIXED
+                     for row in render_pair(pair, model.template, model.tokenizer, cfg.max_seq, cfg.head_kind)]
+    assert sorted(rows) == sorted(distinct_rows)
+    index = {pair.id: i for i, pair in enumerate(MIXED)}
+    originals = MIXED + MIXED[::-1] + MIXED
+    expected = [t for pair in originals for t in alone[2 * index[pair.id] : 2 * index[pair.id] + 2]]
+    assert len(trials) == len(expected) == 2 * len(repeated)
+    for trial, want, pair in zip(trials, expected, [p for p in repeated for _ in ORDERS]):
+        assert (trial.source_id, trial.domain) == (pair.id, pair.domain)
+        assert (trial.order, trial.gold, trial.prediction) == (want.order, want.gold, want.prediction)
+        assert (trial.p1.hex(), trial.p2.hex()) == (want.p1.hex(), want.p2.hex())
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_one_text_under_two_domain_prompts_is_scored_as_two_pairs(objective, monkeypatch):
+    pair = PAIRS[0]
+    as_chat = replace(pair, id="as-chat", domain="chat")
+    model = make_model(objective=objective, seed=3)
+    rows = spy_forward_rows(monkeypatch)
+    score_pairs(model, [pair, as_chat])
+    assert len(rows) == 2
+    rows.clear()
+    model.template = ClozeTemplate(prefix=TEMPLATE.prefix, domain_prefixes=DOMAIN_PREFIXES)
+    trials = score_pairs(model, [pair, as_chat])
+    assert len(rows) == len(set(rows)) == 4
+    assert [(t.source_id, t.domain) for t in trials] == [(pair.id, pair.domain)] * 2 + [("as-chat", "chat")] * 2
+
+
+def test_token_rows_with_equal_ids_and_other_spans_are_two_pairs(monkeypatch):
+    # Both pairs render to the same token ids; the token head reads
+    # different response spans of them.
+    long_prompt = PreferencePair(id="long-prompt", prompt="1\nResponse: 2", chosen="3", rejected="4", domain="reasoning")
+    long_answer = replace(long_prompt, id="long-answer", prompt="1", chosen="2\nResponse: 3", rejected="2\nResponse: 4")
+    model = make_model(objective="token-level", pairs=[long_prompt, long_answer], seed=3)
+    alone = score_pairs(model, [long_answer])
+    rows = spy_forward_rows(monkeypatch)
+    trials = score_pairs(model, [long_prompt, long_answer])
+    assert len(rows) == 4 and len(set(rows)) == 2
+    # Equal up to the token head's rounding by forward size (ROADMAP,
+    # direction 15), and unlike the other pair's.
+    assert [t.p1 for t in trials[2:]] == pytest.approx([t.p1 for t in alone], abs=1e-6)
+    assert abs(trials[0].p1 - alone[0].p1) > 1e-3
+
+
+def test_divergence_among_repeated_pairs_names_the_first_in_input_order(monkeypatch):
+    model = make_model(pairs=MIXED, seed=3)
+    swapped = ORDERS.index(ORDER_SWAPPED)
+    renders = [render_pair(p, TEMPLATE, model.tokenizer, SMALL.max_seq, HEAD_MLM)[swapped].token_ids for p in MIXED]
+    early, late = 4, 15
+    assert renders.count(renders[early]) == renders.count(renders[late]) == 1
+    original = clozerm.evaluation.forward_mlm_batch
+
+    def poisoned(weights, config, ids, positions):
+        logits = original(weights, config, ids, positions)
+        logits.data[[list(row) in (renders[early], renders[late]) for row in ids]] = np.nan
+        return logits
+
+    monkeypatch.setattr(clozerm.evaluation, "forward_mlm_batch", poisoned)
+    # Each call names the first poisoned copy, under its own id.
+    reversed_ = copies(MIXED[::-1], "reversed")
+    with pytest.raises(DivergenceError, match=f"pair {reversed_[len(MIXED) - 1 - late].id!r}"):
+        score_pairs(model, reversed_ + MIXED)
+    first = copies(MIXED, "first")
+    with pytest.raises(DivergenceError, match=f"pair {first[early].id!r}"):
+        score_pairs(model, first + MIXED)
+
+
+def test_every_copy_of_an_unfit_pair_is_skipped_in_input_order():
+    giant = PreferencePair(id="big", prompt="x " * 200, chosen="1", rejected="2", domain="reasoning")
+    twin = replace(giant, id="big-twin", domain="safety")
+    model = make_model(pairs=MIXED, seed=3)
+    skipped = []
+    trials = score_pairs(model, MIXED[:5] + [twin] + MIXED[5:] + [giant, twin], skipped)
+    assert skipped == [twin, giant, twin]
+    assert trials == score_pairs(model, MIXED)
 
 
 # Scoring forwards take the block ops' temporaries from the thread's arena;
@@ -728,16 +834,6 @@ def test_eval_model_needs_template_block_unless_given_one():
 # aggregation arithmetic
 
 
-def test_aggregate_chat_weighted_mean():
-    assert aggregate_chat([(0.8, 10), (0.6, 10)]) == pytest.approx(0.7)
-    assert aggregate_chat([(0.9, 100), (0.6, 50)]) == pytest.approx(0.8)
-    assert aggregate_chat([(0.73, 7)]) == pytest.approx(0.73, abs=1e-12)
-    with pytest.raises(ContractError):
-        aggregate_chat([])
-    with pytest.raises(ContractError):
-        aggregate_chat([(0.5, 0)])
-
-
 def test_overall_reproduces_published_table_rows():
     assert format_score(overall(78.8, 91.2, 89.3)) == "86.4"
     assert format_score(overall(71.0, 76.7, 79.2)) == "75.6"
@@ -813,6 +909,10 @@ def test_merged_adapter_model_costs_exactly_the_base_model():
 def test_format_gflops():
     assert format_gflops(2.6e6) == "0.00260"
     assert format_gflops(1.234e9) == "1.23"
+    # Three significant digits also where rounding reaches the next decade.
+    assert format_gflops(9.9999e6) == "0.0100"
+    assert format_gflops(0.99951e9) == "1.00"
+    assert format_gflops(99.96e9) == "100"
     with pytest.raises(ContractError):
         format_gflops(0.0)
 
@@ -834,7 +934,8 @@ def test_emit_tradeoff_sorted_header_and_roundtrip(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "label,gflops_per_token,accuracy"
     assert [line.split(",")[0] for line in lines[1:]] == ["tiny", "mid", "large"]
-    parsed = parse_tradeoff(path)
+    parsed = [TradeoffPoint(label, float(gflops), float(acc))
+              for label, gflops, acc in (line.split(",") for line in lines[1:])]
     assert parsed == sorted(POINTS, key=lambda p: p.gflops_per_token)
     for got, want in zip(parsed, sorted(POINTS, key=lambda p: p.gflops_per_token)):
         assert abs(got.gflops_per_token - want.gflops_per_token) < 1e-9
@@ -863,18 +964,6 @@ def test_emit_tradeoff_validation(tmp_path):
     assert not (tmp_path / "x.csv").exists()
     with pytest.raises(OSError):
         emit_tradeoff(POINTS, tmp_path)
-
-
-def test_parse_tradeoff_rejects_foreign_files(tmp_path):
-    path = tmp_path / "other.csv"
-    path.write_text("step,lr\n0,0.1\n")
-    with pytest.raises(ContractError):
-        parse_tradeoff(path)
-    header = "label,gflops_per_token,accuracy\n"
-    for row in ("tiny,0.1", "tiny,0.1,0.5,1", "tiny,fast,0.5", "tiny,0.1,", "tiny,nan,0.5", "tiny,0.1,inf", ",0.1,0.5"):
-        path.write_text(header + "ok,0.2,0.7\n\n" + row + "\n")
-        with pytest.raises(ContractError, match=f"line 4 \\({row!r}\\)"):
-            parse_tradeoff(path)
 
 
 # ---------------------------------------------------------------------------
