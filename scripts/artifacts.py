@@ -18,10 +18,14 @@ pairs too, with its eval, a pooled and a token-level run on that set
 whose max_seq skips a few pairs, each with its eval, a sweep and an
 objective comparison, and six runs that freeze lower layers (criterion
 07's DoRA arm, full-rank cloze, pooled-mean and token-level runs, every
-layer frozen, and one with trainable embeddings), each with its eval. Next to every eval report REPORT.eval.json it
-writes REPORT.trials.jsonl, one line per scored order of a pair from
-evaluation.score_pairs with p1 and p2 written by repr, so a change that
-moves a probability in its last bit shows even when no report changes.
+layer frozen, and one with trainable embeddings), each with its eval, and
+an all-at-once run: train() over the three 12-pair task files with each
+domain's tuned prefix (data.DOMAIN_PREFIXES), scored at eval_every steps
+on the three-domain 90-pair set, with its eval. Next to every eval report
+REPORT.eval.json it writes REPORT.trials.jsonl, one line per scored order
+of a pair from evaluation.score_pairs with p1 and p2 written by repr, so a
+change that moves a probability in its last bit shows even when no report
+changes.
 Every file is deterministic, so `diff -r` between the outputs of two
 checkouts shows whether a refactor kept the artifacts byte-identical:
 
@@ -35,10 +39,11 @@ import json
 import sys
 from pathlib import Path
 
-from clozerm.checkpoint import load_checkpoint
+from clozerm.checkpoint import load_checkpoint, save_checkpoint
 from clozerm.cli import run
-from clozerm.data import ClozeTemplate, load_jsonl
+from clozerm.data import DOMAIN_PREFIXES, ClozeTemplate, load_jsonl
 from clozerm.evaluation import EvalModel, score_pairs
+from clozerm.training import ModelSettings, TrainConfig, trace_to_csv, train
 
 SMALL = ["--n-layers", "2", "--hidden", "32", "--n-heads", "4", "--batch-size", "8",
          "--learning-rate", "3e-3", "--seed", "7"]
@@ -154,6 +159,17 @@ def main(argv=None):
         clozerm("train", "--data", wide, "--heldout", heldout, *frozen, "--out", ckpt,
                 "--trace", out / f"{name}.trace.csv", *SMALL, *args)
         evaluate(ckpt, heldout, name)
+
+    # No flag sets a domain map, so the all-at-once run goes through the
+    # API. Its checkpoint's template block carries the map, and eval scores
+    # each pair with its own domain's prefix from it.
+    aao = TrainConfig(learning_rate=3e-2, batch_size=3, epochs=6, seed=7, domain_prefixes=DOMAIN_PREFIXES,
+                      model=ModelSettings(n_layers=2, hidden=32, n_heads=4), eval_every=12)
+    tasks = [p for t in ("arithmetic", "refusal", "verbosity") for p in load_jsonl(out / f"{t}.jsonl")]
+    result = train(aao, tasks, heldout=load_jsonl(wide))
+    save_checkpoint(result.checkpoint, out / "aao.trm1")
+    (out / "aao.trace.csv").write_text(trace_to_csv(result.trace))
+    evaluate(out / "aao.trm1", wide, "aao")
 
     clozerm("sweep", "--data", data, "--trials", 3, "--ranks", "0,4", "--frozen-max", 1,
             "--out", out / "sweep.csv", *SMALL)

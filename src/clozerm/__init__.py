@@ -86,7 +86,6 @@ from .training import (
     lr_linear,
     sweep,
     train,
-    train_aao,
 )
 
 __version__ = "0.1.0"

@@ -1,6 +1,5 @@
 """Decoupled AdamW, the linear schedule, the three preference objectives,
-the epoch loop, seeded random hyperparameter search, and all-at-once
-multi-domain training.
+the epoch loop, and seeded random hyperparameter search.
 
 Training is deterministic given the config seed: one seed sequence is
 spawned into independent streams for weight init, adapter init, per-pair
@@ -17,7 +16,6 @@ import numpy as np
 
 from .checkpoint import Checkpoint, stored_tokenizer
 from .data import (
-    DOMAIN_PREFIXES,
     PREFIX_POOL,
     TOKEN_BUDGET,
     ClozeTemplate,
@@ -103,6 +101,10 @@ class DoraSettings:
 
 @dataclass
 class TrainConfig:
+    """One run's settings. prefix and domain_prefixes (domain -> prefix)
+    make its template; an all-at-once run over several domains is train()
+    over their concatenated pairs with domain_prefixes set."""
+
     learning_rate: float
     weight_decay: float = 1e-5
     batch_size: int = 256
@@ -112,6 +114,7 @@ class TrainConfig:
     dora: "DoraSettings | None" = None
     objective: str = "cloze"
     prefix: str = PREFIX_POOL[0]
+    domain_prefixes: dict = field(default_factory=dict)
     order_policy: str = "shuffled"
     model: ModelSettings = field(default_factory=ModelSettings)
     clip_norm: "float | None" = None
@@ -131,12 +134,15 @@ class TrainConfig:
             raise ConfigError(f"unknown objective {self.objective!r}; expected one of {OBJECTIVES}")
         if self.order_policy not in ORDER_POLICIES:
             raise ConfigError(f"unknown order_policy {self.order_policy!r}")
-        if not self.prefix:
-            raise ConfigError("prefix must be non-empty")
+        self.template  # an empty prefix or a malformed map raises ConfigError
         if self.clip_norm is not None and not 0 < self.clip_norm < math.inf:
             raise ConfigError("clip_norm must be finite and positive when set")
         if self.eval_every < 0:
             raise ConfigError("eval_every must be non-negative")
+
+    @property
+    def template(self) -> ClozeTemplate:
+        return ClozeTemplate(self.prefix, self.domain_prefixes)
 
 
 def model_config_for(settings: ModelSettings, objective: str, vocab_size: int) -> ModelConfig:
@@ -425,7 +431,7 @@ def _clip_global_norm(grads, max_norm: float) -> float:
     return norm
 
 
-def train(config: TrainConfig, pairs, heldout=None, init_from=None, _template=None) -> TrainResult:
+def train(config: TrainConfig, pairs, heldout=None, init_from=None) -> TrainResult:
     """Train one model over the pair list; deterministic given config.seed.
 
     heldout: optional pair list scored at eval_every steps, which need it,
@@ -435,8 +441,8 @@ def train(config: TrainConfig, pairs, heldout=None, init_from=None, _template=No
     ConfigError. Parameters left non-finite by the last update raise
     DivergenceError. init_from: checkpoint to continue from (any adapters
     in it are merged first); its stored vocabulary is reused, so new text
-    falls back to UNK. _template, train_aao's domain map, replaces
-    ClozeTemplate(config.prefix) everywhere.
+    falls back to UNK. Training and held-out pairs are rendered with
+    config.template, which the checkpoint records as its template block.
 
     With the embeddings and layers 0..k-1 frozen (k >= 1), the steps run
     only layers from min(k, n_layers - 1) up, from the frozen_states of
@@ -460,7 +466,7 @@ def train(config: TrainConfig, pairs, heldout=None, init_from=None, _template=No
     ss = np.random.SeedSequence(config.seed)
     init_ss, dora_ss, order_ss, shuffle_ss = ss.spawn(4)
 
-    template = _template or ClozeTemplate(config.prefix)
+    template = config.template
     if init_from is not None:
         base_ckpt = merge_checkpoint(init_from)
         tokenizer = stored_tokenizer(base_ckpt)
@@ -607,6 +613,10 @@ class SweepSpec:
             raise ConfigError("need 0 <= frozen_min <= frozen_max")
         if not self.prefixes:
             raise ConfigError("prefix pool must be non-empty")
+        if self.base.domain_prefixes:
+            # Every trial keeps the base's map, which would shadow its drawn
+            # prefix on each mapped domain.
+            raise ConfigError("a sweep's base config must have no domain prefix map")
         if not 0 < self.heldout_fraction < 1:
             raise ConfigError("heldout_fraction must be in (0, 1)")
 
@@ -727,17 +737,3 @@ def trials_to_csv(results) -> str:
              repr(r.accuracy), repr(r.gflops_per_token), r.n_train, r.n_eval]
         )
     return buf.getvalue()
-
-
-def train_aao(config: TrainConfig, datasets_by_domain, heldout=None) -> TrainResult:
-    """All-at-once run: concatenate every domain's pairs (keys in sorted
-    order), render each pair with its own domain's tuned prefix, and train
-    as a single globally shuffled run. The checkpoint records the
-    domain -> prefix map, so it is scored with the prompts it trained on."""
-    if len(datasets_by_domain) < 2:
-        raise ConfigError("all-at-once training needs at least 2 domains")
-    all_pairs = []
-    for key in sorted(datasets_by_domain):
-        all_pairs.extend(datasets_by_domain[key])
-    template = ClozeTemplate(config.prefix, DOMAIN_PREFIXES)
-    return train(config, all_pairs, heldout=heldout, _template=template)

@@ -25,7 +25,7 @@ from clozerm.data import (
     synth_generate,
 )
 from clozerm.evaluation import EvalModel, eval_dataset
-from clozerm.training import ModelSettings, TrainConfig, train_aao
+from clozerm.training import ModelSettings, TrainConfig, train
 from helpers import MALFORMED_CHECKPOINTS, malformed_checkpoint
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -344,11 +344,11 @@ def test_missing_or_invalid_vocabulary_exits_2(tmp_path, trained, corpus, vocab,
 @pytest.fixture(scope="module")
 def aao_trained(tmp_path_factory):
     root = tmp_path_factory.mktemp("aao")
-    by_task = {task: synth_generate(task, n, seed=seed)
-               for task, n, seed in (("arithmetic", 16, 2), ("refusal", 8, 3), ("verbosity", 8, 4))}
-    config = TrainConfig(learning_rate=3e-3, batch_size=4, prefix="Solve:",
+    pairs = [p for task, n, seed in (("arithmetic", 16, 2), ("refusal", 8, 3), ("verbosity", 8, 4))
+             for p in synth_generate(task, n, seed=seed)]
+    config = TrainConfig(learning_rate=3e-3, batch_size=4, prefix="Solve:", domain_prefixes=DOMAIN_PREFIXES,
                          model=ModelSettings(n_layers=1, hidden=16, n_heads=2, ffn_mult=2, max_seq=48))
-    save_checkpoint(train_aao(config, by_task).checkpoint, root / "aao.trm1")
+    save_checkpoint(train(config, pairs).checkpoint, root / "aao.trm1")
     heldout = [p for task in SYNTH_TASKS for p in synth_generate(task, 6, seed=9)]
     save_jsonl(heldout, root / "heldout.jsonl")
     return root / "aao.trm1", root / "heldout.jsonl"

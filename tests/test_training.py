@@ -1,4 +1,5 @@
-"""Optimizer, schedule, losses, the training loop, sweeps, and all-at-once runs."""
+"""Optimizer, schedule, losses, the training loop, sweeps, and all-at-once runs
+(one run over several domains with a domain prefix map)."""
 
 import dataclasses
 import math
@@ -9,14 +10,16 @@ import pytest
 import clozerm.data
 import clozerm.model
 import clozerm.training
-from clozerm.checkpoint import Checkpoint
+from clozerm.checkpoint import Checkpoint, stored_tokenizer
 from clozerm.data import (
     CANONICAL_LAYOUT,
     DOMAIN_PREFIXES,
+    PREFIX_POOL,
     ClozeTemplate,
     PreferencePair,
     build_tokenizer,
     render_pair,
+    render_pairs,
     synth_generate,
 )
 from clozerm.errors import (
@@ -42,6 +45,7 @@ from clozerm.model import (
 )
 from clozerm.peft import AdapterTargets, adapted_forward_weights, apply_freeze, attach_adapters
 from clozerm.tensor import Tape, Tensor
+from clozerm.tokenizer import UNK_ID
 from clozerm.training import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -67,7 +71,6 @@ from clozerm.training import (
     sweep,
     trace_to_csv,
     train,
-    train_aao,
     trial_config,
     trials_to_csv,
 )
@@ -643,6 +646,8 @@ def test_trainable_embeddings_keep_every_layer_in_the_step(monkeypatch):
         dict(objective="ranking"),
         dict(order_policy="reversed"),
         dict(prefix=""),
+        dict(domain_prefixes={"sports": "Hi."}),
+        dict(domain_prefixes={"chat": ""}),
         dict(clip_norm=0.0),
         dict(eval_every=-1),
     ],
@@ -1101,6 +1106,7 @@ def test_sweep_needs_two_pairs():
         dict(ranks=(-1,)),
         dict(frozen_min=1, frozen_max=0),
         dict(prefixes=()),
+        dict(base=small_config(model=L0, domain_prefixes=DOMAIN_PREFIXES)),
         dict(heldout_fraction=0.0),
         dict(heldout_fraction=1.0),
     ],
@@ -1126,9 +1132,13 @@ def test_trials_to_csv_header_and_roundtrip():
 # all-at-once training
 
 
-def test_train_aao_needs_two_domains():
-    with pytest.raises(ConfigError):
-        train_aao(small_config(), {"only": PAIRS})
+def concat_domains(by_domain):
+    """An all-at-once run's pairs: every domain's list, keys in sorted order."""
+    return [pair for key in sorted(by_domain) for pair in by_domain[key]]
+
+
+def aao_config(**kw):
+    return small_config(domain_prefixes=DOMAIN_PREFIXES, **kw)
 
 
 def test_train_aao_routes_prefix_from_pair_domain():
@@ -1136,7 +1146,7 @@ def test_train_aao_routes_prefix_from_pair_domain():
     # plain run that uses the reasoning prefix — even when the all-at-once
     # config carries a different prefix of its own.
     half_a, half_b = PAIRS[:8], PAIRS[8:]
-    aao = train_aao(small_config(prefix="Solve:"), {"a": half_a, "b": half_b})
+    aao = train(aao_config(prefix="Solve:"), concat_domains({"a": half_a, "b": half_b}))
     plain = train(
         small_config(prefix=DOMAIN_PREFIXES["reasoning"]), list(half_a) + list(half_b)
     )
@@ -1145,7 +1155,7 @@ def test_train_aao_routes_prefix_from_pair_domain():
 
 
 def test_train_aao_duplicate_domain_behaves_as_doubled_dataset():
-    aao = train_aao(small_config(), {"t1": PAIRS, "t2": PAIRS})
+    aao = train(aao_config(), concat_domains({"t1": PAIRS, "t2": PAIRS}))
     plain = train(small_config(prefix=DOMAIN_PREFIXES["reasoning"]), list(PAIRS) * 2)
     assert tensors_equal(aao.checkpoint.tensors, plain.checkpoint.tensors)
     assert [row.loss for row in aao.trace] == [row.loss for row in plain.trace]
@@ -1161,7 +1171,7 @@ AAO_HELDOUT = [p for task, seed in (("arithmetic", 7), ("refusal", 8), ("verbosi
 
 
 def test_train_aao_checkpoint_and_trace_score_with_domain_prompts():
-    run = train_aao(small_config(), AAO_DOMAINS, heldout=AAO_HELDOUT)
+    run = train(aao_config(), concat_domains(AAO_DOMAINS), heldout=AAO_HELDOUT)
     assert run.checkpoint.extra["template"] == {
         "layout": CANONICAL_LAYOUT, "prefix": "Solve:", "domain_prefixes": DOMAIN_PREFIXES,
     }
@@ -1174,8 +1184,32 @@ def test_train_aao_checkpoint_and_trace_score_with_domain_prompts():
 
 def test_train_aao_mixed_domains_change_the_run():
     safety = [dataclasses.replace(p, domain="safety") for p in PAIRS[8:]]
-    mixed = train_aao(small_config(), {"a": PAIRS[:8], "b": safety})
+    mixed = train(aao_config(), concat_domains({"a": PAIRS[:8], "b": safety}))
     uniform = train(
         small_config(prefix=DOMAIN_PREFIXES["reasoning"]), list(PAIRS[:8]) + list(PAIRS[8:])
     )
     assert [row.loss for row in mixed.trace] != [row.loss for row in uniform.trace]
+
+
+@pytest.mark.parametrize(
+    "template",
+    [
+        dict(prefix=PREFIX_POOL[0]),
+        dict(prefix=PREFIX_POOL[0], domain_prefixes=DOMAIN_PREFIXES),
+        pytest.param(
+            dict(prefix="Solve:"),
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="ROADMAP direction 2: build_tokenizer covers PREFIX_POOL, not the run's template",
+            ),
+        ),
+    ],
+    ids=["pool-prefix", "domain-map", "solve"],
+)
+def test_every_rendered_training_token_is_in_the_run_vocabulary(template):
+    config = small_config(**template)
+    pairs = concat_domains(AAO_DOMAINS)
+    tokenizer = stored_tokenizer(train(config, pairs).checkpoint)
+    rows = render_pairs(pairs, config.template, tokenizer, config.model.max_seq, HEAD_MLM, [])
+    ids = [i for pair_rows in rows if pair_rows for row in pair_rows for i in row.token_ids]
+    assert ids and UNK_ID not in ids
